@@ -154,9 +154,10 @@ def _kg_mention_contexts(sf_dir: str):
 
 
 def _kg_fused_triples(sf_dir: str):
-    """The flagship graph recomputed through the ONE-PASS FusedMatcher
-    (pipelines/kg.py::extract_triples_and_contexts — emits triples AND
-    evidence contexts from a single cascade, VERDICT r4 #2).  Must be
+    """The flagship graph recomputed through the ONE-PASS matcher
+    (pipelines/kg.py::extract_triples_and_contexts — MentionMatcher with
+    emit={"triples", "contexts"} emits triples AND evidence contexts from
+    a single cascade, VERDICT r4 #2).  Must be
     bit-identical to kg_triples; oracled by the same committed serial
     expected table."""
     from lexmapr_ray.pipelines.kg import (extract_triples_and_contexts,
@@ -169,8 +170,8 @@ def _kg_fused_triples(sf_dir: str):
 
 
 def _kg_fused_contexts(sf_dir: str):
-    """The evidence-context family from the SAME one-pass FusedMatcher
-    run; must be bit-identical to kg_mention_contexts (same serial
+    """The evidence-context family from the SAME one-pass matcher run
+    (emit={"triples", "contexts"}); must be bit-identical to kg_mention_contexts (same serial
     expected oracle)."""
     from lexmapr_ray.pipelines.kg import extract_triples_and_contexts
     from lexmapr_ray.sources.pages import pages_from_documents
@@ -236,14 +237,14 @@ def _kg_triples_bucket(sf_dir: str):
     """KG triples including lexmapr:classifiedAs bucket-classification
     triples (the reference's --bucket path, C1-C6, through the Ray stage)."""
     global _BUCKET_LEXICON_REF
-    from lexmapr_ray.pipelines.kg import broadcast_lexicon, decode_triples, extract_triples
+    from lexmapr_ray.pipelines.kg import broadcast_lexicon, extract_triples
     from lexmapr_ray.sources.pages import pages_from_documents
 
     if _BUCKET_LEXICON_REF is None:
         _BUCKET_LEXICON_REF = broadcast_lexicon()
-    return decode_triples(extract_triples(
+    return extract_triples(
         pages_from_documents(sf_dir), _BUCKET_LEXICON_REF, bucket=True
-    ))
+    )
 
 
 def _kg_entities_incremental(sf_dir: str):

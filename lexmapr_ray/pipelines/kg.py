@@ -24,7 +24,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from lexmapr_ray.stages.match import MentionMatcher, extract_text_stage
+from lexmapr_ray.stages.match import (CONTEXTS_SCHEMA, TRIPLES_SCHEMA,
+                                      MentionMatcher, extract_text_stage)
 
 
 def broadcast_lexicon(lexicon=None, *, config: str | None = None, resolve=None):
@@ -45,6 +46,42 @@ def broadcast_lexicon(lexicon=None, *, config: str | None = None, resolve=None):
     return ray.put(lexicon)
 
 
+def _match_pages(pages_ds, lexicon_ref, emit, *, bucket=False, langs=("en",),
+                 concurrency=None, batch_size=256, pre_extracted=False):
+    """The one matcher actor pool behind every extraction entry point:
+    (html->text) -> ``map_batches(MentionMatcher(emit=...))``.
+
+    The DEFAULT pool is the shared autoscaling rule
+    (``stages/dedup.py::_auto_concurrency``: ``(2, 7/8 of CPUs)``) —
+    launching a full fixed pool against a small input (a 5k-doc gate
+    query = ~10 blocks) intermittently straggles 6-20 s on unneeded actor
+    spawns; production-scale callers (bench.py, run shards) pass an
+    explicit int for the fixed-size pool whose one-time spin-up amortizes
+    over thousands of blocks.  ``pre_extracted=True`` skips the
+    html->text invariant stage for inputs that already carry plain
+    (url, text, lang) rows."""
+    if lexicon_ref is None:
+        lexicon_ref = broadcast_lexicon()
+    if concurrency is None:
+        from lexmapr_ray.stages.dedup import _auto_concurrency
+
+        concurrency = _auto_concurrency()
+    ds = pages_ds if pre_extracted else pages_ds.map_batches(
+        extract_text_stage, batch_format="pyarrow")
+    return ds.map_batches(
+        MentionMatcher,
+        # the ref is wrapped in a list so Ray ships the tiny handle instead of
+        # registering the blob as a restart-fragile constructor dependency
+        # (core_worker warns otherwise); each actor ray.get()s it once.
+        fn_constructor_kwargs={"lexicon": [lexicon_ref], "emit": frozenset(emit),
+                               "bucket": bucket, "langs": langs},
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+        num_cpus=1,
+    )
+
+
 def extract_triples(
     pages_ds,
     lexicon_ref=None,
@@ -53,7 +90,6 @@ def extract_triples(
     langs: tuple = ("en",),
     concurrency=None,
     batch_size: int = 256,
-    actor_num_cpus: float = 1,
     pre_extracted: bool = False,
 ):
     """pages Dataset -> triples Dataset (extraction + matcher actor pool).
@@ -61,50 +97,9 @@ def extract_triples(
     ``pre_extracted=True`` skips the html->text invariant stage for inputs
     that already carry plain (url, text, lang) rows — e.g. anchor-text
     mentions parsed out of the html by their own extraction stage."""
-    if lexicon_ref is None:
-        lexicon_ref = broadcast_lexicon()
-    if concurrency is None:
-        import ray
-
-        # 7/8 of CPUs: the pipeline is matcher-bound (matcher CPU / pool
-        # size predicts wall), so actors deserve nearly the whole node and
-        # push-based shuffle overlaps the sort in the spare 1/8.  r3
-        # sweeps: pool 28 > 20 at 32 CPUs, pool 7 > 5 at 8 CPUs; the r2
-        # "5/8" optimum was an artifact of the since-replaced
-        # simple-shuffle sort's fat combiner tasks.  The DEFAULT is the
-        # autoscaling pool (2, cap): launching a full fixed pool against a
-        # small input (a 5k-doc gate query = ~10 blocks) intermittently
-        # straggles 6-20 s on unneeded actor spawns (see
-        # stages/dedup.py::_auto_concurrency); production-scale callers
-        # (bench.py, run shards) pass an explicit int for the fixed-size
-        # pool whose one-time spin-up amortizes over thousands of blocks.
-        cap = max(2, (int(ray.cluster_resources().get("CPU", 4)) * 7) // 8)
-        concurrency = (2, cap)
-    ds = pages_ds if pre_extracted else pages_ds.map_batches(
-        extract_text_stage, batch_format="pyarrow")
-    return ds.map_batches(
-        MentionMatcher,
-        # the ref is wrapped in a list so Ray ships the tiny handle instead of
-        # registering the blob as a restart-fragile constructor dependency
-        # (core_worker warns otherwise); each actor ray.get()s it once.
-        fn_constructor_kwargs={"lexicon": [lexicon_ref], "bucket": bucket, "langs": langs},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=actor_num_cpus,
-    )
-
-
-def decode_triples(triples_ds):
-    """Cast dictionary-encoded triple columns back to plain strings.
-
-    The matcher emits dictionary-encoded columns (object-store compression);
-    pipelines that hand raw triples to external consumers decode at the
-    boundary so downstream comparators see plain string semantics."""
-    def dec(t: pa.Table) -> pa.Table:
-        return pa.table({c: pc.cast(t[c], pa.string()) for c in t.column_names})
-
-    return triples_ds.map_batches(dec, batch_format="pyarrow")
+    return _match_pages(pages_ds, lexicon_ref, {"triples"}, bucket=bucket,
+                        langs=langs, concurrency=concurrency,
+                        batch_size=batch_size, pre_extracted=pre_extracted)
 
 
 def _partial_mention_counts(batch: pa.Table) -> pa.Table:
@@ -264,25 +259,7 @@ def _block_dedup_sorted(t: pa.Table) -> pa.Table:
     return t.filter(pa.array(keep))
 
 
-
-
-_WIRE_ENCODE_COLS = ("obj_label", "mention", "status")
-
-
-def _dict_encode_payload(t: pa.Table) -> pa.Table:
-    """Dictionary-encode the payload (non-key) triple columns ahead of the
-    sort shuffle — the NIC-byte-oriented wire format for multi-node runs
-    (see dedup_triples ``wire_encode``)."""
-    cols = {}
-    for name in t.column_names:
-        c = t[name]
-        if name in _WIRE_ENCODE_COLS and not pa.types.is_dictionary(c.type):
-            c = pc.dictionary_encode(c.combine_chunks())
-        cols[name] = c
-    return pa.table(cols)
-
-
-def dedup_triples(triples_ds, *, block_fn=None, wire_encode: bool = False):
+def dedup_triples(triples_ds, *, block_fn=None):
     """Exact (subj, pred, obj) dedup, one shuffle, fully vectorized:
     per-batch local dedup (combiner) -> global sort on the triple key
     (equal keys are guaranteed co-partitioned) -> per-block drop_duplicates.
@@ -302,18 +279,7 @@ def dedup_triples(triples_ds, *, block_fn=None, wire_encode: bool = False):
     fragmented at any downstream ``map_batches`` (advisor r4; pinned by
     tests/test_kg_pipeline.py hot-subject case).  cooccurrence_edges,
     negative_samples and density_filter all pass their per-page reduction
-    here instead of mapping over the returned Dataset.
-
-    ``wire_encode=True`` dictionary-encodes the payload columns
-    (obj_label, mention, status — ~half the row bytes) between the
-    combiner and the sort; the post-sort reduce decodes, so the output is
-    byte-identical either way (pinned by
-    tests/test_kg_pipeline.py::test_dedup_wire_encode_paths_identical).
-    Measured SLOWER single-node twice (see the combiner comment below —
-    shared-memory object store, encode CPU buys nothing), but on a
-    multi-node cluster where the sort crosses NICs the byte savings win;
-    the flag ships the experiment so a real deployment flips it without
-    re-deriving it."""
+    here instead of mapping over the returned Dataset."""
     # batch_size bundles matcher output blocks into one dedup task: local
     # combining AND block-count coalescing ahead of the shuffle in a single
     # streaming stage (no Repartition barrier); see canonicalize_mentions
@@ -337,10 +303,6 @@ def dedup_triples(triples_ds, *, block_fn=None, wire_encode: bool = False):
     ds = triples_ds.map_batches(
         _block_dedup_sorted, batch_format="pyarrow", batch_size=131072
     )
-    if wire_encode:
-        # fuses with the combiner task (adjacent task-pool maps) — no
-        # extra exchange, just the encode kernel on the shuffle input
-        ds = ds.map_batches(_dict_encode_payload, batch_format="pyarrow")
     # Sort on subj ALONE (not the full triple key): equal (subj,pred,obj)
     # rows share a subj, so single-key range partitioning still co-locates
     # every duplicate group (dedup stays exact — the block reduce re-sorts
@@ -435,27 +397,12 @@ def mention_contexts(
 
     KG provenance extraction: each matched sentence mention with its
     neighbor sentences, one row per distinct linked term
-    (stages/match.py::MentionContexts).  Embarrassingly parallel actor
-    pool — same broadcast/pool contract as :func:`extract_triples`; the
-    only wide op is the presentation sort."""
-    if lexicon_ref is None:
-        lexicon_ref = broadcast_lexicon()
-    if concurrency is None:
-        import ray
-
-        cap = max(2, (int(ray.cluster_resources().get("CPU", 4)) * 7) // 8)
-        concurrency = (2, cap)
-    from lexmapr_ray.stages.match import MentionContexts
-
-    ds = pages_ds.map_batches(extract_text_stage, batch_format="pyarrow")
-    return ds.map_batches(
-        MentionContexts,
-        fn_constructor_kwargs={"lexicon": [lexicon_ref], "langs": langs},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    ).sort(["subj", "mention_idx", "obj"])
+    (``MentionMatcher(emit={"contexts"})``).  Embarrassingly parallel
+    actor pool — the same pool as :func:`extract_triples`; the only wide
+    op is the presentation sort."""
+    return _match_pages(pages_ds, lexicon_ref, {"contexts"}, langs=langs,
+                        concurrency=concurrency, batch_size=batch_size) \
+        .sort(["subj", "mention_idx", "obj"])
 
 
 def extract_triples_and_contexts(
@@ -469,14 +416,14 @@ def extract_triples_and_contexts(
 ):
     """ONE matcher pass -> (triples Dataset, contexts Dataset).
 
-    A user materializing both the graph AND its evidence contexts
-    previously paid the matcher-bound cascade twice
-    (:func:`extract_triples` + :func:`mention_contexts`); the fused
-    :class:`~lexmapr_ray.stages.match.FusedMatcher` actor emits both row
-    families from one pass with a per-page cascade memo (~1x matcher cost
-    on short-sentence web text — measured 2.84x faster than the two
-    separate passes at 100k pages / 32 CPUs, BASELINE.md: shared cascade
-    runs plus one actor-pool spin-up instead of two).
+    Materializing both the graph AND its evidence contexts through
+    :func:`extract_triples` + :func:`mention_contexts` pays the
+    matcher-bound cascade twice; with ``emit={"triples", "contexts"}``
+    the matcher emits both row families from one pass with a per-page
+    cascade memo (~1x matcher cost on short-sentence web text — measured
+    2.84x faster than the two separate passes at 100k pages / 32 CPUs,
+    BASELINE.md: shared cascade runs plus one actor-pool spin-up instead
+    of two).
 
     The tagged union is materialized ONCE so the two filtered views don't
     re-execute the matcher; the materialized rows are extraction OUTPUT
@@ -484,38 +431,17 @@ def extract_triples_and_contexts(
     family comes back byte-identical to its standalone stage (pinned by
     tests/test_kg_pipeline.py::test_fused_matcher_equals_separate_passes).
     """
-    if lexicon_ref is None:
-        lexicon_ref = broadcast_lexicon()
-    if concurrency is None:
-        import ray
+    combined = _match_pages(pages_ds, lexicon_ref, {"triples", "contexts"},
+                            bucket=bucket, langs=langs, concurrency=concurrency,
+                            batch_size=batch_size).materialize()
 
-        cap = max(2, (int(ray.cluster_resources().get("CPU", 4)) * 7) // 8)
-        concurrency = (2, cap)
-    from lexmapr_ray.stages.match import CONTEXTS_SCHEMA, FusedMatcher
+    def take(family, cols):
+        return lambda t: t.filter(pc.equal(t["family"], family)).select(cols)
 
-    ds = pages_ds.map_batches(extract_text_stage, batch_format="pyarrow")
-    combined = ds.map_batches(
-        FusedMatcher,
-        fn_constructor_kwargs={"lexicon": [lexicon_ref], "bucket": bucket,
-                               "langs": langs},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    ).materialize()
-
-    trip_cols = ["subj", "pred", "obj", "obj_label", "mention", "status"]
-
-    def take_triples(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["family"], "triple")).select(trip_cols)
-
-    ctx_cols = list(CONTEXTS_SCHEMA.names)
-
-    def take_ctx(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["family"], "ctx")).select(ctx_cols)
-
-    triples = combined.map_batches(take_triples, batch_format="pyarrow")
-    contexts = combined.map_batches(take_ctx, batch_format="pyarrow") \
+    triples = combined.map_batches(take("triple", TRIPLES_SCHEMA.names),
+                                   batch_format="pyarrow")
+    contexts = combined.map_batches(take("ctx", CONTEXTS_SCHEMA.names),
+                                    batch_format="pyarrow") \
         .sort(["subj", "mention_idx", "obj"])
     return triples, contexts
 

@@ -170,7 +170,8 @@ class SampleMatcher:
     """Actor-pool stage for the legacy surface: sample rows in, fully
     serialized per-sample report fields out (everything the TSV needs).
 
-    Same broadcast-lexicon pattern as the KG MentionMatcher."""
+    Receives the broadcast lexicon handle (a ``ray.put`` ref wrapped in a
+    one-element list) the same way the KG MentionMatcher does."""
 
     def __init__(self, lexicon=None, bucket: bool = False):
         import ray

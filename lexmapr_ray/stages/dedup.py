@@ -34,12 +34,17 @@ _HASH_B = _RNG.randint(0, _MERSENNE, size=NUM_HASHES, dtype=np.int64).astype(np.
 
 
 def _auto_concurrency(requested=None):
-    """Actor-pool sizing that cannot starve the rest of the pipeline: a
-    pool of (CPUs - 2) leaves only two slots for read/join/sort tasks and
-    the whole DAG dribbles (measured: minhash at sf0.1 went from minutes
-    to seconds); 7/8 of CPUs is the r3 cap — with push-based shuffle the
-    sort work overlaps the pool, so compute-heavy actors deserve nearly
-    the whole node.
+    """THE actor-pool sizing rule — every default pool in the engine,
+    the KG matcher pool (pipelines/kg.py) included, comes from here.
+
+    It cannot starve the rest of the pipeline: a pool of (CPUs - 2)
+    leaves only two slots for read/join/sort tasks and the whole DAG
+    dribbles (measured: minhash at sf0.1 went from minutes to seconds);
+    7/8 of CPUs is the r3 cap — with push-based shuffle the sort work
+    overlaps the pool, so compute-heavy actors deserve nearly the whole
+    node (r3 matcher sweeps: pool 28 > 20 at 32 CPUs, pool 7 > 5 at 8
+    CPUs).  At <= 2 CPUs the cap is one actor, leaving a CPU for the
+    upstream read.
 
     The default is the AUTOSCALING pool ``(2, cap)``, not a fixed pool of
     ``cap`` (r4): a fixed pool spawns ``cap`` actor processes even when
@@ -50,8 +55,8 @@ def _auto_concurrency(requested=None):
     BENCH_r03's 3.4 s vs the r4 full-suite 19.4 s outlier was exactly
     this).  With corpus-scale inputs the autoscaler ramps to ``cap``
     within the first seconds, so steady-state throughput is unchanged;
-    only the flagship matcher pool (pipelines/kg.py) keeps a fixed size,
-    where thousands of input blocks make every actor useful immediately.
+    production-scale callers (bench.py, run shards) pass an explicit int
+    for a fixed pool whose spin-up amortizes over thousands of blocks.
     An explicit ``requested`` int is honored as a fixed pool (capped)."""
     import ray
 

@@ -4,6 +4,8 @@ The matcher is the stateful heart of the pipeline: a callable class passed to
 ``map_batches(MentionMatcher, concurrency=N)`` so the multi-MB lexicon is
 loaded ONCE per actor (from a ``ray.put`` handle — one object-store copy per
 node, zero-copy mapped by every actor on it) and reused across batches.
+One actor class serves every consumer; its ``emit`` set picks the row
+families (graph triples, evidence contexts, or both from one pass).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import re
 
 import pyarrow as pa
 
-from lexmapr_ray.lexkit.lexicon import Lexicon, build_lexicon
+from lexmapr_ray.lexkit.lexicon import Lexicon
 from lexmapr_ray.lexkit.matcher import match_sample
 from lexmapr_ray.sources.pages import extract_text
 
@@ -86,66 +88,6 @@ CONTEXTS_SCHEMA = pa.schema(
     ]
 )
 
-
-class MentionContexts:
-    """Actor-pool stage: pages batches in, evidence-context rows out.
-
-    For every mention window (:func:`segment_mention_windows`) the matcher
-    links to at least one ontology term, emit one row per DISTINCT matched
-    term carrying the raw window plus its neighboring windows — the
-    provenance snippet a KG reviewer (or a relation-extraction training
-    set) needs next to the bare triple.  Same broadcast-lexicon /
-    init-once contract as :class:`MentionMatcher`; reference parity
-    anchor: lexmapr/pipeline.py keeps the original sample text beside each
-    match for exactly this audit purpose."""
-
-    def __init__(self, lexicon=None, langs: tuple = ("en",),
-                 window_tokens: int = 32):
-        import ray
-
-        if isinstance(lexicon, (list, tuple)) and len(lexicon) == 1:
-            lexicon = lexicon[0]
-        if lexicon is None:
-            lexicon = build_lexicon()
-        elif isinstance(lexicon, ray.ObjectRef):
-            lexicon = ray.get(lexicon)
-        self.lexicon: Lexicon = lexicon
-        self.langs = set(langs) if langs else None
-        self.window_tokens = window_tokens
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        texts = batch["text"].to_pylist()
-        langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * len(urls)
-
-        subj, obj, idx, men, bef, aft = [], [], [], [], [], []
-        for url, text, lang in zip(urls, texts, langs):
-            if self.langs and lang is not None and lang not in self.langs:
-                continue
-            ms = segment_mention_windows(text, self.window_tokens)
-            for i, mention in enumerate(ms):
-                r = match_sample(mention, self.lexicon)
-                if not r.matched_components:
-                    continue
-                terms = sorted({c.rsplit(":", 1)[1]
-                                for c in r.matched_components})
-                before = ms[i - 1] if i > 0 else ""
-                after = ms[i + 1] if i + 1 < len(ms) else ""
-                for t in terms:
-                    subj.append(url)
-                    obj.append(t)
-                    idx.append(i)
-                    men.append(mention)
-                    bef.append(before)
-                    aft.append(after)
-        return pa.Table.from_arrays(
-            [pa.array(subj, pa.string()), pa.array(obj, pa.string()),
-             pa.array(idx, pa.int64()), pa.array(men, pa.string()),
-             pa.array(bef, pa.string()), pa.array(aft, pa.string())],
-            schema=CONTEXTS_SCHEMA,
-        )
-
-
 FUSED_SCHEMA = pa.schema(
     [
         ("family", pa.string()),        # "triple" | "ctx"
@@ -161,116 +103,12 @@ FUSED_SCHEMA = pa.schema(
     ]
 )
 
-
-class FusedMatcher:
-    """Actor-pool stage emitting BOTH row families in one matcher pass:
-    the triples of :class:`MentionMatcher` (``family='triple'``) and the
-    evidence contexts of :class:`MentionContexts` (``family='ctx'``).
-
-    The pipeline is matcher-bound (BASELINE.md), and the two families
-    segment differently (sentence-truncate vs token windows), so a user
-    materializing both previously paid the full cascade twice.  Here one
-    actor runs both segmentations with a per-page memo on the cascade:
-    every sentence of <= ``window_tokens`` tokens produces the SAME
-    mention string in both segmentations, so its cascade runs once — on
-    ordinary web text (short sentences dominate) the fused pass costs
-    ~1x the matcher, not 2x.  Outputs are byte-identical to the two
-    separate stages by construction (same functions, same inputs).
-
-    Consumed via :func:`lexmapr_ray.pipelines.kg.extract_triples_and_contexts`,
-    which materializes the tagged union ONCE (output-scale rows, never
-    corpus/page bytes) and filters each family out of the shared result.
-    """
-
-    def __init__(self, lexicon=None, bucket: bool = False,
-                 langs: tuple = ("en",), window_tokens: int = 32):
-        import ray
-
-        if isinstance(lexicon, (list, tuple)) and len(lexicon) == 1:
-            lexicon = lexicon[0]
-        if lexicon is None:
-            lexicon = build_lexicon()
-        elif isinstance(lexicon, ray.ObjectRef):
-            lexicon = ray.get(lexicon)
-        self.lexicon: Lexicon = lexicon
-        self.langs = set(langs) if langs else None
-        self.window_tokens = window_tokens
-        self.classify_fn = None
-        if bucket:
-            from lexmapr_ray.lexkit.classify import make_classifier
-
-            self.classify_fn = make_classifier(lexicon)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        texts = batch["text"].to_pylist()
-        langs = batch["lang"].to_pylist() \
-            if "lang" in batch.column_names else [None] * len(urls)
-
-        cols = {name: [] for name in FUSED_SCHEMA.names}
-
-        def emit(family, subj, pred, obj, obj_label, mention, status,
-                 mention_idx, ctx_before, ctx_after):
-            cols["family"].append(family)
-            cols["subj"].append(subj)
-            cols["pred"].append(pred)
-            cols["obj"].append(obj)
-            cols["obj_label"].append(obj_label)
-            cols["mention"].append(mention)
-            cols["status"].append(status)
-            cols["mention_idx"].append(mention_idx)
-            cols["ctx_before"].append(ctx_before)
-            cols["ctx_after"].append(ctx_after)
-
-        bucket = self.classify_fn is not None
-        for url, text, lang in zip(urls, texts, langs):
-            if self.langs and lang is not None and lang not in self.langs:
-                continue
-            memo: dict = {}
-
-            def match(mention):
-                r = memo.get(mention)
-                if r is None:
-                    r = memo[mention] = match_sample(
-                        mention, self.lexicon, bucket=bucket,
-                        classify_fn=self.classify_fn)
-                return r
-
-            # family 'triple': MentionMatcher semantics, verbatim
-            for mention in segment_mentions(text):
-                r = match(mention)
-                if not r.matched_components:
-                    continue
-                p = PRED_FULL if r.macro_status == "Full Term Match" \
-                    else PRED_COMPONENT
-                status_repr = str(r.micro_status)
-                for comp in r.matched_components:
-                    label, term_id = comp.rsplit(":", 1)
-                    emit("triple", url, p, term_id, label,
-                         r.component_surfaces.get(comp, r.cleaned_sample),
-                         status_repr, -1, "", "")
-                if r.classification:
-                    for lab in r.classification["ifsac_final_labels"]:
-                        emit("triple", url, PRED_CLASSIFIED, "ifsac:" + lab,
-                             lab, r.cleaned_sample, "[]", -1, "", "")
-
-            # family 'ctx': MentionContexts semantics, verbatim
-            ms = segment_mention_windows(text, self.window_tokens)
-            for i, mention in enumerate(ms):
-                r = match(mention)
-                if not r.matched_components:
-                    continue
-                terms = sorted({c.rsplit(":", 1)[1]
-                                for c in r.matched_components})
-                before = ms[i - 1] if i > 0 else ""
-                after = ms[i + 1] if i + 1 < len(ms) else ""
-                for t in terms:
-                    emit("ctx", url, "", t, "", mention, "", i, before, after)
-
-        return pa.Table.from_arrays(
-            [pa.array(cols[f.name], f.type) for f in FUSED_SCHEMA],
-            schema=FUSED_SCHEMA,
-        )
+# the emit set -> the schema of the rows the matcher returns
+_EMIT_SCHEMAS = {
+    frozenset({"triples"}): TRIPLES_SCHEMA,
+    frozenset({"contexts"}): CONTEXTS_SCHEMA,
+    frozenset({"triples", "contexts"}): FUSED_SCHEMA,
+}
 
 
 def extract_text_stage(batch: pa.Table) -> pa.Table:
@@ -293,20 +131,44 @@ def extract_text_stage(batch: pa.Table) -> pa.Table:
 
 
 class MentionMatcher:
-    """Actor-pool stage: pages batches in, triples batches out.
+    """Actor-pool stage: pages batches in, matcher rows out.
 
-    Constructor args may be a plain :class:`Lexicon` (tests) or a
-    ``ray.ObjectRef`` from ``ray.put(lexicon)`` (production broadcast).
+    ``emit`` is a non-empty subset of ``{"triples", "contexts"}``:
+
+    * ``"triples"`` — graph triples (:data:`TRIPLES_SCHEMA`): each
+      sentence mention (:func:`segment_mentions`) the cascade links to a
+      term yields one row per matched component, plus
+      ``lexmapr:classifiedAs`` rows when ``bucket`` is set;
+    * ``"contexts"`` — evidence contexts (:data:`CONTEXTS_SCHEMA`): each
+      matched mention window (:func:`segment_mention_windows`) yields one
+      row per DISTINCT term carrying the raw window plus its neighbors —
+      the provenance snippet a KG reviewer needs next to the bare triple
+      (reference parity anchor: lexmapr/pipeline.py keeps the original
+      sample text beside each match for this audit purpose);
+    * both — the two families tagged by ``family`` in one table
+      (:data:`FUSED_SCHEMA`).  The pipeline is matcher-bound, and every
+      sentence of <= 32 tokens is the SAME string in both segmentations,
+      so a per-page cascade memo runs it once: ~1x the matcher cost, not
+      2x.  Each family is byte-identical to its single-family output.
+
+    ``lexicon`` is a plain :class:`Lexicon` (tests) or the ``ray.put``
+    handle from the pipeline's broadcast, optionally wrapped in a
+    one-element list so Ray ships the handle instead of resolving it.
     """
 
-    def __init__(self, lexicon=None, bucket: bool = False, langs: tuple = ("en",)):
-        import ray
-
+    def __init__(self, lexicon, emit=frozenset({"triples"}), bucket: bool = False,
+                 langs: tuple = ("en",)):
+        self.schema = _EMIT_SCHEMAS.get(frozenset(emit))
+        if self.schema is None:
+            raise ValueError(
+                f"emit must be a non-empty subset of {{'triples', 'contexts'}}, got {emit!r}")
+        self.triples = "triples" in emit
+        self.contexts = "contexts" in emit
         if isinstance(lexicon, (list, tuple)) and len(lexicon) == 1:
-            lexicon = lexicon[0]  # broadcast handle wrapped to bypass arg resolution
-        if lexicon is None:
-            lexicon = build_lexicon()
-        elif isinstance(lexicon, ray.ObjectRef):
+            lexicon = lexicon[0]
+        if not isinstance(lexicon, Lexicon):
+            import ray
+
             lexicon = ray.get(lexicon)
         self.lexicon: Lexicon = lexicon
         self.langs = set(langs) if langs else None
@@ -316,51 +178,59 @@ class MentionMatcher:
 
             self.classify_fn = make_classifier(lexicon)
 
+    def _match(self, mention: str, memo: dict):
+        r = memo.get(mention)
+        if r is None:
+            r = memo[mention] = match_sample(
+                mention, self.lexicon, bucket=self.classify_fn is not None,
+                classify_fn=self.classify_fn)
+        return r
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         texts = batch["text"].to_pylist()
-        langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * len(urls)
+        langs = batch["lang"].to_pylist() \
+            if "lang" in batch.column_names else [None] * len(urls)
 
-        subj, pred, obj, obj_label, mention_col, status_col = [], [], [], [], [], []
+        rows = []  # FUSED_SCHEMA tuples; the schema picks the columns
         for url, text, lang in zip(urls, texts, langs):
             if self.langs and lang is not None and lang not in self.langs:
                 continue
-            for mention in segment_mentions(text):
-                r = match_sample(
-                    mention, self.lexicon, bucket=self.classify_fn is not None,
-                    classify_fn=self.classify_fn,
-                )
-                if not r.matched_components:
-                    continue
-                p = PRED_FULL if r.macro_status == "Full Term Match" else PRED_COMPONENT
-                status_repr = str(r.micro_status)
-                for comp in r.matched_components:
-                    label, term_id = comp.rsplit(":", 1)
-                    subj.append(url)
-                    pred.append(p)
-                    obj.append(term_id)
-                    obj_label.append(label)
-                    # the normalized surface chunk that matched — the
-                    # canonicalization groupby key (falls back to the whole
-                    # cleaned sample for pre-surface-tracking matches)
-                    mention_col.append(r.component_surfaces.get(comp, r.cleaned_sample))
-                    status_col.append(status_repr)
-                if r.classification:
-                    for lab in r.classification["ifsac_final_labels"]:
-                        subj.append(url)
-                        pred.append(PRED_CLASSIFIED)
-                        obj.append("ifsac:" + lab)
-                        obj_label.append(lab)
-                        mention_col.append(r.cleaned_sample)
-                        status_col.append("[]")
+            memo: dict = {}
+            if self.triples:
+                for mention in segment_mentions(text):
+                    r = self._match(mention, memo)
+                    if not r.matched_components:
+                        continue
+                    p = PRED_FULL if r.macro_status == "Full Term Match" \
+                        else PRED_COMPONENT
+                    status_repr = str(r.micro_status)
+                    for comp in r.matched_components:
+                        label, term_id = comp.rsplit(":", 1)
+                        # the normalized surface chunk that matched — the
+                        # canonicalization groupby key (falls back to the
+                        # whole cleaned sample for pre-surface-tracking
+                        # matches)
+                        rows.append(("triple", url, p, term_id, label,
+                                     r.component_surfaces.get(comp, r.cleaned_sample),
+                                     status_repr, -1, "", ""))
+                    if r.classification:
+                        for lab in r.classification["ifsac_final_labels"]:
+                            rows.append(("triple", url, PRED_CLASSIFIED, "ifsac:" + lab,
+                                         lab, r.cleaned_sample, "[]", -1, "", ""))
+            if self.contexts:
+                ms = segment_mention_windows(text)
+                for i, mention in enumerate(ms):
+                    r = self._match(mention, memo)
+                    if not r.matched_components:
+                        continue
+                    before = ms[i - 1] if i > 0 else ""
+                    after = ms[i + 1] if i + 1 < len(ms) else ""
+                    for t in sorted({c.rsplit(":", 1)[1] for c in r.matched_components}):
+                        rows.append(("ctx", url, "", t, "", mention, "", i, before, after))
+
+        cols = dict(zip(FUSED_SCHEMA.names, zip(*rows)))
         return pa.Table.from_arrays(
-            [
-                pa.array(subj, pa.string()),
-                pa.array(pred, pa.string()),
-                pa.array(obj, pa.string()),
-                pa.array(obj_label, pa.string()),
-                pa.array(mention_col, pa.string()),
-                pa.array(status_col, pa.string()),
-            ],
-            schema=TRIPLES_SCHEMA,
+            [pa.array(cols.get(f.name, ()), f.type) for f in self.schema],
+            schema=self.schema,
         )

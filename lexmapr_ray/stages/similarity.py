@@ -15,23 +15,6 @@ import pandas as pd
 import pyarrow as pa
 
 
-
-def _auto_concurrency(requested=None):
-    """Actor-pool sizing that cannot starve the rest of the pipeline
-    (same policy + measurements as ``stages/dedup.py::_auto_concurrency``):
-    default = AUTOSCALING ``(2, 7/8-of-CPUs)`` — a fixed full-size pool
-    spawns actors the input's block count can't use and that spawn burst
-    intermittently straggled 6-20 s on this host; an explicit
-    ``requested`` int is honored as a fixed pool (capped)."""
-    import ray
-
-    if isinstance(requested, tuple):  # idempotent under re-application
-        return requested
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    cap = max(1, (cpus * 7) // 8)
-    return min(requested, cap) if requested else (min(2, cap), cap)
-
-
 def _read_embeddings(sf_dir: str, columns=None):
     from lexmapr_ray.sources.tables import sized_read_parquet
 
@@ -705,6 +688,8 @@ def rerank_topk(sf_dir: str, n_queries: int = 8, k1: int = 50, k: int = 10):
     import ray
 
     import pyarrow.compute as pc
+
+    from lexmapr_ray.stages.dedup import _auto_concurrency
 
     cands = cosine_topk_multi(sf_dir, n_queries=n_queries, k=k1).take_all()
     cand_by_vec: dict[int, list] = {}

@@ -44,23 +44,6 @@ def _token_counts(texts) -> np.ndarray:
     return np.where(empty, 0, n_tok)
 
 
-
-def _auto_concurrency(requested=None):
-    """Actor-pool sizing that cannot starve the rest of the pipeline
-    (same policy + measurements as ``stages/dedup.py::_auto_concurrency``):
-    default = AUTOSCALING ``(2, 7/8-of-CPUs)`` — a fixed full-size pool
-    spawns actors the input's block count can't use and that spawn burst
-    intermittently straggled 6-20 s on this host; an explicit
-    ``requested`` int is honored as a fixed pool (capped)."""
-    import ray
-
-    if isinstance(requested, tuple):  # idempotent under re-application
-        return requested
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    cap = max(1, (cpus * 7) // 8)
-    return min(requested, cap) if requested else (min(2, cap), cap)
-
-
 def _read_documents(sf_dir: str, columns=None):
     from lexmapr_ray.sources.tables import sized_read_parquet
 
@@ -205,6 +188,8 @@ class LangIdHeuristic:
 
 
 def lang_id(sf_dir: str, concurrency: int | None = None):
+    from lexmapr_ray.stages.dedup import _auto_concurrency
+
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     return ds.map_batches(
         LangIdHeuristic, batch_format="pyarrow", concurrency=_auto_concurrency(concurrency)

@@ -364,10 +364,10 @@ def test_cooccurrence_hub_cap_drops_link_farm_page(ray_session):
 
 
 def test_fused_matcher_equals_separate_passes(ray_session, lexicon, sf_dir):
-    """The one-pass FusedMatcher (VERDICT r4 #2) must reproduce BOTH
-    standalone stages byte-for-byte: triples == extract_triples, contexts
-    == mention_contexts — the memoized cascade is a pure cache, never a
-    semantic change."""
+    """The one-pass matcher (both emit families, VERDICT r4 #2) must
+    reproduce BOTH standalone stages byte-for-byte: triples ==
+    extract_triples, contexts == mention_contexts — the memoized cascade
+    is a pure cache, never a semantic change."""
     import ray
     import ray.data as rd
 
@@ -493,6 +493,84 @@ def test_mention_windows_cover_whole_text():
     two = "a b c. d e"
     assert segment_mention_windows(two, 2) == ["a b", "c", "d e"]
     assert segment_mention_windows("", 32) == []
+
+
+def _tiny_lexicon(resource_dir):
+    """A three-term lexicon from hand-written resource CSVs (header row
+    first, as ``read_resource_csv`` skips it) — no reference tree."""
+    import csv
+
+    from lexmapr_ray.lexkit.lexicon import build_lexicon
+
+    files = {
+        "CombinedResourceTerms": [("id", "label"), ("foodon_001", "chicken breast"),
+                                  ("foodon_002", "apple"), ("foodon_003", "whole milk")],
+        "SynLex": [("synonym", "standard"), ("poultry breast", "chicken breast")],
+        "AbbLex": [("abbreviation", "expansion")],
+        "NefLex": [("word", "english")],
+        "ScorLex": [("misspelling", "correction")],
+        "suffixes": [("suffix", "")],
+        "mining-stopwords": [("word", ""), ("the", "")],
+        "inflection-exceptions": [("word", "")],
+    }
+    for name, rows in files.items():
+        with open(resource_dir / f"{name}.csv", "w", newline="") as fp:
+            csv.writer(fp).writerows(rows)
+    return build_lexicon(str(resource_dir), classification=False, use_cache=False)
+
+
+def test_mention_matcher_emit_modes(tmp_path):
+    """The one matcher actor, called directly (no Ray): each ``emit`` mode
+    returns its exact schema, the fused mode's families equal the
+    single-family outputs row for row, non-``en`` pages are dropped, and an
+    emit set outside {triples, contexts} is rejected."""
+    import pyarrow.compute as pc
+
+    from lexmapr_ray.stages.match import (CONTEXTS_SCHEMA, FUSED_SCHEMA,
+                                          MentionMatcher)
+
+    lex = _tiny_lexicon(tmp_path)
+    # 34 filler tokens push the matches past the first 32-token window, so
+    # the context windows differ from the (untruncated) sentence
+    long = " ".join(f"w{i}" for i in range(34)) + " fresh apple slices with whole milk"
+    pages = pa.table({
+        "url": ["doc://full", "doc://fr", "doc://long", "doc://none"],
+        "text": ["chicken breast. fresh poultry breast with apple",
+                 "chicken breast", long, "nothing matches here"],
+        "lang": ["en", "fr", "en", "en"],
+    })
+
+    triples = MentionMatcher(lex)(pages)
+    contexts = MentionMatcher([lex], emit={"contexts"})(pages)
+    fused = MentionMatcher(lex, emit={"triples", "contexts"})(pages)
+    assert triples.schema.equals(TRIPLES_SCHEMA, check_metadata=True)
+    assert contexts.schema.equals(CONTEXTS_SCHEMA, check_metadata=True)
+    assert fused.schema.equals(FUSED_SCHEMA, check_metadata=True)
+
+    def family(name, schema):
+        return fused.filter(pc.equal(fused["family"], name)).select(schema.names)
+
+    assert family("triple", TRIPLES_SCHEMA).equals(triples)
+    assert family("ctx", CONTEXTS_SCHEMA).equals(contexts)
+
+    rows = triples.to_pylist()
+    assert {(r["subj"], r["pred"], r["obj"]) for r in rows} == {
+        ("doc://full", "lexmapr:fullTermMatch", "FOODON_001"),
+        ("doc://full", "lexmapr:componentMatch", "FOODON_001"),
+        ("doc://full", "lexmapr:componentMatch", "FOODON_002"),
+        ("doc://long", "lexmapr:componentMatch", "FOODON_002"),
+        ("doc://long", "lexmapr:componentMatch", "FOODON_003"),
+    }
+    long_ctx = [r for r in contexts.to_pylist() if r["subj"] == "doc://long"]
+    assert [r["obj"] for r in long_ctx] == ["FOODON_002", "FOODON_003"]
+    assert all(r["mention_idx"] == 1 and r["mention"] == "w32 w33 fresh apple slices with whole milk"
+               and r["ctx_before"] == " ".join(f"w{i}" for i in range(32)) for r in long_ctx)
+
+    assert "doc://fr" not in fused["subj"].to_pylist()
+    assert "doc://fr" in MentionMatcher(lex, langs=None)(pages)["subj"].to_pylist()
+    for bad in (set(), {"bogus"}):
+        with pytest.raises(ValueError):
+            MentionMatcher(lex, emit=bad)
 
 
 def test_mention_contexts_neighbors_exact(ray_session, lexicon):
@@ -733,28 +811,3 @@ def test_anchor_entity_links_parses_html_exact(ray_session, lexicon, tmp_path):
     # distinct targets with a matching phrase only; every subj is a target
     assert got["subj"].str.contains(r"\.example/p/\d+$").all()
     assert (got.groupby("subj").size() >= 1).all()
-
-
-def test_dedup_wire_encode_paths_identical(ray_session, skewed_triples):
-    """wire_encode=True (NIC-byte shuffle format for multi-node sorts)
-    must be a pure wire-format change: byte-identical output to the
-    plain-string path, including through a fused block_fn."""
-    from lexmapr_ray.pipelines.kg import dedup_triples
-
-    plain = dedup_triples(skewed_triples).to_pandas().reset_index(drop=True)
-    wired = dedup_triples(skewed_triples, wire_encode=True) \
-        .to_pandas().reset_index(drop=True)
-    pd.testing.assert_frame_equal(plain, wired)
-
-    def count_block(t):
-        import pandas as _pd
-        g = t.to_pandas().groupby("subj", sort=True).size() \
-            .reset_index(name="n")
-        return g
-
-    pf = dedup_triples(skewed_triples, block_fn=count_block) \
-        .to_pandas().sort_values("subj").reset_index(drop=True)
-    wf = dedup_triples(skewed_triples, block_fn=count_block,
-                       wire_encode=True) \
-        .to_pandas().sort_values("subj").reset_index(drop=True)
-    pd.testing.assert_frame_equal(pf, wf)

@@ -2751,16 +2751,14 @@ def test_auto_concurrency_pool_sizing(ray_session):
     spawning actors a small input can't use; explicit ints are honored
     (capped); tuples pass through unchanged (the helper is applied twice
     on the _verified_pairs path)."""
-    from lexmapr_ray.stages import dedup, textstats
+    from lexmapr_ray.stages.dedup import _auto_concurrency as auto
 
-    for mod in (dedup, textstats):
-        auto = mod._auto_concurrency
-        lo, cap = auto()
-        assert lo == 2 and cap >= 2          # autoscaling default
-        assert auto(cap + 100) == cap        # explicit int capped
-        assert auto(2) == 2                  # explicit int honored
-        assert auto((3, 9)) == (3, 9)        # idempotent re-application
-        assert auto(auto()) == auto()
+    lo, cap = auto()
+    assert lo == 2 and cap >= 2          # autoscaling default
+    assert auto(cap + 100) == cap        # explicit int capped
+    assert auto(2) == 2                  # explicit int honored
+    assert auto((3, 9)) == (3, 9)        # idempotent re-application
+    assert auto(auto()) == auto()
 
 
 def test_minhash_index_dedup_persisted_equals_recompute(ray_session, sf_dir,

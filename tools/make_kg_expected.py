@@ -42,9 +42,10 @@ TRIPLE_COLS = ["subj", "pred", "obj", "obj_label", "mention", "status"]
 def serial_triples(sf_dir: str, bucket: bool) -> list[tuple]:
     """Serial re-derivation of the matcher stage: one python loop per page.
 
-    Mirrors the SEMANTICS of lexmapr_ray.stages.match.MentionMatcher (the
-    reference conformance anchor is lexmapr/pipeline.py's per-sample loop)
-    without any of the distributed machinery.
+    Mirrors the SEMANTICS of lexmapr_ray.stages.match.MentionMatcher's
+    ``emit={"triples"}`` rows (the reference conformance anchor is
+    lexmapr/pipeline.py's per-sample loop) without any of the distributed
+    machinery.
     """
     from lexmapr_ray.lexkit.lexicon import build_lexicon
     from lexmapr_ray.lexkit.matcher import match_sample
@@ -142,8 +143,9 @@ CONF_COLS = ["pred", "obj", "n_mentions", "n_pages", "n_surfaces",
 
 def serial_contexts(sf_dir: str, window_tokens: int = 32) -> list[tuple]:
     """Serial evidence-context rows: one plain loop per page, mirroring the
-    SEMANTICS of stages/match.py::MentionContexts (raw mention window +
-    neighbor windows per distinct matched term) without the actor pool.
+    SEMANTICS of stages/match.py::MentionMatcher(emit={"contexts"}) (raw
+    mention window + neighbor windows per distinct matched term) without
+    the actor pool.
     The windowing is re-derived inline (sentence split then fixed token
     windows) rather than imported, so the engine's helper is checked too."""
     import re
