@@ -90,7 +90,7 @@ def _kg_ancestor_rollup(sf_dir: str):
 def _anchor_entity_links(sf_dir: str):
     """Anchor-text entity linking (pipelines/kg.py::anchor_text_triples):
     the engine PARSES the anchor text out of raw html bytes and runs the
-    matcher actor pool over it; the oracle regenerates the deterministic
+    matcher over it; the oracle regenerates the deterministic
     edge set arithmetically and joins the committed serial phrase->term
     mapping (expected/op_anchor_phrase_terms.parquet) on dst % 20."""
     from lexmapr_ray.pipelines.kg import anchor_text_triples
@@ -250,7 +250,7 @@ def _kg_triples_bucket(sf_dir: str):
 def _kg_entities_incremental(sf_dir: str):
     """The canonicalization (A3) analogue of ``kg_incremental_merge``: the
     corpus arrives in two parity batches, each extracted by its OWN
-    actor-pool pass, and entity canonicalization runs over the union of
+    matcher pass, and entity canonicalization runs over the union of
     the raw mention streams.  Must equal the full-corpus canonical table
     bit-for-bit (the mention-count combiner is a sum, sums are
     associative) — the property that lets a delta crawl's mentions merge
@@ -258,13 +258,9 @@ def _kg_entities_incremental(sf_dir: str):
     by the same serial expected table as ``kg_entities``."""
     import pyarrow as _pa
     import pyarrow.compute as _pc
-    import ray as _ray
 
     from lexmapr_ray.pipelines.kg import canonicalize_mentions, extract_triples
     from lexmapr_ray.sources.pages import pages_from_documents
-
-    cpus = int(_ray.cluster_resources().get("CPU", 4))
-    pool = (1, max(2, (cpus * 7) // 16))
 
     def half(parity: int):
         pages = pages_from_documents(sf_dir)
@@ -276,8 +272,8 @@ def _kg_entities_incremental(sf_dir: str):
 
         return pages.map_batches(keep, batch_format="pyarrow")
 
-    a = extract_triples(half(0), _lexicon_ref(), concurrency=pool)
-    b = extract_triples(half(1), _lexicon_ref(), concurrency=pool)
+    a = extract_triples(half(0), _lexicon_ref())
+    b = extract_triples(half(1), _lexicon_ref())
     return canonicalize_mentions(a.union(b))
 
 
@@ -296,7 +292,7 @@ def _kg_host_profile(sf_dir: str):
 def _kg_incremental_merge(sf_dir: str):
     """Incremental graph maintenance: the corpus arrives in two batches
     (doc_id parity split — stand-in for 'yesterday's crawl' + 'today's
-    delta'); each batch is extracted INDEPENDENTLY (its own actor-pool
+    delta'); each batch is extracted INDEPENDENTLY (its own matcher
     pass, as a delta run would be) and the union is deduped+sorted into the
     final graph.  Must equal the full-corpus graph bit-for-bit (triple
     extraction is per-page, dedup is associative) — the property that makes
@@ -304,16 +300,9 @@ def _kg_incremental_merge(sf_dir: str):
     the same serial expected table as ``kg_triples``."""
     import pyarrow as _pa
     import pyarrow.compute as _pc
-    import ray as _ray
 
     from lexmapr_ray.pipelines.kg import extract_triples, materialize_graph
     from lexmapr_ray.sources.pages import pages_from_documents
-
-    # TWO concurrent matcher pools share the node: each must be an
-    # AUTOSCALING pool (min 1) sized to ~half the CPUs — two fixed-size
-    # 7/8-node pools would deadlock waiting for each other's actors
-    cpus = int(_ray.cluster_resources().get("CPU", 4))
-    pool = (1, max(2, (cpus * 7) // 16))
 
     def half(parity: int):
         pages = pages_from_documents(sf_dir)
@@ -325,8 +314,8 @@ def _kg_incremental_merge(sf_dir: str):
 
         return pages.map_batches(keep, batch_format="pyarrow")
 
-    a = extract_triples(half(0), _lexicon_ref(), concurrency=pool)
-    b = extract_triples(half(1), _lexicon_ref(), concurrency=pool)
+    a = extract_triples(half(0), _lexicon_ref())
+    b = extract_triples(half(1), _lexicon_ref())
     return materialize_graph(a.union(b))
 
 

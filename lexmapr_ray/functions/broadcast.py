@@ -17,12 +17,30 @@ Two anti-patterns this module removes from hot stages (judge round-1):
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# per-process memo of resolved broadcast objects (ObjectRef hex -> value);
-# bounded: a pipeline broadcasts a handful of dimension tables, not thousands
-_CACHE: dict[str, object] = {}
+# per-process memo of resolved broadcast objects (ObjectRef hex -> value).
+# Task workers outlive pipeline calls and every call broadcasts fresh refs,
+# so it keeps only the most recently used few: no operator probes more than
+# a handful of broadcast tables in one call.
+_CACHE: OrderedDict = OrderedDict()
+_CACHE_SIZE = 8
+
+
+def lru_get(cache: OrderedDict, key, make, size: int):
+    """``cache[key]``, computed by ``make()`` on a miss, in an LRU of at
+    most ``size`` entries.  A miss evicts BEFORE calling ``make``, so a
+    one-entry memo never holds the old value and the new one at once."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    while len(cache) >= size:
+        cache.popitem(last=False)
+    value = cache[key] = make()
+    return value
 
 
 def get_once(ref):
@@ -31,10 +49,7 @@ def get_once(ref):
 
     if not isinstance(ref, ray.ObjectRef):
         return ref
-    key = ref.hex()
-    if key not in _CACHE:
-        _CACHE[key] = ray.get(ref)
-    return _CACHE[key]
+    return lru_get(_CACHE, ref.hex(), lambda: ray.get(ref), _CACHE_SIZE)
 
 
 def put_lookup(keys, values) -> "object":

@@ -6,7 +6,7 @@ the engine's proven incremental pieces (VERDICT r4 #6) —
          _index_dedup_verdicts, the minhash_index_dedup_persisted topology)
       -> accepted pages appended to the corpus store        (per-batch dir)
       -> accepted banded rows appended to the index         (per-batch dir)
-      -> matcher actor pool -> triple dedup                 (pipelines/kg.py)
+      -> matcher tasks -> triple dedup                      (pipelines/kg.py)
       -> merged into the existing sorted graph              (versioned dirs)
 
 Equality contract (pinned by tests/test_resumable.py): ingesting a corpus

@@ -2,14 +2,15 @@
 
     read_parquet(pages) / synth pages
       -> map_batches(extract_text_stage)                 stateless tasks
-      -> map_batches(MentionMatcher, concurrency=N)      actor pool, lexicon broadcast
+      -> map_batches(MentionMatcher(ref), concurrency=N) tasks, lexicon broadcast
       -> [canonicalize]  per-batch combiner -> groupby   (shuffle #1, pre-aggregated)
       -> [materialize]   per-batch dedup -> groupby dedup -> sort  (shuffle #2)
       -> write_parquet(out/part=k/) + lineage sidecars   resumable
 
 Scale notes (10^12-document design):
  - The matcher stage is embarrassingly parallel; the lexicon (~4 MB pickled)
-   is ``ray.put`` once and mapped zero-copy per node.
+   is ``ray.put`` once and deserialized once per worker process, which keeps
+   it for later batches and pipeline calls (``stages/match.py::_resolve``).
  - Canonicalization pre-aggregates (mention, obj) counts INSIDE each batch
    before the shuffle, so the exchanged volume is bounded by per-batch
    surface-form vocabulary, not corpus size — this is the skew guard for hot
@@ -48,33 +49,27 @@ def broadcast_lexicon(lexicon=None, *, config: str | None = None, resolve=None):
 
 def _match_pages(pages_ds, lexicon_ref, emit, *, bucket=False, langs=("en",),
                  concurrency=None, batch_size=256, pre_extracted=False):
-    """The one matcher actor pool behind every extraction entry point:
-    (html->text) -> ``map_batches(MentionMatcher(emit=...))``.
+    """The one matcher stage behind every extraction entry point:
+    (html->text) -> ``map_batches(MentionMatcher(ref, emit=...))``.
 
-    The DEFAULT pool is the shared autoscaling rule
-    (``stages/dedup.py::_auto_concurrency``: ``(2, 7/8 of CPUs)``) —
-    launching a full fixed pool against a small input (a 5k-doc gate
-    query = ~10 blocks) intermittently straggles 6-20 s on unneeded actor
-    spawns; production-scale callers (bench.py, run shards) pass an
-    explicit int for the fixed-size pool whose one-time spin-up amortizes
-    over thousands of blocks.  ``pre_extracted=True`` skips the
-    html->text invariant stage for inputs that already carry plain
-    (url, text, lang) rows."""
+    The matcher is passed as an instance, so it runs as Ray tasks on pooled
+    worker processes; each worker resolves the lexicon once and keeps it
+    for later batches and calls.
+    ``concurrency`` is the maximum number of concurrent matcher tasks (an
+    int); the default is the cap of the shared sizing rule
+    (``stages/dedup.py::_auto_concurrency``: 7/8 of CPUs).
+    ``pre_extracted=True`` skips the html->text invariant stage for inputs
+    that already carry plain (url, text, lang) rows."""
     if lexicon_ref is None:
         lexicon_ref = broadcast_lexicon()
     if concurrency is None:
         from lexmapr_ray.stages.dedup import _auto_concurrency
 
-        concurrency = _auto_concurrency()
+        concurrency = _auto_concurrency()[1]
     ds = pages_ds if pre_extracted else pages_ds.map_batches(
         extract_text_stage, batch_format="pyarrow")
     return ds.map_batches(
-        MentionMatcher,
-        # the ref is wrapped in a list so Ray ships the tiny handle instead of
-        # registering the blob as a restart-fragile constructor dependency
-        # (core_worker warns otherwise); each actor ray.get()s it once.
-        fn_constructor_kwargs={"lexicon": [lexicon_ref], "emit": frozenset(emit),
-                               "bucket": bucket, "langs": langs},
+        MentionMatcher(lexicon_ref, emit=emit, bucket=bucket, langs=langs),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -92,7 +87,7 @@ def extract_triples(
     batch_size: int = 256,
     pre_extracted: bool = False,
 ):
-    """pages Dataset -> triples Dataset (extraction + matcher actor pool).
+    """pages Dataset -> triples Dataset (extraction + matcher tasks).
 
     ``pre_extracted=True`` skips the html->text invariant stage for inputs
     that already carry plain (url, text, lang) rows — e.g. anchor-text
@@ -398,8 +393,8 @@ def mention_contexts(
     KG provenance extraction: each matched sentence mention with its
     neighbor sentences, one row per distinct linked term
     (``MentionMatcher(emit={"contexts"})``).  Embarrassingly parallel
-    actor pool — the same pool as :func:`extract_triples`; the only wide
-    op is the presentation sort."""
+    matcher tasks — the same stage as :func:`extract_triples`; the only
+    wide op is the presentation sort."""
     return _match_pages(pages_ds, lexicon_ref, {"contexts"}, langs=langs,
                         concurrency=concurrency, batch_size=batch_size) \
         .sort(["subj", "mention_idx", "obj"])
@@ -422,8 +417,7 @@ def extract_triples_and_contexts(
     the matcher emits both row families from one pass with a per-page
     cascade memo (~1x matcher cost on short-sentence web text — measured
     2.84x faster than the two separate passes at 100k pages / 32 CPUs,
-    BASELINE.md: shared cascade runs plus one actor-pool spin-up instead
-    of two).
+    BASELINE.md, back when each pass also spun up its own actor pool).
 
     The tagged union is materialized ONCE so the two filtered views don't
     re-execute the matcher; the materialized rows are extraction OUTPUT
@@ -985,8 +979,8 @@ def anchor_text_triples(sf_dir: str, lexicon_ref=None):
     reference semantics anchor: lexmapr/pipeline.py's per-sample run).
 
     Scale shape: stateless anchor parse (compiled regex; emits only
-    (url, text, lang) mention rows — html never reaches the matcher pool)
-    -> the SAME broadcast-lexicon matcher actor pool as
+    (url, text, lang) mention rows — html never reaches the matcher)
+    -> the SAME broadcast-lexicon matcher tasks as
     :func:`extract_triples` (``pre_extracted=True``) -> the standard
     sorted triple dedup.  Anchors pointing at one target from many pages
     produce byte-identical triples, so the dedup is unambiguous.

@@ -170,8 +170,10 @@ class SampleMatcher:
     """Actor-pool stage for the legacy surface: sample rows in, fully
     serialized per-sample report fields out (everything the TSV needs).
 
-    Receives the broadcast lexicon handle (a ``ray.put`` ref wrapped in a
-    one-element list) the same way the KG MentionMatcher does."""
+    Receives the broadcast lexicon handle as a ``ray.put`` ref wrapped in a
+    one-element list, so Ray ships the handle through
+    ``fn_constructor_kwargs`` instead of resolving it; each actor
+    ``ray.get``s it once."""
 
     def __init__(self, lexicon=None, bucket: bool = False):
         import ray

@@ -34,8 +34,9 @@ _HASH_B = _RNG.randint(0, _MERSENNE, size=NUM_HASHES, dtype=np.int64).astype(np.
 
 
 def _auto_concurrency(requested=None):
-    """THE actor-pool sizing rule — every default pool in the engine,
-    the KG matcher pool (pipelines/kg.py) included, comes from here.
+    """THE pool sizing rule — every default actor pool in the engine
+    comes from here, and its cap is the default task limit of the KG
+    matcher (pipelines/kg.py::_match_pages), which runs as tasks.
 
     It cannot starve the rest of the pipeline: a pool of (CPUs - 2)
     leaves only two slots for read/join/sort tasks and the whole DAG

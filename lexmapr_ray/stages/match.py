@@ -1,19 +1,24 @@
-"""Ray Data stages: HTML extraction and the mention-matcher actor pool.
+"""Ray Data stages: HTML extraction and the mention matcher.
 
-The matcher is the stateful heart of the pipeline: a callable class passed to
-``map_batches(MentionMatcher, concurrency=N)`` so the multi-MB lexicon is
-loaded ONCE per actor (from a ``ray.put`` handle — one object-store copy per
-node, zero-copy mapped by every actor on it) and reused across batches.
-One actor class serves every consumer; its ``emit`` set picks the row
-families (graph triples, evidence contexts, or both from one pass).
+The matcher is the stateful heart of the pipeline: a callable INSTANCE
+passed to ``map_batches(MentionMatcher(ref, ...), concurrency=N)``, so it
+runs as Ray tasks on the pooled worker processes.  The lexicon is a pickled
+Python object, ``ray.put`` once per run; a worker process deserializes it
+on its first matcher batch and keeps it in a one-entry module memo, so
+every later batch, pipeline call and ingest batch of the Ray session that
+lands on a warm worker skips that cost.  One class serves every consumer;
+its ``emit`` set picks the row families (graph triples, evidence contexts,
+or both from one pass).
 """
 
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 
 import pyarrow as pa
 
+from lexmapr_ray.functions.broadcast import lru_get
 from lexmapr_ray.lexkit.lexicon import Lexicon
 from lexmapr_ray.lexkit.matcher import match_sample
 from lexmapr_ray.sources.pages import extract_text
@@ -117,8 +122,8 @@ def extract_text_stage(batch: pa.Table) -> pa.Table:
 
     Drops ``html`` from the output: the downstream matcher reads only
     (url, text, lang), and the raw html is ~half the bytes crossing the
-    object store into the 28-actor pool — the edge where 28 concurrent
-    readers contend."""
+    object store into the matcher tasks — the edge where every concurrent
+    matcher reads."""
     htmls = batch["html"].to_pylist()
     texts = [extract_text(h) for h in htmls]
     shipped = batch["text"].to_pylist()
@@ -130,8 +135,36 @@ def extract_text_stage(batch: pa.Table) -> pa.Table:
     return out.set_column(out.schema.get_field_index("text"), "text", pa.array(texts))
 
 
+# the worker process's resolved matcher state: ONE (lexicon, classifier)
+# pair keyed by (ref hex, bucket); a new ref replaces it, so a long-lived
+# worker never holds two lexicons
+_RESOLVED: OrderedDict = OrderedDict()
+
+
+def _with_classifier(lexicon: Lexicon, bucket: bool):
+    if not bucket:
+        return lexicon, None
+    from lexmapr_ray.lexkit.classify import make_classifier
+
+    return lexicon, make_classifier(lexicon)
+
+
+def _resolve(source, bucket: bool):
+    """``source`` (a :class:`Lexicon` or its ``ray.put`` ref) -> the
+    ``(lexicon, classify_fn)`` pair the cascade runs with.  A ref is
+    resolved through the per-process memo: ``ray.get`` (and
+    ``make_classifier`` when ``bucket``) run once per worker, not per
+    batch or per pipeline call."""
+    if isinstance(source, Lexicon):
+        return _with_classifier(source, bucket)
+    import ray
+
+    return lru_get(_RESOLVED, (source.hex(), bucket),
+                   lambda: _with_classifier(ray.get(source), bucket), 1)
+
+
 class MentionMatcher:
-    """Actor-pool stage: pages batches in, matcher rows out.
+    """Ray Data task stage: pages batches in, matcher rows out.
 
     ``emit`` is a non-empty subset of ``{"triples", "contexts"}``:
 
@@ -153,7 +186,9 @@ class MentionMatcher:
 
     ``lexicon`` is a plain :class:`Lexicon` (tests) or the ``ray.put``
     handle from the pipeline's broadcast, optionally wrapped in a
-    one-element list so Ray ships the handle instead of resolving it.
+    one-element list.  The constructor only validates and stores it; the
+    first call resolves it (:func:`_resolve`), and pickling drops the
+    resolved state, so a task ships the handle, never the lexicon.
     """
 
     def __init__(self, lexicon, emit=frozenset({"triples"}), bucket: bool = False,
@@ -166,27 +201,26 @@ class MentionMatcher:
         self.contexts = "contexts" in emit
         if isinstance(lexicon, (list, tuple)) and len(lexicon) == 1:
             lexicon = lexicon[0]
-        if not isinstance(lexicon, Lexicon):
-            import ray
-
-            lexicon = ray.get(lexicon)
-        self.lexicon: Lexicon = lexicon
+        self.source = lexicon
+        self.bucket = bucket
         self.langs = set(langs) if langs else None
-        self.classify_fn = None
-        if bucket:
-            from lexmapr_ray.lexkit.classify import make_classifier
+        self._resolved = None  # (lexicon, classify_fn) after the first call
 
-            self.classify_fn = make_classifier(lexicon)
+    def __getstate__(self):
+        return {**self.__dict__, "_resolved": None}
 
     def _match(self, mention: str, memo: dict):
         r = memo.get(mention)
         if r is None:
+            lexicon, classify_fn = self._resolved
             r = memo[mention] = match_sample(
-                mention, self.lexicon, bucket=self.classify_fn is not None,
-                classify_fn=self.classify_fn)
+                mention, lexicon, bucket=classify_fn is not None,
+                classify_fn=classify_fn)
         return r
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if self._resolved is None:
+            self._resolved = _resolve(self.source, self.bucket)
         urls = batch["url"].to_pylist()
         texts = batch["text"].to_pylist()
         langs = batch["lang"].to_pylist() \

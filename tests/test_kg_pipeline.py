@@ -520,7 +520,7 @@ def _tiny_lexicon(resource_dir):
 
 
 def test_mention_matcher_emit_modes(tmp_path):
-    """The one matcher actor, called directly (no Ray): each ``emit`` mode
+    """The one matcher class, called directly (no Ray): each ``emit`` mode
     returns its exact schema, the fused mode's families equal the
     single-family outputs row for row, non-``en`` pages are dropped, and an
     emit set outside {triples, contexts} is rejected."""
@@ -571,6 +571,80 @@ def test_mention_matcher_emit_modes(tmp_path):
     for bad in (set(), {"bogus"}):
         with pytest.raises(ValueError):
             MentionMatcher(lex, emit=bad)
+
+
+def _sorted(t: pa.Table) -> pa.Table:
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def test_matcher_tasks_equal_direct_calls(ray_session, tmp_path):
+    """The Ray task path of all three extraction entry points, called twice
+    each with one broadcast ref, equals the directly called matcher; an
+    instance that has resolved the lexicon still pickles without it, so a
+    task ships the handle, never the lexicon."""
+    import ray
+    import ray.data as rd
+
+    from lexmapr_ray.pipelines.kg import (extract_triples,
+                                          extract_triples_and_contexts,
+                                          mention_contexts)
+    from lexmapr_ray.sources.pages import render_html
+    from lexmapr_ray.stages.match import MentionMatcher
+
+    lex = _tiny_lexicon(tmp_path)
+    texts = ["chicken breast. fresh poultry breast with apple", "chicken breast",
+             " ".join(f"w{i}" for i in range(34)) + " fresh apple slices with whole milk",
+             "nothing matches here", "whole milk. apple. chicken breast"]
+    langs = ["en", "fr", "en", "en", "en"]
+    pages = pa.table({"url": [f"doc://{i}" for i in range(len(texts))],
+                      "warc_ts": [0] * len(texts),
+                      "html": [render_html(t) for t in texts],
+                      "text": texts, "lang": langs})
+    want_t = _sorted(MentionMatcher(lex)(pages))
+    want_c = _sorted(MentionMatcher(lex, emit={"contexts"})(pages))
+    ref = ray.put(lex)
+
+    def table(ds):
+        return _sorted(pa.concat_tables(ray.get(ds.to_arrow_refs())))
+
+    def ds():
+        return rd.from_arrow(pages).repartition(3)
+
+    for _ in range(2):
+        assert table(extract_triples(ds(), ref, concurrency=1, batch_size=2)).equals(want_t)
+        assert table(mention_contexts(ds(), ref, concurrency=1, batch_size=2)).equals(want_c)
+        got_t, got_c = extract_triples_and_contexts(ds(), ref, concurrency=1, batch_size=2)
+        assert table(got_t).equals(want_t)
+        assert table(got_c).equals(want_c)
+
+    m = MentionMatcher([ref])
+    assert _sorted(m(pages)).equals(want_t)
+    blob = ray.cloudpickle.dumps(m)
+    assert len(blob) < 4096 and b"chicken breast" not in blob
+
+
+def test_matcher_and_broadcast_memos_are_bounded(ray_session, tmp_path):
+    """A worker keeps ONE resolved lexicon (a new ref replaces the old), and
+    ``get_once`` keeps only its most recently used refs."""
+    import ray
+
+    from lexmapr_ray.functions import broadcast
+    from lexmapr_ray.stages import match
+
+    lex = _tiny_lexicon(tmp_path)
+    a, b = ray.put(lex), ray.put(lex)
+    first = match._resolve(a, False)
+    assert match._resolve(a, False) is first
+    assert list(match._RESOLVED) == [(a.hex(), False)]
+    match._resolve(b, False)
+    assert list(match._RESOLVED) == [(b.hex(), False)]
+
+    refs = [ray.put(i) for i in range(broadcast._CACHE_SIZE + 1)]
+    assert [broadcast.get_once(r) for r in refs] == list(range(len(refs)))
+    assert list(broadcast._CACHE) == [r.hex() for r in refs[1:]]
+    broadcast.get_once(refs[1])  # a hit makes refs[1] the most recent ...
+    broadcast.get_once(refs[0])  # ... so this miss evicts refs[2]
+    assert list(broadcast._CACHE) == [r.hex() for r in refs[3:] + refs[1::-1]]
 
 
 def test_mention_contexts_neighbors_exact(ray_session, lexicon):

@@ -8,7 +8,7 @@ dedup/canonicalization, NO Ray, no shuffles, no combiners — and writes them
 to ``expected/kg_*.parquet``.  ``oracle_sql()`` then SELECTs from these
 files, giving the driver's DuckDB gate full rows+schema+hash coverage of the
 distributed KG path (what it verifies is exactly the Ray orchestration:
-actor-pool matching, combiner pre-aggregation, sort-co-located dedup and
+parallel matching, combiner pre-aggregation, sort-co-located dedup and
 argmax canonicalization).
 
 Each parquet carries every scale's rows tagged with ``corpus_len`` (the
@@ -145,7 +145,7 @@ def serial_contexts(sf_dir: str, window_tokens: int = 32) -> list[tuple]:
     """Serial evidence-context rows: one plain loop per page, mirroring the
     SEMANTICS of stages/match.py::MentionMatcher(emit={"contexts"}) (raw
     mention window + neighbor windows per distinct matched term) without
-    the actor pool.
+    Ray.
     The windowing is re-derived inline (sentence split then fixed token
     windows) rather than imported, so the engine's helper is checked too."""
     import re
