@@ -4,13 +4,15 @@ Builds the broadcastable, read-only lookup structure the matcher probes.
 The data model mirrors the reference's 16-key nested dict
 (``/root/reference/lexmapr/pipeline_resources.py:168-199``) so that its unit
 tests and golden outputs transfer, but adds precomputed acceleration indexes
-(sorted-token-multiset hash sets) that let the Ray actor-pool matcher skip
-provably-failing permutation probes without changing semantics.
+(sorted-token-multiset hash sets, and token blocks of those multisets keyed by
+their rarest token) that let the matcher build only the candidate chunks that
+can match and skip provably-failing permutation probes without changing
+semantics.
 
 Resource CSVs are read from ``LEXMAPR_RESOURCES`` (default: the reference's
 ``predefined_resources`` directory).  The built lexicon is cached to a pickle
-keyed by the resource files' identity; at cluster scale it is built once on
-the driver and shipped to every matcher actor via ``ray.put``.
+keyed by the resource files' identity; at cluster scale it is built once and
+shipped to the matcher's worker processes via ``ray.put``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import csv
 import hashlib
 import os
 import pickle
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from itertools import permutations
-from collections import OrderedDict
+from itertools import chain, combinations, groupby, permutations, product
 
 from lexmapr_ray.lexkit.textproc import punctuation_treatment, word_tokenize
 
@@ -239,6 +241,12 @@ class Lexicon:
     A candidate chunk whose sorted multiset is absent cannot match under ANY
     token permutation, suffix addition or synonym rewrite, so the matcher
     skips the whole factorial probe loop for it.
+
+    ``chunk_blocks`` lists each of those multisets with 1-5 tokens under its
+    rarest token (token blocking): ``matchable_chunks`` reaches every
+    multiset a mention contains through the mention's own tokens, so
+    component matching builds only the chunks that ``chunk_can_match``
+    would admit instead of every combination.
     """
 
     table: dict
@@ -249,6 +257,7 @@ class Lexicon:
     # OR permutation index) only if its token multiset is in this set, so
     # map_term skips the 15-suffix x 2-probe loop for provably-missing terms
     suffix_stripped_multisets: set = field(default_factory=set)
+    chunk_blocks: dict = field(default_factory=dict)
 
     def build_indexes(self) -> "Lexicon":
         t = self.table
@@ -263,23 +272,12 @@ class Lexicon:
         matchable.update(tuple(sorted(k.split())) for k in t["synonyms"])
         # suffix-stripped variants: chunk+suffix probes hit label L iff
         # multiset(chunk) == multiset(L) - multiset(suffix)
-        from collections import Counter
-
-        suffix_counters = [Counter(s.split()) for s in t["suffixes"]]
-        stripped_set = set()
-        for ms in label_multisets:
-            mc = Counter(ms)
-            for sc in suffix_counters:
-                if all(mc[tok] >= n for tok, n in sc.items()):
-                    stripped = mc - sc
-                    stripped_set.add(tuple(sorted(stripped.elements())))
+        stripped_set = strip_suffixes(label_multisets, t["suffixes"])
         matchable.update(stripped_set)
         self.matchable_multisets = matchable
         self.suffix_stripped_multisets = stripped_set
-        # token vocabulary of the matchable multisets: a chunk containing ANY
-        # token outside this set can never satisfy a multiset-equality probe,
-        # so the component matcher skips generating such chunks entirely
-        self.matchable_token_vocab = {tok for ms in matchable for tok in ms}
+        self.chunk_blocks = _block_by_rarest_token(
+            [ms for ms in matchable if 0 < len(ms) <= 5])
         return self
 
     def chunk_can_match(self, chunk_tokens: tuple[str, ...] | list[str]) -> bool:
@@ -287,6 +285,75 @@ class Lexicon:
         hit the label, permutation or synonym indexes?  False means every
         probe the reference would attempt is guaranteed to miss."""
         return tuple(sorted(chunk_tokens)) in self.matchable_multisets
+
+    def matchable_chunks(self, tokens: list[str]) -> list[tuple[int, ...]]:
+        """Position tuples of exactly the 1-5-token combinations of *tokens*
+        that ``chunk_can_match`` admits, in ``combinations()`` order, sizes
+        5 -> 1.  Found from the blocks of the mention's own tokens: each
+        blocked multiset that is a sub-multiset of the mention expands into
+        every position tuple that realizes it, so the non-matchable
+        combinations are never built."""
+        positions: dict[str, list[int]] = {}
+        for i, tok in enumerate(tokens):
+            positions.setdefault(tok, []).append(i)
+        chunks = []
+        for tok in positions:
+            for ms in self.chunk_blocks.get(tok, ()):
+                for t in ms:
+                    if t not in positions:
+                        break
+                else:  # every token of ms occurs; _realizations checks counts
+                    chunks += _realizations(ms, positions)
+        chunks.sort(key=lambda c: (-len(c), c))
+        return chunks
+
+
+def strip_suffixes(label_multisets, suffixes) -> set:
+    """``multiset(L) - multiset(S)`` for every label multiset L and suffix S
+    with S a sub-multiset of L.  Only the labels holding S's rarest token
+    can contain S, so each suffix visits that token's labels, not all of
+    them (the empty suffix visits every label)."""
+    postings: dict[str, list[tuple]] = {}
+    for ms in label_multisets:
+        for tok in set(ms):
+            postings.setdefault(tok, []).append(ms)
+    stripped_set = set()
+    for suffix in suffixes:
+        sc = Counter(suffix.split())
+        if sc:
+            rarest = min(sc, key=lambda tok: len(postings.get(tok, ())))
+            candidates = postings.get(rarest, ())
+        else:
+            candidates = label_multisets
+        for ms in candidates:
+            mc = Counter(ms)
+            if all(mc[tok] >= n for tok, n in sc.items()):
+                stripped_set.add(tuple(sorted((mc - sc).elements())))
+    return stripped_set
+
+
+def _block_by_rarest_token(multisets: list[tuple]) -> dict[str, list[tuple]]:
+    """Token blocking: each multiset listed once, under its token held by
+    the fewest multisets (ties by the token), so a mention reaches every
+    multiset it contains through its own tokens and visits short lists."""
+    freq = Counter(tok for ms in multisets for tok in set(ms))
+    blocks: dict[str, list[tuple]] = {}
+    for ms in multisets:
+        key = min(ms, key=lambda tok: (freq[tok], tok))
+        blocks.setdefault(key, []).append(ms)
+    return blocks
+
+
+def _realizations(ms: tuple, positions: dict[str, list[int]]) -> list[tuple[int, ...]]:
+    """Every sorted position tuple whose tokens form the sorted multiset
+    *ms*: a token repeated n times picks n of its positions."""
+    parts = []
+    for tok, run in groupby(ms):
+        n = sum(1 for _ in run)
+        if len(positions[tok]) < n:
+            return []
+        parts.append(combinations(positions[tok], n))
+    return [tuple(sorted(chain.from_iterable(pick))) for pick in product(*parts)]
 
 
 def _resource_fingerprint(resource_dir: str) -> str:
@@ -310,14 +377,14 @@ def build_lexicon(
     """Build (or load from cache) the full matcher lexicon.
 
     Driver-side, runs once; the result is what gets ``ray.put`` into the
-    object store and read by every matcher actor.
+    object store and read once by each matcher worker process.
     """
     cache_path = None
     if use_cache:
         os.makedirs(_CACHE_DIR, exist_ok=True)
-        # _v3: suffix_stripped_multisets added to the pickled index
+        # _v4: chunk_blocks added to the pickled index
         key = _resource_fingerprint(resource_dir) + (
-            ("_cls" if classification else "") + ("_gold" if golden_overlay else "") + "_v3"
+            ("_cls" if classification else "") + ("_gold" if golden_overlay else "") + "_v4"
         )
         cache_path = os.path.join(_CACHE_DIR, f"lexicon_{key}.pkl")
         if os.path.exists(cache_path):

@@ -8,12 +8,16 @@ permutations and suffix/synonym retries, ancestor suppression and the
 retained-phrase post-filter.  Conformance is pinned by the committed golden
 TSVs under ``/root/reference/lexmapr/tests/test_output/``.
 
-The only intentional deviation is a pure acceleration: before enumerating the
-factorial permutation probes of a candidate chunk, the matcher consults the
-lexicon's sorted-token-multiset indexes (:class:`~lexmapr_ray.lexkit.lexicon.
-Lexicon.chunk_can_match`).  A chunk that cannot match under ANY permutation,
-suffix or synonym rewrite is skipped wholesale — the probes it avoids are
-exactly the probes that would have returned ``None``.
+The only intentional deviation is a pure acceleration: component matching is
+driven by the lexicon's candidates, not by every combination of the mention's
+tokens.  Below 15 tokens the matcher builds only the chunks whose sorted token
+multiset is matchable, found through the lexicon's token blocks
+(:meth:`~lexmapr_ray.lexkit.lexicon.Lexicon.matchable_chunks`); on the
+contiguous n-gram path a chunk is checked with
+:meth:`~lexmapr_ray.lexkit.lexicon.Lexicon.chunk_can_match` before its
+factorial permutation probes.  A chunk that cannot match under ANY
+permutation, suffix or synonym rewrite is never probed — the probes it avoids
+are exactly the probes that would have returned ``None``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from lexmapr_ray.lexkit.inflect import singularize
-from lexmapr_ray.lexkit.lexicon import Lexicon
+from lexmapr_ray.lexkit.lexicon import Lexicon, _canon_str
 from lexmapr_ray.lexkit.textproc import (
     is_date,
     is_number,
@@ -139,8 +143,6 @@ def _suffix_probes_can_hit(term: str, lexicon) -> bool:
     skips the whole 15-suffix x 2-probe loop with zero semantic change."""
     if lexicon is None:
         return True
-    from lexmapr_ray.lexkit.lexicon import _canon_str
-
     return _canon_str(term) in lexicon.suffix_stripped_multisets
 
 
@@ -262,6 +264,18 @@ def get_gram_chunks(text: str, num: int, tokens: list[str] | None = None):
     return ngrams(text, num)
 
 
+def component_chunks(text: str, tokens: list[str], lexicon: Lexicon) -> list:
+    """The chunks component matching probes, in probe order: every 1-5-token
+    chunk of ``get_gram_chunks`` (sizes 5 -> 1) that
+    ``lexicon.chunk_can_match`` admits.  Below 15 tokens they come from the
+    lexicon's token blocks, so the rejected combinations are never built."""
+    if len(tokens) < 15:
+        return [tuple(tokens[p] for p in pos) for pos in lexicon.matchable_chunks(tokens)]
+    return [chunk for i in range(5, 0, -1)
+            for chunk in get_gram_chunks(text, i, tokens=tokens)
+            if lexicon.chunk_can_match(" ".join(chunk).split())]
+
+
 # ---------------------------------------------------------------------------
 # Full per-sample cascade (reference: pipeline.py:110-277)
 # ---------------------------------------------------------------------------
@@ -355,47 +369,29 @@ def match_sample(
         # Component matching (pipeline.py:193-220)
         covered_tokens: set[str] = set()
         cleaned_tokens = word_tokenize(cleaned_sample)
-        # Acceleration only (no semantic change): drop tokens outside the
-        # matchable vocabulary BEFORE generating combinations — a chunk with
-        # an out-of-vocabulary token can never match under any permutation/
-        # suffix/synonym probe, and combinations of the filtered subsequence
-        # are exactly the viable subsequence of the original combination
-        # stream, in the same order.  The >=15-token contiguous-ngram guard
-        # must look at the ORIGINAL token count (reference semantics,
-        # pipeline_helpers.py:255-273), so filtering applies only below it.
-        if len(cleaned_tokens) < 15:
-            vocab = lexicon.matchable_token_vocab
-            chunk_tokens_src = [t for t in cleaned_tokens if t in vocab]
-        else:
-            chunk_tokens_src = cleaned_tokens
-        for i in range(5, 0, -1):
-            for gram_chunk in get_gram_chunks(cleaned_sample, i, tokens=chunk_tokens_src):
-                concat = " ".join(gram_chunk)
-                split_tokens = concat.split()
-
-                # Acceleration only: skip chunks that cannot match under any
-                # permutation / suffix / synonym probe (see module docstring).
-                if not lexicon.chunk_can_match(split_tokens):
-                    continue
-
-                gram_tokens = word_tokenize(concat)
-                if set(gram_tokens) <= covered_tokens:
-                    continue
-                for gram_permutation in OrderedDict.fromkeys(permutations(split_tokens)):
-                    gram_permutation_str = " ".join(gram_permutation)
-                    component_match = map_term(gram_permutation_str, table)
-                    if not component_match:
-                        component_match = map_term(
-                            gram_permutation_str, table, consider_suffixes=True,
-                            lexicon=lexicon,
-                        )
-                    if component_match:
-                        component_matches.append(component_match)
-                        surfaces.setdefault(
-                            component_match["term"] + ":" + component_match["id"], concat
-                        )
-                        covered_tokens.update(gram_tokens)
-                        break
+        # Acceleration only: the chunks that cannot match under any
+        # permutation / suffix / synonym probe are skipped (module docstring).
+        for gram_chunk in component_chunks(cleaned_sample, cleaned_tokens, lexicon):
+            concat = " ".join(gram_chunk)
+            split_tokens = concat.split()
+            gram_tokens = word_tokenize(concat)
+            if set(gram_tokens) <= covered_tokens:
+                continue
+            for gram_permutation in OrderedDict.fromkeys(permutations(split_tokens)):
+                gram_permutation_str = " ".join(gram_permutation)
+                component_match = map_term(gram_permutation_str, table)
+                if not component_match:
+                    component_match = map_term(
+                        gram_permutation_str, table, consider_suffixes=True,
+                        lexicon=lexicon,
+                    )
+                if component_match:
+                    component_matches.append(component_match)
+                    surfaces.setdefault(
+                        component_match["term"] + ":" + component_match["id"], concat
+                    )
+                    covered_tokens.update(gram_tokens)
+                    break
 
         # Ancestor suppression (pipeline.py:222-238)
         ancestors: set[str] = set()

@@ -6,16 +6,26 @@ re-implementations, plus clone-specific checks for the tokenizer and
 singularizer (behaviors the reference gets from nltk / inflection).
 """
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from lexmapr_ray.lexkit import textproc
 from lexmapr_ray.lexkit.inflect import singularize
 from lexmapr_ray.lexkit.lexicon import (
+    Lexicon,
     MultisetDict,
+    create_lookup_table_skeleton,
     get_resource_label_permutations,
     merge_lookup_tables,
+    strip_suffixes,
 )
-from lexmapr_ray.lexkit.matcher import get_term_parent_hierarchies, retain_phrase
+from lexmapr_ray.lexkit.matcher import (
+    component_chunks,
+    get_term_parent_hierarchies,
+    retain_phrase,
+)
 
 
 def test_is_number():
@@ -151,3 +161,93 @@ def test_multiset_dict_semantics():
     # non-normalized probe strings never match (leading-space suffix quirk)
     assert " apple pie" not in d
     assert "apple  pie" not in d
+
+
+# Hand-built lexicon for the token-blocking tests: a label with a repeated
+# token ("milk milk powder"), labels reachable only through a suffix
+# ("chicken powder", "beef product"), synonyms, a 5-token and a 6-token label,
+# and the empty suffix next to a suffix whose token repeats inside a label.
+# The streams are compared as token tuples: a repeated token's positions
+# show up as repeated tuples, so order and multiplicity are both checked.
+_LABELS = ["milk", "cheese", "milk cheese", "goat milk cheese", "raw milk",
+           "milk milk powder", "chicken powder", "beef product", "cream cheese sauce",
+           "a b c d e", "a b c d e f"]
+_SUFFIXES = ["", "powder", "product", "milk", "cheese sauce"]
+_SYNONYMS = {"curd": "cheese", "moo juice": "milk"}
+
+
+def _hand_lexicon() -> Lexicon:
+    table = create_lookup_table_skeleton()
+    table["non_standard_resource_ids"] = {f"t_{i}": lab for i, lab in enumerate(_LABELS)}
+    table["standard_resource_labels"] = {lab: f"t_{i}" for i, lab in enumerate(_LABELS)}
+    perms = MultisetDict()
+    for lab, term_id in table["standard_resource_labels"].items():
+        if len(lab.split()) < 7:
+            perms[lab] = term_id
+    table["standard_resource_label_permutations"] = perms
+    table["synonyms"] = dict(_SYNONYMS)
+    table["suffixes"] = dict.fromkeys(_SUFFIXES, "")
+    return Lexicon(table).build_indexes()
+
+
+def _brute_chunks(text, tokens, lexicon):
+    """The chunk stream as the cascade once built it: every combination
+    (below 15 tokens) or contiguous n-gram, sizes 5 -> 1, filtered by
+    ``chunk_can_match``."""
+    out = []
+    for size in range(5, 0, -1):
+        grams = combinations(tokens, size) if len(tokens) < 15 else textproc.ngrams(text, size)
+        out += [tuple(g) for g in grams if lexicon.chunk_can_match(" ".join(g).split())]
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "milk milk cheese milk",
+    "milk milk powder milk cheese powder",
+    "zz goat q milk r cheese s raw t milk u",
+    # 14 tokens: the last size below the contiguous n-gram guard
+    "goat x1 milk cheese raw beef x2 cream sauce powder curd chicken e moo",
+    # 15 tokens: the contiguous n-gram path
+    "goat milk cheese raw milk beef product cream cheese sauce a b c d e",
+    "chicken beef",  # suffix-stripped hits only ("chicken powder", "beef product")
+    "moo juice and curd",  # synonym keys
+    "e d c b a f",  # 5-token label in reverse order, a 6-token label
+    "cream sauce",  # "cream cheese sauce" minus the "cheese sauce" suffix
+    "milk",
+    "nothing matches here",
+    "",
+])
+def test_blocked_chunks_equal_brute_force(text):
+    lex = _hand_lexicon()
+    tokens = textproc.word_tokenize(text)
+    want = _brute_chunks(text, tokens, lex)
+    assert [tuple(c) for c in component_chunks(text, tokens, lex)] == want
+
+
+def test_blocked_chunks_keep_repeated_token_realizations():
+    lex = _hand_lexicon()
+    tokens = "milk milk cheese milk".split()
+    # ("milk", "milk") is "milk milk powder" minus "powder" and realizes at
+    # (0, 1), (0, 3), (1, 3); ("cheese", "milk") at (0, 2), (1, 2), (2, 3);
+    # together in combinations() order, then every single token
+    assert lex.matchable_chunks(tokens) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+        (0,), (1,), (2,), (3,),
+    ]
+
+
+def test_blocked_suffix_stripping_equals_brute_force():
+    lex = _hand_lexicon()
+    labels = {tuple(sorted(lab.split())) for lab in _LABELS}
+    want = set()
+    for ms in labels:
+        mc = Counter(ms)
+        for suffix in _SUFFIXES:
+            sc = Counter(suffix.split())
+            if all(mc[tok] >= n for tok, n in sc.items()):
+                want.add(tuple(sorted((mc - sc).elements())))
+    assert strip_suffixes(labels, _SUFFIXES) == want
+    assert lex.suffix_stripped_multisets == want
+    # the empty suffix keeps every label; "milk" is stripped once per use
+    assert labels <= want
+    assert ("milk", "powder") in want and ("cheese", "goat") in want

@@ -1,0 +1,124 @@
+"""A/B the kgbench benchmark: this working tree against a git revision.
+
+    python3 tools/ab.py HEAD --workload kg_build --pairs 10
+
+Run from the root of a checkout.  ``<rev>`` is exported with ``git archive``
+into a temporary directory (the repository itself is not touched); then
+``kgbench/run.py --trace 0`` runs on both trees in interleaved pairs, the
+revision first on odd pairs, pair i with seed i.  Prints each pair's
+end-to-end metrics, then per metric the median change/base ratio and the
+number of pairs in which the change was better.  ``ray stop --force`` runs
+after every run; the exit code is non-zero if a run failed or a check did
+not pass, or if a ``raylet`` or ``kgbench/run.py`` process is left at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.getcwd()
+
+
+def export(rev: str, dest: str) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
+    """The metrics of one ``--trace 0`` run, or None if it failed."""
+    cmd = [sys.executable, "kgbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              timeout=20 * seconds + 300)
+    except subprocess.TimeoutExpired:
+        return None
+    finally:
+        subprocess.run(["ray", "stop", "--force"], capture_output=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    if proc.returncode != 0 or not result.get("correct"):
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def leftovers() -> list[str]:
+    """Command lines of live ``raylet`` processes and ``kgbench/run.py`` runs
+    (matched on the program and script, not on any mention in a command)."""
+    ps = subprocess.run(["ps", "-eo", "comm=,args="], capture_output=True, text=True).stdout
+    left = []
+    for line in ps.splitlines():
+        comm, _, args = line.strip().partition(" ")
+        script = args.split()[1:2]
+        if comm == "raylet" or (script and script[0].endswith("kgbench/run.py")):
+            left.append(args.strip())
+    return left
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", help="git revision to compare the working tree against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    metrics = spec["end_to_end"]
+    base_dir = tempfile.mkdtemp(prefix="ab-")
+    pairs, failed = [], 0
+    try:
+        export(args.rev, base_dir)
+        print(f"base {args.rev} ({base_dir}) vs working tree {ROOT}; "
+              f"workload {args.workload}, {spec['run_seconds']} s per run")
+        print("pair seed first   " + "  ".join(f"{m['name']:>26}" for m in metrics))
+        for i in range(1, args.pairs + 1):
+            order = [("base", base_dir), ("change", ROOT)]
+            if i % 2 == 0:
+                order.reverse()
+            got = {side: bench(tree, args.workload, i, spec["run_seconds"])
+                   for side, tree in order}
+            if None in got.values():
+                failed += 1
+                print(f"{i:>4} {i:>4} {order[0][0]:<6}  run failed")
+                continue
+            pairs.append(got)
+            print(f"{i:>4} {i:>4} {order[0][0]:<6}  " + "  ".join(
+                f"{got['base'][m['name']]:>11.4g} -> {got['change'][m['name']]:<11.4g}"
+                for m in metrics))
+    finally:
+        shutil.rmtree(base_dir, ignore_errors=True)
+        subprocess.run(["ray", "stop", "--force"], capture_output=True)
+
+    if pairs:
+        print(f"median change/base over {len(pairs)} pairs (better = count of pairs "
+              "in which the change was better):")
+        for m in metrics:
+            name = m["name"]
+            ratios = [p["change"][name] / p["base"][name] for p in pairs if p["base"][name]]
+            sign = 1 if m["better"] == "higher" else -1
+            better = sum(sign * (p["change"][name] - p["base"][name]) > 0 for p in pairs)
+            base_q = statistics.quantiles([p["base"][name] for p in pairs], n=4) \
+                if len(pairs) > 1 else [float("nan")] * 3
+            print(f"  {name:<12} ratio {statistics.median(ratios):.3f}  "
+                  f"better {better}/{len(pairs)}  "
+                  f"base median {statistics.median(p['base'][name] for p in pairs):.4g} "
+                  f"IQR {base_q[2] - base_q[0]:.4g}  "
+                  f"change median {statistics.median(p['change'][name] for p in pairs):.4g}")
+    stray = leftovers()
+    for line in stray:
+        print(f"left running: {line}", file=sys.stderr)
+    return 1 if failed or stray else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
