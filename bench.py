@@ -65,26 +65,21 @@ def _init_ray(num_cpus: int):
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
 
-def _pool_size(num_cpus: int) -> int:
-    """Matcher actors = 7/8 of CPUs, scaling exactly with the CPU count
-    (the N vs 4N emulation needs pool ∝ CPUs).  The pipeline is
-    matcher-bound (total matcher CPU / pool size predicts each leg's wall
-    almost exactly), so actors deserve nearly the whole node; with
-    push-based shuffle the sort work overlaps the matcher in the spare
-    1/8.  r3 sweeps: pool 28 beat 20 at 32 CPUs and pool 7 beat 5 at 8
-    CPUs decisively; 28 vs 24 under push shuffle is within host noise.
-    The r2 "5/8" optimum came from fat combiner tasks under the (since
-    replaced) simple-shuffle sort.  A pool of ALL cpus deadlocks upstream
-    reads — keep >= 1/8 free.
+# ``BENCH_POOL_FRAC=num,den``: the share of CPUs the matcher's task limit
+# gets (default 7/8, the engine's own rule).  The N vs 4N protocol needs
+# the limit EXACTLY proportional to cpus (identical per-CPU layout on both
+# "clusters"), and 7/8 truncates unevenly at small N (4 -> 3 but 16 -> 14,
+# a 4.67x ratio that would bias the measured efficiency upward); 3,4 gives
+# 3 and 12 — exact, and conservative for the hi leg.
+POOL_FRAC = tuple(int(x) for x in os.environ.get("BENCH_POOL_FRAC", "7,8").split(","))
 
-    ``BENCH_POOL_FRAC=num,den`` overrides the fraction: the N vs 4N
-    protocol needs pool EXACTLY proportional to cpus (identical per-CPU
-    layout on both "clusters"), and 7/8 truncates unevenly at small N
-    (4 -> 3 but 16 -> 14, a 4.67x pool ratio that would bias the measured
-    efficiency upward); 3,4 gives 3 and 12 — exact, and conservative for
-    the hi leg."""
-    num, den = (int(x) for x in os.environ.get("BENCH_POOL_FRAC", "7,8").split(","))
-    return max(2, (num_cpus * num) // den)
+
+def _pool_size() -> int:
+    """Matcher task limit of the running session: the engine's one sizing
+    rule (``stages/dedup.py::_auto_concurrency``) at :data:`POOL_FRAC`."""
+    from lexmapr_ray.stages.dedup import _auto_concurrency
+
+    return _auto_concurrency(frac=POOL_FRAC)
 
 
 def _corpus_dir(n_pages: int, hot_prob: float = 0.25) -> str:
@@ -130,7 +125,7 @@ def _cpu_jiffies() -> dict:
             "total": busy + idle + iow + steal}
 
 
-def run_headline(num_cpus: int, repeats: int | None = None) -> dict:
+def run_headline(repeats: int | None = None) -> dict:
     """KG pipeline over the materialized Parquet pages corpus.
 
     Reports the MEDIAN of ``repeats`` timed runs (sandbox wall-clock noise
@@ -154,7 +149,7 @@ def run_headline(num_cpus: int, repeats: int | None = None) -> dict:
     run_kg_pipeline(
         rd.read_parquet(corpus).limit(2000),
         lexicon_ref=lexicon_ref, batch_size=512,
-        concurrency=_pool_size(num_cpus),
+        concurrency=_pool_size(),
     ).count()
 
     runs = []
@@ -165,7 +160,7 @@ def run_headline(num_cpus: int, repeats: int | None = None) -> dict:
         pages = rd.read_parquet(corpus)
         triples = run_kg_pipeline(
             pages, lexicon_ref=lexicon_ref, batch_size=512,
-            concurrency=_pool_size(num_cpus),
+            concurrency=_pool_size(),
         )
         n_triples = triples.count()
         runs.append(time.time() - t0)
@@ -197,7 +192,7 @@ def run_headline(num_cpus: int, repeats: int | None = None) -> dict:
     t0 = time.time()
     run_kg_pipeline(
         rd.read_parquet(corpus), lexicon_ref=lexicon_ref, batch_size=512,
-        concurrency=_pool_size(num_cpus), out_dir=out_dir,
+        concurrency=_pool_size(), out_dir=out_dir,
     )
     sec_with_write = time.time() - t0
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -413,7 +408,7 @@ def main():
 
         skew_pages = int(os.environ.get("SKEW_PAGES", str(BENCH_PAGES)))
         ref = broadcast_lexicon()
-        pool = _pool_size(NUM_CPUS)
+        pool = _pool_size()
         out = {"metric": "skew_stress", "unit": "sec",
                "num_cpus": NUM_CPUS, "pages": skew_pages}
 
@@ -510,7 +505,7 @@ def main():
         pages = int(os.environ.get("FUSED_PAGES", "100000"))
         corpus = _corpus_dir(pages)
         ref = broadcast_lexicon()
-        pool = _pool_size(NUM_CPUS)
+        pool = _pool_size()
 
         extract_triples(rd.read_parquet(corpus).limit(2000), ref,
                         concurrency=pool).count()  # warm, untimed
@@ -691,7 +686,7 @@ def main():
     _init_ray(NUM_CPUS)
     import ray
 
-    headline = run_headline(NUM_CPUS)
+    headline = run_headline()
     if "--headline-only" in sys.argv:
         print(json.dumps({
             "metric": "kg_pipeline_sec",

@@ -242,7 +242,7 @@ def main(argv=None) -> int:
                         version="%(prog)s " + _version())
     legacy.add_argument("-p", "--profile", choices=sorted(PROFILES))
     legacy.add_argument("--distributed", action="store_true",
-                        help="run the matcher on the Ray actor pool "
+                        help="run the matcher as Ray Data tasks "
                              "(byte-identical output, for large sample files)")
     legacy.set_defaults(fn=cmd_legacy_run)
 

@@ -32,7 +32,7 @@ reference's ontology fetch that feeds the lookup table:
 
 The ontology lookup table is merged into the broadcast lexicon exactly like
 the reference merges it into its predefined table (pipeline.py:45-54), so
-ontology-driven matching runs through the same Ray actor-pool stage.
+ontology-driven matching runs through the same Ray Data matcher stage.
 """
 
 from __future__ import annotations

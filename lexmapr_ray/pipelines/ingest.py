@@ -122,8 +122,7 @@ def near_dup_gate(batch_docs, index_dir: str, corpus_dir: str,
     new_banded = batch_docs.map_batches(
         lambda t: t.select(["doc_id", "text"]), batch_format="pyarrow"
     ).map_batches(
-        MinHasher, batch_format="pyarrow",
-        fn_constructor_kwargs={"shingle_kind": "word"},
+        MinHasher("word"), batch_format="pyarrow",
         concurrency=_auto_concurrency(concurrency),
     ).materialize()
     index_files = _parquet_files(index_dir)

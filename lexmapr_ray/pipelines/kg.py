@@ -56,7 +56,7 @@ def _match_pages(pages_ds, lexicon_ref, emit, *, bucket=False, langs=("en",),
     worker processes; each worker resolves the lexicon once and keeps it
     for later batches and calls.
     ``concurrency`` is the maximum number of concurrent matcher tasks (an
-    int); the default is the cap of the shared sizing rule
+    int); the default is the engine's one task limit
     (``stages/dedup.py::_auto_concurrency``: 7/8 of CPUs).
     ``pre_extracted=True`` skips the html->text invariant stage for inputs
     that already carry plain (url, text, lang) rows."""
@@ -65,7 +65,7 @@ def _match_pages(pages_ds, lexicon_ref, emit, *, bucket=False, langs=("en",),
     if concurrency is None:
         from lexmapr_ray.stages.dedup import _auto_concurrency
 
-        concurrency = _auto_concurrency()[1]
+        concurrency = _auto_concurrency()
     ds = pages_ds if pre_extracted else pages_ds.map_batches(
         extract_text_stage, batch_format="pyarrow")
     return ds.map_batches(

@@ -12,7 +12,6 @@ the reference's committed golden TSVs; the web-scale path lives in
 from __future__ import annotations
 
 import csv
-import io
 import os
 
 from lexmapr_ray.lexkit.lexicon import Lexicon, build_lexicon
@@ -90,6 +89,19 @@ def build_legacy_lexicon(
     return lexicon
 
 
+def _sample_table(input_path: str):
+    """The sample file as an Arrow table: (idx, sample_id, sample) rows in
+    file order."""
+    import pyarrow as pa
+
+    rows = list(iter_sample_rows(input_path))
+    return pa.table({
+        "idx": pa.array(range(len(rows)), pa.int64()),
+        "sample_id": pa.array([r[0] for r in rows], pa.string()),
+        "sample": pa.array([r[1] for r in rows], pa.string()),
+    })
+
+
 def run_samples(
     input_path: str,
     *,
@@ -100,45 +112,8 @@ def run_samples(
     """Run the matcher over a legacy sample file; return the report TSV."""
     if lexicon is None:
         lexicon = build_lexicon(classification=bucket)
-
-    classify_fn = None
-    if bucket:
-        from lexmapr_ray.lexkit.classify import make_classifier
-
-        classify_fn = make_classifier(lexicon)
-
-    fields = list(OUTPUT_FIELDS_BASE)
-    fields += FULL_FIELDS if full else NOT_FULL_FIELDS
-    if bucket:
-        fields += BUCKET_FULL_FIELDS if full else BUCKET_NOT_FULL_FIELDS
-
-    fw = io.StringIO()
-    fw.write("\t".join(fields))
-    for sample_id, original_sample in iter_sample_rows(input_path):
-        r = match_sample(original_sample, lexicon, bucket=bucket, classify_fn=classify_fn)
-        fw.write(
-            "\n" + sample_id + "\t" + original_sample + "\t" + r.cleaned_sample + "\t"
-            + r.scientific_name_sample + "\t" + str(r.matched_components) + "\t"
-            + r.macro_status
-        )
-        if full:
-            fw.write("\t" + str(r.micro_status) + "\t" + str(r.conversions))
-        if bucket:
-            c = r.classification or {
-                "lexmapr_hierarchy_buckets": [],
-                "lexmapr_final_buckets": [],
-                "ifsac_final_buckets": [],
-                "ifsac_final_labels": [],
-            }
-            if full:
-                fw.write(
-                    "\t" + str(c["lexmapr_hierarchy_buckets"])
-                    + "\t" + str(c["lexmapr_final_buckets"])
-                    + "\t" + str(c["ifsac_final_buckets"])
-                )
-            fw.write("\t" + str(c["ifsac_final_labels"]))
-    fw.write("\n")
-    return fw.getvalue()
+    rows = SampleMatcher(lexicon, bucket)(_sample_table(input_path)).to_pylist()
+    return _format_report_rows(rows, full=full, bucket=bucket)
 
 
 def _format_report_rows(rows: list[dict], *, full: bool, bucket: bool) -> str:
@@ -167,33 +142,31 @@ def _format_report_rows(rows: list[dict], *, full: bool, bucket: bool) -> str:
 
 
 class SampleMatcher:
-    """Actor-pool stage for the legacy surface: sample rows in, fully
+    """Ray Data task stage for the legacy surface: sample rows in, fully
     serialized per-sample report fields out (everything the TSV needs).
 
-    Receives the broadcast lexicon handle as a ``ray.put`` ref wrapped in a
-    one-element list, so Ray ships the handle through
-    ``fn_constructor_kwargs`` instead of resolving it; each actor
-    ``ray.get``s it once."""
+    ``lexicon`` is a plain :class:`Lexicon` or its ``ray.put`` handle.
+    The first call resolves it, with its classifier when ``bucket``,
+    through ``stages/match.py::_resolve`` (the per-process memo the KG
+    matcher uses), and pickling drops the resolved state, so a task ships
+    the handle, never the lexicon."""
 
-    def __init__(self, lexicon=None, bucket: bool = False):
-        import ray
+    def __init__(self, lexicon, bucket: bool = False):
+        self.source = lexicon
+        self.bucket = bucket
+        self._resolved = None  # (lexicon, classify_fn) after the first call
 
-        if isinstance(lexicon, (list, tuple)) and len(lexicon) == 1:
-            lexicon = lexicon[0]
-        if lexicon is None:
-            lexicon = build_lexicon(classification=bucket)
-        elif isinstance(lexicon, ray.ObjectRef):
-            lexicon = ray.get(lexicon)
-        self.lexicon = lexicon
-        self.classify_fn = None
-        if bucket:
-            from lexmapr_ray.lexkit.classify import make_classifier
-
-            self.classify_fn = make_classifier(lexicon)
+    def __getstate__(self):
+        return {**self.__dict__, "_resolved": None}
 
     def __call__(self, batch):
         import pyarrow as pa
 
+        if self._resolved is None:
+            from lexmapr_ray.stages.match import _resolve
+
+            self._resolved = _resolve(self.source, self.bucket)
+        lexicon, classify_fn = self._resolved
         idxs = batch["idx"].to_pylist()
         ids = batch["sample_id"].to_pylist()
         samples = batch["sample"].to_pylist()
@@ -201,8 +174,8 @@ class SampleMatcher:
             "cleaned", "sc_name", "components", "macro", "micro", "conversions",
             "lexmapr_hier", "lexmapr_final", "ifsac_final", "ifsac_labels")}
         for s in samples:
-            r = match_sample(s, self.lexicon, bucket=self.classify_fn is not None,
-                             classify_fn=self.classify_fn)
+            r = match_sample(s, lexicon, bucket=classify_fn is not None,
+                             classify_fn=classify_fn)
             cols["cleaned"].append(r.cleaned_sample)
             cols["sc_name"].append(r.scientific_name_sample)
             cols["components"].append(str(r.matched_components))
@@ -235,32 +208,23 @@ def run_samples_distributed(
 ) -> str:
     """Distributed legacy run: byte-identical report to :func:`run_samples`.
 
-    Rows are tagged with their input index, matched in the actor pool, then
-    globally sorted back to input order (the reference's output preserves
-    file order; a ``sort`` is how a distributed engine restores it)."""
-    import pyarrow as pa
+    Rows are tagged with their input index, matched by
+    :class:`SampleMatcher` tasks (at most ``concurrency`` at once, default
+    ``stages/dedup.py::_auto_concurrency``), then globally sorted back to
+    input order (the reference's output preserves file order; a ``sort``
+    is how a distributed engine restores it)."""
     import ray
     import ray.data as rd
 
+    from lexmapr_ray.stages.dedup import _auto_concurrency
+
     if lexicon is None:
         lexicon = build_lexicon(classification=bucket)
-    lexicon_ref = ray.put(lexicon)
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-
-    rows = list(iter_sample_rows(input_path))
-    table = pa.table({
-        "idx": pa.array(range(len(rows)), pa.int64()),
-        "sample_id": pa.array([r[0] for r in rows], pa.string()),
-        "sample": pa.array([r[1] for r in rows], pa.string()),
-    })
-    ds = rd.from_arrow(table)
-    matched = ds.map_batches(
-        SampleMatcher,
-        fn_constructor_kwargs={"lexicon": [lexicon_ref], "bucket": bucket},
+    matched = rd.from_arrow(_sample_table(input_path)).map_batches(
+        SampleMatcher(ray.put(lexicon), bucket),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=_auto_concurrency(concurrency),
         num_cpus=1,
     )
     out_rows = matched.sort("idx").to_pandas().to_dict("records")

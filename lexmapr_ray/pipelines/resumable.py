@@ -13,8 +13,8 @@ Why driver-side shard loop rather than one giant Dataset: checkpoint
 granularity IS the unit of re-work after failure.  Ray retries tasks
 within a running job, but a *driver* crash (spot loss, OOM, redeploy)
 loses the whole pipeline — per-shard commits bound that loss to one shard.
-Inside a shard everything is still streaming `map_batches` with actor
-pools; the loop adds no per-record driver work.
+Inside a shard everything is still streaming `map_batches` tasks; the
+loop adds no per-record driver work.
 """
 
 from __future__ import annotations

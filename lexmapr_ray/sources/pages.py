@@ -133,7 +133,7 @@ def synth_pages_dataset(
     ``batch_size`` should match the downstream pipeline's batch size: Ray
     fuses this map with the extraction/matcher maps, and the LARGEST
     batch_size in a fused chain sets the task granularity — a 2048-row synth
-    batch over 20k pages yields only 10 tasks, starving a 30-actor pool.
+    batch over 20k pages yields only 10 tasks, starving a 30-task limit.
     """
     import ray.data as rd
 

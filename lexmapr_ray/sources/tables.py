@@ -6,7 +6,7 @@ then pays the all-to-all's per-block fixed cost (64x64 shuffle objects for
 a 5k-row table; measured ~5.7 s of pure coordination on the minhash path
 at sf0.1 against ~0.6 s of actual compute).  This helper overrides the
 block count ONLY when the file is small: blocks sized at ~4 MiB compressed
-(floored at 8 so actor pools still get fed).  When the file is big enough
+(floored at 8 so parallel stages still get fed).  When the file is big enough
 that Ray's own sizing would kick in (>= 2x CPUs worth of 4 MiB blocks),
 no override is passed — at 100 TB the planner's target_max_block_size
 logic governs exactly as before, so this is a small-table fast path, not a

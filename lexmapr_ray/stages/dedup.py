@@ -33,39 +33,26 @@ _HASH_B = _RNG.randint(0, _MERSENNE, size=NUM_HASHES, dtype=np.int64).astype(np.
 
 
 
-def _auto_concurrency(requested=None):
-    """THE pool sizing rule — every default actor pool in the engine
-    comes from here, and its cap is the default task limit of the KG
-    matcher (pipelines/kg.py::_match_pages), which runs as tasks.
+def _auto_concurrency(requested=None, frac=(7, 8)):
+    """THE task-limit rule: how many tasks of one stateful stage may run at
+    once.  Every stateful stage in the engine (the KG matcher, MinHash
+    banding, language ID, media decode, ...) runs as Ray Data tasks over
+    per-process state, and its default limit comes from here.
 
-    It cannot starve the rest of the pipeline: a pool of (CPUs - 2)
+    The limit is ``frac`` of the cluster's CPUs (default 7/8), at least
+    one.  It cannot starve the rest of the pipeline: a limit of (CPUs - 2)
     leaves only two slots for read/join/sort tasks and the whole DAG
     dribbles (measured: minhash at sf0.1 went from minutes to seconds);
-    7/8 of CPUs is the r3 cap — with push-based shuffle the sort work
-    overlaps the pool, so compute-heavy actors deserve nearly the whole
-    node (r3 matcher sweeps: pool 28 > 20 at 32 CPUs, pool 7 > 5 at 8
-    CPUs).  At <= 2 CPUs the cap is one actor, leaving a CPU for the
-    upstream read.
-
-    The default is the AUTOSCALING pool ``(2, cap)``, not a fixed pool of
-    ``cap`` (r4): a fixed pool spawns ``cap`` actor processes even when
-    the input has far fewer blocks, and that burst of unneeded spawns
-    intermittently straggled 6-20 s on this host (minhash_index_dedup at
-    sf0.1: fixed-28 walls [2.0, 18.3, 1.8, 7.5, 1.9, 8.3] vs
-    autoscaling-(2,28) [3.1, 2.2, 1.4, 1.6, 1.3, 2.3, 1.5, 1.7] —
-    BENCH_r03's 3.4 s vs the r4 full-suite 19.4 s outlier was exactly
-    this).  With corpus-scale inputs the autoscaler ramps to ``cap``
-    within the first seconds, so steady-state throughput is unchanged;
-    production-scale callers (bench.py, run shards) pass an explicit int
-    for a fixed pool whose spin-up amortizes over thousands of blocks.
-    An explicit ``requested`` int is honored as a fixed pool (capped)."""
+    with push-based shuffle the sort work overlaps the stage, so
+    compute-heavy stages deserve nearly the whole node (r3 matcher sweeps:
+    28 > 20 at 32 CPUs, 7 > 5 at 8 CPUs).  ``bench.py``'s N vs 4N protocol
+    passes a ``frac`` that divides its CPU counts exactly.  An explicit
+    ``requested`` int is capped to the limit."""
     import ray
 
-    if isinstance(requested, tuple):  # idempotent under re-application
-        return requested
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    cap = max(1, (cpus * 7) // 8)
-    return min(requested, cap) if requested else (min(2, cap), cap)
+    cap = max(1, (cpus * frac[0]) // frac[1])
+    return min(requested, cap) if requested else cap
 
 
 def _read_documents(sf_dir: str, columns=None):
@@ -186,8 +173,34 @@ def dedup_exact(sf_dir: str):
 # MinHash + LSH near-dup
 # ---------------------------------------------------------------------------
 
+# The worker process's one scratch slab for MinHasher's a*x+b mod M
+# matrix, shared by every MinHasher instance and task the process runs and
+# only ever grown.  It is sized LAZILY to the largest span actually seen
+# (pow2-rounded), never eagerly the full _GRAM_CHUNK width: this host class
+# faults fresh pages at ~7 MB/s (measured: 10 s first-touch for the 67 MB
+# full-width slab, 15 ms warm), so a fresh full-width slab per worker cost
+# a 10-30 s stall on its first batch.  Sizing to need keeps the fault bill
+# proportional to the data processed; keeping it per process (not per
+# instance or per batch) matters because glibc munmaps large frees and
+# every re-allocation would re-fault.  A Ray worker runs one task at a
+# time, so the slab never has two users at once.
+_SLAB: dict = {}
+
+
+def _slab(span: int) -> np.ndarray:
+    buf = _SLAB.get("buf")
+    if buf is None or buf.shape[1] < span:
+        width = 1 << (max(int(span), 1024) - 1).bit_length()
+        buf = _SLAB["buf"] = np.empty((NUM_HASHES, width), dtype=np.uint64)
+    return buf[:, :span]
+
+
 class MinHasher:
-    """Actor-pool stage: text -> (doc_id, bucket) rows.
+    """Ray Data task stage: text -> (doc_id, bucket) rows.
+
+    Pass an instance to ``map_batches``, so it runs as tasks.  An instance
+    carries only its feature space and 16 band seeds; the scratch slab is
+    per process (:func:`_slab`), so a task ships a few hundred bytes.
 
     ``shingle_kind`` selects the feature space: "word" (3-token shingles,
     the MinHash near-dup operator) or "char" (6-char grams, the n-gram
@@ -208,31 +221,14 @@ class MinHasher:
 
     def __init__(self, shingle_kind: str = "word"):
         self.gram_fn = _GRAMMERS[shingle_kind]
-        # one 64-bit seed per band, derived from (kind, band) by blake2b
-        # ONCE per actor — the band id + feature space live in the seed
+        # one 64-bit seed per band, derived from (kind, band) by blake2b —
+        # the band id + feature space live in the seed
         self.band_seeds = np.array([
             int.from_bytes(
                 hashlib.blake2b(shingle_kind.encode() + bytes([b]),
                                 digest_size=8).digest(), "big")
             for b in range(NUM_BANDS)
         ], dtype=np.uint64)
-        # one reusable slab for the a*x+b mod M matrix, LAZILY sized to the
-        # largest span actually seen (pow2-rounded), never eagerly the full
-        # _GRAM_CHUNK width: this host class faults fresh pages at ~7 MB/s
-        # (measured: 10 s first-touch for the 67 MB full-width slab, 15 ms
-        # warm), so a fixed full-width slab cost every new actor a 10-30 s
-        # stall on its first batch — 2000 CPU-s across a 28-actor pool for
-        # 1.5 s of real signature work at sf0.1.  Sizing to need makes the
-        # fault bill proportional to data actually processed; reuse (vs
-        # np.empty per batch) still matters because glibc munmaps large
-        # frees and every re-allocation would re-fault.
-        self._slab_buf = None
-
-    def _slab(self, span: int) -> np.ndarray:
-        if self._slab_buf is None or self._slab_buf.shape[1] < span:
-            width = 1 << (max(int(span), 1024) - 1).bit_length()
-            self._slab_buf = np.empty((NUM_HASHES, width), dtype=np.uint64)
-        return self._slab_buf[:, :span]
 
     def _signatures(self, texts) -> np.ndarray:
         """(n_docs, NUM_HASHES) uint64 signature matrix, bit-identical to
@@ -291,7 +287,7 @@ class MinHasher:
             docs = nz_idx[i:j]
             lo = starts[docs[0]]
             slab = vals[lo:lo + span]
-            prod = self._slab(span)  # lazily sized; span > _GRAM_CHUNK only
+            prod = _slab(span)  # lazily sized; span > _GRAM_CHUNK only
             # for a single doc with more grams than the chunk cap — rare
             np.multiply(_HASH_A[:, None], slab[None, :], out=prod)
             np.add(prod, _HASH_B[:, None], out=prod)
@@ -380,8 +376,7 @@ def minhash_candidate_pairs(sf_dir: str, concurrency: int | None = None,
     downstream (the verification join) dedup there for free instead."""
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     banded = ds.map_batches(
-        MinHasher, batch_format="pyarrow",
-        fn_constructor_kwargs={"shingle_kind": shingle_kind},
+        MinHasher(shingle_kind), batch_format="pyarrow",
         concurrency=_auto_concurrency(concurrency),
     )
     if prefilter:
@@ -1058,8 +1053,7 @@ def minhash_index_dedup(sf_dir: str, threshold: float = 0.8,
     """
     docs = _read_documents(sf_dir, ["doc_id", "text"])
     banded = docs.map_batches(
-        MinHasher, batch_format="pyarrow",
-        fn_constructor_kwargs={"shingle_kind": "word"},
+        MinHasher("word"), batch_format="pyarrow",
         concurrency=_auto_concurrency(concurrency),
     )
     return _index_dedup_verdicts(banded, docs, threshold, existing_permille)
@@ -1085,8 +1079,7 @@ def build_minhash_bucket_index(sf_dir: str, index_dir: str,
             md5_permille(t["doc_id"]) < existing_permille))
 
     docs.map_batches(keep_existing, batch_format="pyarrow").map_batches(
-        MinHasher, batch_format="pyarrow",
-        fn_constructor_kwargs={"shingle_kind": "word"},
+        MinHasher("word"), batch_format="pyarrow",
         concurrency=_auto_concurrency(concurrency),
     ).write_parquet(index_dir)
     open(os.path.join(index_dir, "_INDEXED"), "w").close()
@@ -1132,8 +1125,7 @@ def minhash_index_dedup_persisted(sf_dir: str, index_dir: str | None = None,
 
     new_banded = docs.map_batches(keep_new, batch_format="pyarrow") \
         .map_batches(
-            MinHasher, batch_format="pyarrow",
-            fn_constructor_kwargs={"shingle_kind": "word"},
+            MinHasher("word"), batch_format="pyarrow",
             concurrency=_auto_concurrency(concurrency),
         )
     banded = new_banded.union(
@@ -1435,6 +1427,33 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
 
 
 HOST_BANDS, HOST_ROWS = 32, 2  # 2-lane bands: host-level recall tuning
+HOST_SIG_COLS = [f"s{i:02d}" for i in range(NUM_HASHES)]
+
+
+class HostSigPartial:
+    """Ray Data task stage of :func:`host_near_dup`: (doc_id, text) ->
+    one row per host of the batch holding the element-wise min of its
+    documents' MinHash signatures (:data:`HOST_SIG_COLS`, one int64 lane
+    each).  Gramless documents are left out."""
+
+    def __init__(self, docs_per_host: int = 16):
+        self.docs_per_host = docs_per_host
+        self.mh = MinHasher("word")
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        sig = self.mh._signatures(t["text"].to_pylist())
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = sig[:, 0] != np.iinfo(np.uint64).max  # gramless out
+        sig, ids = sig[keep], ids[keep]
+        hosts = ids // self.docs_per_host
+        order = np.argsort(hosts, kind="stable")
+        hs = hosts[order]
+        uniq, starts = np.unique(hs, return_index=True)
+        mins = np.minimum.reduceat(sig[order], starts, axis=0)
+        cols = {"host_id": pa.array(uniq, pa.int64())}
+        for i, c in enumerate(HOST_SIG_COLS):
+            cols[c] = pa.array(mins[:, i].astype(np.int64))  # < 2^61
+        return pa.table(cols)
 
 
 def host_near_dup(sf_dir: str, min_match_pct: int = 5,
@@ -1449,7 +1468,7 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
     signature agreement: sig_match_pct = floor(100 * equal_lanes / 64),
     the standard unbiased Jaccard estimate.
 
-    Scale shape: actor-pool signatures with a per-batch per-host min
+    Scale shape: task-stage signatures with a per-batch per-host min
     combiner (hosts are an implicit salt across batches), one grouped min
     via the sorted reduce, banding + bucket sort over hosts (vocab-scale,
     not corpus-scale), per-bucket pair explode carrying the hex-packed
@@ -1462,36 +1481,17 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
 
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
-    sig_cols = [f"s{i:02d}" for i in range(NUM_HASHES)]
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
-    class HostSigPartial:
-        def __init__(self):
-            self.mh = MinHasher("word")
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            sig = self.mh._signatures(t["text"].to_pylist())
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            keep = sig[:, 0] != np.iinfo(np.uint64).max  # gramless out
-            sig, ids = sig[keep], ids[keep]
-            hosts = ids // docs_per_host
-            order = np.argsort(hosts, kind="stable")
-            hs = hosts[order]
-            uniq, starts = np.unique(hs, return_index=True)
-            mins = np.minimum.reduceat(sig[order], starts, axis=0)
-            cols = {"host_id": pa.array(uniq, pa.int64())}
-            for i, c in enumerate(sig_cols):
-                cols[c] = pa.array(mins[:, i].astype(np.int64))  # < 2^61
-            return pa.table(cols)
-
-    partial = ds.map_batches(HostSigPartial, batch_format="pyarrow",
+    partial = ds.map_batches(HostSigPartial(docs_per_host),
+                             batch_format="pyarrow",
                              concurrency=_auto_concurrency(concurrency),
                              batch_size=1024)
 
     def min_combine(df):
         if len(df) == 0:
             return df
-        return df.groupby("host_id", as_index=False, sort=False)[sig_cols].min()
+        return df.groupby("host_id", as_index=False, sort=False)[HOST_SIG_COLS].min()
 
     host_sigs = sorted_group_reduce(partial, "host_id",
                                     min_combine, min_combine).materialize()
@@ -1508,7 +1508,7 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
             return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
                                  "host_id": pd.Series([], dtype="int64"),
                                  "sig_hex": pd.Series([], dtype="object")})
-        sig = df[sig_cols].to_numpy(dtype=np.int64).astype(np.uint64)
+        sig = df[HOST_SIG_COLS].to_numpy(dtype=np.int64).astype(np.uint64)
         buckets = _band_mix(sig, band_seeds, n_bands=HOST_BANDS,
                             rows_per_band=HOST_ROWS)
         hexes = ["".join(f"{v:016x}" for v in row) for row in sig]

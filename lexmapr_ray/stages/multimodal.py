@@ -9,12 +9,12 @@ container: a small header plus length-prefixed per-frame PNGs, so frame
 sampling can SKIP non-sampled frames without decompressing them.
 
 The Ray-side shape is the scale-relevant part: decode/resize/frame-sample
-run as actor-pool ``map_batches`` stages with deliberately small batches
-(payload bytes dominate block memory), codec state initialised once per
-actor.  A ``codec="pil"`` seam on each stage is where a real deployment
-swaps in libjpeg-turbo-class decoders for formats beyond this profile; in
-THIS container PIL is absent, so that path raises ``NotImplementedError``
-with the dependency named.
+run as Ray Data task stages (a callable instance per ``map_batches``) with
+deliberately small batches (payload bytes dominate block memory).  A
+``codec="pil"`` seam on each stage is where a real deployment swaps in
+libjpeg-turbo-class decoders for formats beyond this profile; in THIS
+container PIL is absent, so constructing that stage raises
+``NotImplementedError`` with the dependency named.
 
 Reference parity: the reference engine (cidgoh/LexMapr) has no media path
 at all; these stages are the engine-only multimodal plumbing a 100-TB
@@ -71,24 +71,21 @@ def synth_media_dataset(n_items: int, seed: int = 42):
 
 
 class DecodeImage:
-    """Actor-pool decode stage (small batches: payloads are large).
+    """Ray Data task decode stage (small batches: payloads are large).
 
     Default codec is the pure-stdlib PNG reader (real format, real
     inflate + unfilter work per payload).  ``codec="pil"`` is the
-    real-deployment seam: it import-tries PIL at actor init (once per
-    actor, the actor-pool rule); PIL is absent in this container, so that
-    path raises ``NotImplementedError`` naming the dependency — the
-    plumbing (schema, batch sizing, actor signature) is identical either
-    way.
+    real-deployment seam: the constructor import-tries PIL, so a missing
+    library fails on the driver before any task runs; PIL is absent in
+    this container, so that path raises ``NotImplementedError`` naming
+    the dependency — the plumbing (schema, batch sizing, stage signature)
+    is identical either way.
     """
 
     def __init__(self, codec: str = "stdlib"):
-        self._pil = None
         if codec == "pil":
             try:
-                from PIL import Image  # noqa: F401  (absent in this container)
-
-                self._pil = Image
+                import PIL.Image  # noqa: F401  (absent in this container)
             except ImportError:
                 raise NotImplementedError(
                     "codec='pil' needs an image library (pip install pillow); "
@@ -96,6 +93,7 @@ class DecodeImage:
                 ) from None
         elif codec != "stdlib":
             raise ValueError(f"unknown codec {codec!r}")
+        self.codec = codec
 
     @staticmethod
     def _decode(payload: bytes) -> np.ndarray:
@@ -110,10 +108,12 @@ class DecodeImage:
         raise ValueError("unknown payload format")
 
     def _decode_any(self, payload: bytes) -> np.ndarray:
-        if self._pil is not None:
+        if self.codec == "pil":
             import io
 
-            return np.asarray(self._pil.open(io.BytesIO(payload)).convert("L"))
+            from PIL import Image
+
+            return np.asarray(Image.open(io.BytesIO(payload)).convert("L"))
         return self._decode(payload)
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -131,7 +131,7 @@ class DecodeImage:
 
 def _decode_features(ds, concurrency: int = 2):
     return ds.map_batches(
-        DecodeImage, batch_format="pyarrow", batch_size=32,
+        DecodeImage(), batch_format="pyarrow", batch_size=32,
         concurrency=concurrency,
     ).sort("media_id")
 
@@ -175,15 +175,15 @@ def media_features_from_documents(sf_dir: str, concurrency: int = 2):
 
 
 class ResizeImage:
-    """Actor-pool resize stage: decode -> integer box-downsample to
+    """Ray Data task resize stage: decode -> integer box-downsample to
     ``target`` x ``target`` -> per-item features of the RESIZED image.
 
     The downsample is exact integer math (np.add.reduceat over
     floor-divided grid boundaries, block mean floored to uint8) so results
     are engine-independent; ``codec="pil"`` is the seam where a real
-    deployment swaps in ``PIL.Image.resize``.  Same small-batch actor-pool
-    shape as decode: payload bytes dominate block memory, so batch_size
-    stays small and the pool scales with ``concurrency``.
+    deployment swaps in ``PIL.Image.resize``.  Same small-batch task shape
+    as decode: payload bytes dominate block memory, so batch_size stays
+    small and ``concurrency`` caps the concurrent tasks.
     """
 
     def __init__(self, target: int = 8, codec: str = "stdlib"):
@@ -261,7 +261,7 @@ def video_from_documents(sf_dir: str, batch_size: int = 32):
 
 
 class SampleFrames:
-    """Actor-pool frame sampler: every ``stride``-th frame of each video
+    """Ray Data task frame sampler: every ``stride``-th frame of each video
     decodes to a per-frame feature row (media_id, frame_idx, mean_milli) —
     a flat-map, so one input row fans out to len/stride output rows.
 
@@ -317,7 +317,7 @@ class SampleFrames:
 def media_resize_features(sf_dir: str, concurrency: int = 2):
     """sf_dir-driven decode+resize feature pipeline (driver media query)."""
     return media_from_documents(sf_dir).map_batches(
-        ResizeImage, batch_format="pyarrow", batch_size=32,
+        ResizeImage(), batch_format="pyarrow", batch_size=32,
         concurrency=concurrency,
     ).sort("media_id")
 
@@ -325,7 +325,6 @@ def media_resize_features(sf_dir: str, concurrency: int = 2):
 def video_frame_features(sf_dir: str, concurrency: int = 2, stride: int = 2):
     """sf_dir-driven frame-sample pipeline (driver media query)."""
     return video_from_documents(sf_dir).map_batches(
-        SampleFrames, batch_format="pyarrow", batch_size=32,
-        fn_constructor_kwargs={"stride": stride},
+        SampleFrames(stride), batch_format="pyarrow", batch_size=32,
         concurrency=concurrency,
     ).sort(["media_id", "frame_idx"])

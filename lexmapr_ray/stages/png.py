@@ -9,7 +9,7 @@ standard filter types so it reads any conforming 8-bit grayscale PNG, not
 just its own output.
 
 Scale note: encode/decode are per-payload kernels that run inside
-actor-pool ``map_batches`` stages (`stages/multimodal.py`); nothing here
+task ``map_batches`` stages (`stages/multimodal.py`); nothing here
 touches the driver.
 """
 

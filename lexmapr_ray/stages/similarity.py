@@ -72,9 +72,9 @@ def cosine_topk_bruteforce(sf_dir: str, query_vec_id: int = 0, k: int = 10):
 
 
 class HyperplaneLSH:
-    """Actor-pool stage: embedding -> LSH bucket via random hyperplane signs.
+    """Embedding batch -> LSH bucket via random hyperplane signs.
 
-    The hyperplane matrix is created deterministically once per actor.
+    The hyperplane matrix is created deterministically once per instance.
     """
 
     def __init__(self, n_planes: int = 6, dim: int = 64, seed: int = 777):
@@ -630,34 +630,43 @@ def cosine_topk_multi(sf_dir: str, n_queries: int = 8, k: int = 5):
 
 
 class _XEncRescorer:
-    """Actor-pool 'cross-encoder' rescoring stage for :func:`rerank_topk`.
+    """Ray Data task stage: 'cross-encoder' rescoring for :func:`rerank_topk`.
 
     A learned cross-encoder jointly encodes (query, candidate) pairs —
     no ML runtime ships in this container, so the scoring function is a
     DETERMINISTIC integer interaction model (milli-quantized elementwise
     product sum: sum_d floor(1000*q_d) * floor(1000*v_d)), the same
     documented stand-in convention as the multimodal codec: the Ray-side
-    plumbing (broadcast query state read once per actor in ``__init__``,
+    plumbing (broadcast query state read once per worker process,
     candidate routing, per-batch vectorized pair scoring) is the real,
     tested part; swap ``_score`` for a model call in production.
+
+    ``state_ref`` is the ``ray.put`` handle of ``(cand_by_vec, qids,
+    q_milli)``.  The first call resolves it through :func:`~lexmapr_ray.functions.broadcast.get_once`,
+    and pickling drops the resolved state, so a task ships the handle.
     """
 
-    def __init__(self, state_ref=None):
-        import ray
+    def __init__(self, state_ref):
+        self.state_ref = state_ref
+        self._state = None  # (cand_by_vec, q_index, q_milli) once resolved
 
-        if isinstance(state_ref, (list, tuple)) and len(state_ref) == 1:
-            state_ref = state_ref[0]
-        # {vec_id: [(query_id, sim_bp), ...]}, plus (qids, q_milli matrix)
-        self.cand_by_vec, self.qids, self.q_milli = ray.get(state_ref)
-        self.q_index = {int(q): i for i, q in enumerate(self.qids)}
+    def __getstate__(self):
+        return {**self.__dict__, "_state": None}
 
     def __call__(self, t: pa.Table) -> pa.Table:
+        if self._state is None:
+            from lexmapr_ray.functions.broadcast import get_once
+
+            cand_by_vec, qids, q_milli = get_once(self.state_ref)
+            self._state = (cand_by_vec, {int(q): i for i, q in enumerate(qids)},
+                           q_milli)
+        cand_by_vec, q_index, q_milli = self._state
         m_milli = np.floor(_batch_matrix(t) * 1000).astype(np.int64)
         vec_ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         out_q, out_v, out_bp, out_x = [], [], [], []
         for row, v in enumerate(vec_ids):
-            for q, bp in self.cand_by_vec.get(int(v), ()):
-                x = int(self.q_milli[self.q_index[q]] @ m_milli[row])
+            for q, bp in cand_by_vec.get(int(v), ()):
+                x = int(q_milli[q_index[q]] @ m_milli[row])
                 out_q.append(q)
                 out_v.append(int(v))
                 out_bp.append(int(bp))
@@ -674,7 +683,7 @@ def rerank_topk(sf_dir: str, n_queries: int = 8, k1: int = 50, k: int = 10):
     """Two-stage retrieve -> rerank, the standard neural-search topology:
     cheap exact cosine retrieval keeps ``k1`` candidates per query
     (:func:`cosine_topk_multi` — one matmul per batch against the
-    broadcast query matrix, exact pruned sort), then an actor-pool
+    broadcast query matrix, exact pruned sort), then a task-stage
     'cross-encoder' rescoring pass (:class:`_XEncRescorer`) re-orders each
     query's candidates and keeps the top ``k``.
 
@@ -729,8 +738,7 @@ def rerank_topk(sf_dir: str, n_queries: int = 8, k1: int = 50, k: int = 10):
         return df
 
     scored = ds.map_batches(keep_cands, batch_format="pyarrow").map_batches(
-        _XEncRescorer,
-        fn_constructor_kwargs={"state_ref": [state_ref]},
+        _XEncRescorer(state_ref),
         batch_format="pyarrow",
         concurrency=_auto_concurrency(),
         num_cpus=1,
@@ -999,7 +1007,8 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 5,
     same equal-key co-location every grouped op here pins, see
     functions/groupagg.py); the per-cluster greedy is one m x m matmul plus
     an O(m) masked scan per row, never corpus-quadratic.  Centroids are
-    broadcast once with ``ray.put`` and read per actor, not per batch.
+    broadcast once with ``ray.put`` and read once per worker process, not
+    per batch.
     """
     import ray
 

@@ -157,10 +157,10 @@ _LANG_PROFILES = {
 
 
 class LangIdHeuristic:
-    """Actor-pool language-ID stage: trigram-profile voting.
+    """Ray Data task stage for language ID: trigram-profile voting.
 
-    Stateful setup (profile dict keyed for fast probes) happens once per
-    actor in ``__init__``; ``__call__`` scores batches.
+    ``__init__`` keys the profiles for fast probes (a few hundred bytes,
+    shipped with each task); ``__call__`` scores batches.
     """
 
     def __init__(self):
@@ -192,7 +192,7 @@ def lang_id(sf_dir: str, concurrency: int | None = None):
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     return ds.map_batches(
-        LangIdHeuristic, batch_format="pyarrow", concurrency=_auto_concurrency(concurrency)
+        LangIdHeuristic(), batch_format="pyarrow", concurrency=_auto_concurrency(concurrency)
     ).sort("doc_id")
 
 

@@ -2746,19 +2746,20 @@ def test_revenue_rollup_level_conservation(ray_session, sf_dir):
 
 
 def test_auto_concurrency_pool_sizing(ray_session):
-    """Pool-sizing contract (r4): default = autoscaling (2, 7/8·cpus)
-    tuple — a fixed full-size pool intermittently straggles 6-20 s
-    spawning actors a small input can't use; explicit ints are honored
-    (capped); tuples pass through unchanged (the helper is applied twice
-    on the _verified_pairs path)."""
+    """Task-limit contract: the default is the int 7/8 of the session's
+    CPUs (at least one); explicit ints are honored but capped to it, so
+    re-applying the rule is a no-op; ``frac`` rescales the cap."""
+    import ray
+
     from lexmapr_ray.stages.dedup import _auto_concurrency as auto
 
-    lo, cap = auto()
-    assert lo == 2 and cap >= 2          # autoscaling default
+    cap = auto()
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert isinstance(cap, int) and cap == max(1, cpus * 7 // 8)
     assert auto(cap + 100) == cap        # explicit int capped
     assert auto(2) == 2                  # explicit int honored
-    assert auto((3, 9)) == (3, 9)        # idempotent re-application
-    assert auto(auto()) == auto()
+    assert auto(auto()) == auto()        # idempotent re-application
+    assert auto(frac=(1, 2)) == max(1, cpus // 2)
 
 
 def test_minhash_index_dedup_persisted_equals_recompute(ray_session, sf_dir,
