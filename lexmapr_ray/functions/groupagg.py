@@ -7,16 +7,17 @@ reduction: ``groupby().map_groups`` pays one Python+pandas call per group
 accounting that hit 28 s for a single 76k-row block in the q5 join.  The
 engine therefore standardizes on ONE shape for every grouped reduction:
 
-    partial per-batch pandas combine  (bundled large batches — also
-        coalesces block count ahead of the shuffle, blocks^2 sort cost)
-    -> Dataset.sort(keys)             (equal keys provably co-partitioned:
+    partial per-batch combine  (bundled large batches — also coalesces
+        block count ahead of the shuffle, blocks^2 sort cost)
+    -> Dataset.sort(keys)      (equal keys provably co-partitioned:
         boundary assignment is a pure function of the key)
-    -> per-block vectorized pandas final combine  (batch_size=None so
-        batches never split a sorted block)
+    -> per-block vectorized final combine  (batch_size=None so batches
+        never split a sorted block)
 
 ``grouped_sum_count`` covers the Sum/Count family (every SQL-oracled query
-in this repo); pass ``partial_fn``/``final_fn`` to :func:`sorted_group_reduce`
-for custom reductions (argmax, pair generation, ...).
+in this repo) with Arrow hash aggregation on both sides; pass
+``partial_fn``/``final_fn`` to :func:`sorted_group_reduce` for custom
+reductions (argmax, pair generation, ...) over pandas or Arrow batches.
 
 Why the co-location invariant is safe under dynamic block splitting
 (advisor r2 raised it): Ray 2.49's sort reduce task merges its range's
@@ -39,16 +40,18 @@ import pandas as pd
 DEFAULT_BUNDLE = 65536
 
 
-def sorted_group_reduce(ds, keys, partial_fn, final_fn, *, bundle: int = DEFAULT_BUNDLE):
+def sorted_group_reduce(ds, keys, partial_fn, final_fn, *, bundle: int = DEFAULT_BUNDLE,
+                        batch_format: str = "pandas"):
     """General two-phase grouped reduction (see module docstring).
 
-    ``partial_fn``/``final_fn`` are pandas DataFrame -> DataFrame; both must
-    be per-key associative (partial output rows for one key are merged by
-    final_fn exactly once, in one block).
+    ``partial_fn``/``final_fn`` map a ``batch_format`` batch (a pandas
+    DataFrame by default) to the same; both must be per-key associative
+    (partial output rows for one key are merged by final_fn exactly once,
+    in one block).
     """
-    partial = ds.map_batches(partial_fn, batch_format="pandas", batch_size=bundle)
+    partial = ds.map_batches(partial_fn, batch_format=batch_format, batch_size=bundle)
     return partial.sort(keys).map_batches(
-        final_fn, batch_format="pandas", batch_size=None
+        final_fn, batch_format=batch_format, batch_size=None
     )
 
 

@@ -347,6 +347,122 @@ def winnowing_fingerprint(sf_dir: str, k: int = 16, w: int = 8,
     return ds.map_batches(fp, batch_format="pyarrow").sort("doc_id")
 
 
+def _tf(rows: pa.Table, keys, **sums) -> pa.Table:
+    """One row per distinct ``keys`` of *rows*: its occurrence count ``tf``
+    plus ``alias=col`` sums (Arrow hash group-by, one CPU per task)."""
+    g = rows.group_by(keys, use_threads=False).aggregate(
+        [([], "count_all")] + [(c, "sum") for c in sums.values()])
+    return pa.table({**{k: g[k] for k in keys}, "tf": g["count_all"],
+                     **{a: g[f"{c}_sum"] for a, c in sums.items()}})
+
+
+def _token_rows(t: pa.Table, carry=("doc_id",)) -> pa.Table:
+    """(*carry, term) per token of every non-blank text: the ASCII trim +
+    ``\\s+`` split of :func:`_token_lists`, blank texts contributing none."""
+    trimmed, splits = _token_lists(t["text"])
+    keep = pc.not_equal(trimmed, "")
+    splits = pc.filter(splits, keep)
+    parents = pc.list_parent_indices(splits)
+    return pa.table({**{c: pc.take(pc.filter(t[c], keep), parents) for c in carry},
+                     "term": pc.list_flatten(splits)})
+
+
+def _scored(rows: pa.Table) -> pa.Table:
+    """Append ``s = tf * v``: a (doc, key) row's share of its doc's score."""
+    return rows.append_column("s", pc.multiply(rows["tf"], rows["v"]))
+
+
+def _floor_mean(n_name: str, mean_name: str):
+    """Per-doc ``(n_name = sum tf, mean_name = sum s // sum tf)`` as the
+    ``(partial, final, sort)`` reduce of :func:`_doc_local_scores`;
+    ``partial`` re-reduces its own output."""
+    def partial(t: pa.Table) -> pa.Table:
+        g = t.group_by("doc_id", use_threads=False).aggregate([("tf", "sum"), ("s", "sum")])
+        return pa.table({"doc_id": g["doc_id"], "tf": g["tf_sum"], "s": g["s_sum"]})
+
+    def final(t: pa.Table) -> pa.Table:
+        g = partial(t).sort_by("doc_id")
+        return pa.table({"doc_id": g["doc_id"], n_name: g["tf"],
+                         mean_name: pa.array(g["s"].to_numpy() // g["tf"].to_numpy())})
+
+    return partial, final, ("doc_id",)
+
+
+def _top_k(k: int):
+    """Per-doc top-``k`` terms by ``s`` desc, term asc, as the ``(partial,
+    final, sort)`` reduce of :func:`_doc_local_scores`: a sort then a
+    run-rank cut.  Per-block pruning is exact (a row in its doc's global
+    top-k is in the top-k of any subset holding it)."""
+    def partial(t: pa.Table) -> pa.Table:
+        t = t.select(["doc_id", "term", "s"]).sort_by(
+            [("doc_id", "ascending"), ("s", "descending"), ("term", "ascending")])
+        doc = t["doc_id"].to_numpy()
+        first = np.ones(len(doc), dtype=bool)
+        first[1:] = doc[1:] != doc[:-1]
+        pos = np.arange(len(doc))
+        return t.filter(pa.array(pos - np.maximum.accumulate(np.where(first, pos, 0)) < k))
+
+    def final(t: pa.Table) -> pa.Table:
+        return partial(t).rename_columns(["doc_id", "term", "score_e6"])
+
+    return partial, final, (["doc_id", "score_e6", "term"], [False, True, False])
+
+
+def _doc_local_scores(ds, explode, key: str, vocab, lookup, attach, reduce, limit: int):
+    """Score every document against a vocabulary built from the whole
+    corpus: the shape of :func:`tfidf_top_terms`, :func:`token_rarity`,
+    :func:`bigram_lm_score` and :func:`target_affinity`.
+
+    ``explode`` maps a documents batch to one row per (doc, ``key``) with
+    its count ``tf``.  Pass 1 reduces those rows to the vocabulary
+    (``vocab``, a ``grouped_sum_count``).  When it has at most ``limit``
+    rows the driver turns it into aligned ``key -> v`` arrays (``lookup``,
+    on the vocabulary as one Arrow table) and broadcasts them.  Pass 2 is
+    then ONE Arrow map over the documents: explode again, probe ``v`` with
+    ``index_in``, score ``s = tf * v`` and run the per-doc ``final`` reduce,
+    then one sort.  A document is one input row, so every row it yields is
+    made and reduced in the same task: exact with no re-reduce shuffle.
+
+    Above ``limit`` (a corpus-scale vocabulary, which must not reach the
+    driver) ``attach`` joins ``v`` onto pass 1's rows with bucketed hash
+    joins; a document's rows then span blocks, so its partials re-reduce
+    through one doc_id sort (``sorted_group_reduce(partial, final)``).
+    """
+    import ray
+
+    from lexmapr_ray.functions.broadcast import get_once, put_lookup
+    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+
+    partial, final, order = reduce
+    tf = ds.map_batches(explode, batch_format="pyarrow", batch_size=65536)
+    vocab_ds = vocab(tf).materialize()
+    if vocab_ds.count() > limit:
+        return sorted_group_reduce(attach(tf, vocab_ds), "doc_id",
+                                   lambda t: partial(_scored(t)), final,
+                                   batch_format="pyarrow")
+    # a corpus with no tokens has a column-less vocabulary: pass 2 then
+    # yields only typed 0-row blocks, which a Ray sort would strip of
+    # their columns, so that result skips the sort
+    blocks = [b for b in ray.get(vocab_ds.to_arrow_refs()) if b.num_rows]
+    ref = put_lookup(*(lookup(pa.concat_tables(blocks)) if blocks
+                       else (pa.array([], pa.string()), pa.array([], pa.int64()))))
+
+    def score(t: pa.Table) -> pa.Table:
+        rows = explode(t)
+        keys, vals = get_once(ref)
+        v = pc.take(vals, pc.index_in(rows[key], value_set=keys))
+        return final(_scored(rows.append_column("v", v)))
+
+    scored = ds.map_batches(score, batch_format="pyarrow", batch_size=65536)
+    return scored.sort(*order) if blocks else scored
+
+
+def _with_v(ds, value):
+    """Append ``v = value(block)`` to every block of a joined Dataset."""
+    return ds.map_batches(lambda t: t.append_column("v", pa.array(value(t), pa.int64())),
+                          batch_format="pyarrow")
+
+
 def tfidf_top_terms(sf_dir: str, k: int = 5,
                     vocab_broadcast_limit: int = 10_000_000):
     """Per-document top-k terms by an integer-exact tf-idf.
@@ -355,100 +471,39 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
     Ray and DuckDB results are bit-identical (a float ln() idf can differ
     by 1 ulp between libms and flip a tie).  Ordering: score desc, term asc.
 
-    Shape (the two-pass corpus-statistics pattern):
-      pass 1: per-batch (doc, term, tf) combine -> term-sorted DF reduce
-              (document frequency per term);
-      attach DF, size-switched on the vocabulary cardinality:
-        <= ``vocab_broadcast_limit`` terms: broadcast as two aligned Arrow
-              arrays (term -> idf_e6), probed per batch with index_in/take
-              — a sane tokenizer's vocab is ~1e7 terms even at 100 TB;
-        above it: the SAME pipeline swaps the broadcast for a bucketed
-              hash join on term (a pathological tokenizer — raw shingles,
-              binary noise — makes the vocab corpus-scale, and shipping it
-              to every worker would be the set-op anti-pattern);
-      pass 2: vectorized integer score + per-doc top-k combiner ->
-              doc-sorted top-k reduce.
+    Shape: :func:`_doc_local_scores` with ``v`` = idf_e6 per term.  Pass 1
+    counts each term's document frequency (one (doc, term) row per doc
+    containing it); pass 2 scores and cuts each document's top-k inside the
+    map that reads it.  ``vocab_broadcast_limit`` switches the idf attach
+    from a broadcast (a sane tokenizer's vocab is ~1e7 terms even at
+    100 TB) to a bucketed hash join on term (a pathological tokenizer — raw
+    shingles, binary noise — makes the vocab corpus-scale, and shipping it
+    to every worker would be the set-op anti-pattern).
     """
-    import pandas as pd
-
-    from lexmapr_ray.functions.broadcast import get_once, put_lookup
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def doc_terms(t: pa.Table) -> pd.DataFrame:
-        # Arrow explode (RE2 \s+ split, '' edge tokens dropped — the exact
-        # tokenization the SQL oracle's string_split_regex + term <> ''
-        # computes), pandas only for the final (doc, term) count
-        splits = pc.split_pattern_regex(pc.utf8_lower(t["text"]), pattern=r"\s+")
-        flat = pc.list_flatten(splits)
-        doc_ids = pc.take(t["doc_id"], pc.list_parent_indices(splits))
-        ex = pa.table({"doc_id": doc_ids, "term": flat}) \
-            .filter(pc.not_equal(flat, "")).to_pandas()
-        return ex.groupby(["doc_id", "term"], sort=False).size().reset_index(name="tf")
-
-    tf = ds.map_batches(doc_terms, batch_format="pyarrow", batch_size=65536)
-
-    # document frequency: one row per (doc, term) exists already -> count
-    # per term.  Materialized to the OBJECT STORE so the cardinality count
-    # and the chosen attach path reuse one execution.
-    df_ds = grouped_sum_count(
-        tf.map_batches(lambda d: d[["term"]], batch_format="pandas"),
-        "term", count_alias="df",
-    ).materialize()
     n_docs = ds.count()
 
-    def final_topk(d: pd.DataFrame) -> pd.DataFrame:
-        if len(d) == 0:
-            return d
-        d = d.sort_values(["doc_id", "score_e6", "term"],
-                          ascending=[True, False, True], kind="mergesort")
-        return d.groupby("doc_id", sort=False).head(k)
+    def explode(t: pa.Table) -> pa.Table:
+        # RE2 \s+ split, '' edge tokens dropped — the exact tokenization the
+        # SQL oracle's string_split_regex + term <> '' computes
+        splits = pc.split_pattern_regex(pc.utf8_lower(t["text"]), pattern=r"\s+")
+        flat = pc.list_flatten(splits)
+        rows = pa.table({"doc_id": pc.take(t["doc_id"], pc.list_parent_indices(splits)),
+                         "term": flat})
+        return _tf(rows.filter(pc.not_equal(flat, "")), ["doc_id", "term"])
 
-    # per-batch top-k prune is exact-safe: every true per-doc top-k row is
-    # inside its batch's per-doc top-k (fewer competitors in a subset), so
-    # the doc-sorted final top-k over the union reproduces the global answer
-    if df_ds.count() <= vocab_broadcast_limit:
-        df_table = df_ds.to_pandas()
-        idf_e6 = (1_000_000 * n_docs) // df_table["df"].to_numpy()
-        df_ref = put_lookup(df_table["term"].to_numpy(), idf_e6)
+    def idf_e6(t):
+        return (1_000_000 * n_docs) // t["df"].to_numpy()
 
-        def score_topk(d: pd.DataFrame) -> pd.DataFrame:
-            if len(d) == 0:
-                return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                     "term": pd.Series([], dtype="object"),
-                                     "score_e6": pd.Series([], dtype="int64")})
-            keys, vals = get_once(df_ref)
-            idx = pc.index_in(pa.array(d["term"].to_numpy(dtype=object)),
-                              value_set=keys)
-            idf = pc.take(vals, idx).to_numpy(zero_copy_only=False)
-            d = d.assign(score_e6=(d["tf"].to_numpy(dtype="int64") * idf).astype("int64"))
-            d = d.sort_values(["doc_id", "score_e6", "term"],
-                              ascending=[True, False, True], kind="mergesort")
-            d = d.groupby("doc_id", sort=False).head(k)
-            return d[["doc_id", "term", "score_e6"]]
-
-        pruned = tf.map_batches(score_topk, batch_format="pandas", batch_size=65536)
-    else:
-        # corpus-scale vocabulary: attach df with a bucketed hash join on
-        # term, then score + prune — no vocabulary ever reaches the driver
-        joined = bucketed_hash_join(tf, df_ds, on="term")
-
-        def score_joined(d: pd.DataFrame) -> pd.DataFrame:
-            if len(d) == 0:
-                return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                     "term": pd.Series([], dtype="object"),
-                                     "score_e6": pd.Series([], dtype="int64")})
-            idf = (1_000_000 * n_docs) // d["df"].to_numpy(dtype="int64")
-            d = d.assign(score_e6=(d["tf"].to_numpy(dtype="int64") * idf).astype("int64"))
-            d = d.sort_values(["doc_id", "score_e6", "term"],
-                              ascending=[True, False, True], kind="mergesort")
-            return d.groupby("doc_id", sort=False).head(k)[["doc_id", "term", "score_e6"]]
-
-        pruned = joined.map_batches(score_joined, batch_format="pandas",
-                                    batch_size=65536)
-    return sorted_group_reduce(pruned, "doc_id", final_topk, final_topk)
+    return _doc_local_scores(
+        ds, explode, "term",
+        vocab=lambda tf: grouped_sum_count(tf, "term", count_alias="df"),
+        lookup=lambda vocab: (vocab["term"], idf_e6(vocab)),
+        attach=lambda tf, vocab: _with_v(bucketed_hash_join(tf, vocab, on="term"), idf_e6),
+        reduce=_top_k(k), limit=vocab_broadcast_limit)
 
 
 def corpus_sample(sf_dir: str, permille: int = 100):
@@ -1055,78 +1110,27 @@ def token_rarity(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
     float ``ln`` would differ by 1 ulp between libms and break the driver
     gate.  Document score = floor-mean of its tokens' rarities.
 
-    Shape: pass 1 builds the unigram table with the per-batch-combine ->
-    sorted-reduce shape; it attaches back size-switched exactly like
-    tf-idf (broadcast aligned Arrow arrays under the limit, bucketed hash
-    join on term above).  Pass 2 re-reduces per-doc partial sums through
-    one doc_id sort, so a document split across blocks still sums exactly
-    once."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.broadcast import get_once, put_lookup
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
+    Shape: :func:`_doc_local_scores` with ``v`` = rarity per term.  Pass 1
+    builds the unigram table; pass 2 sums each document's rarities inside
+    the map that reads it.  ``vocab_broadcast_limit`` switches the attach
+    to a bucketed hash join on term, exactly as in tf-idf."""
+    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    def rarity(t, total):
+        return (1000 * total) // t["cnt"].to_numpy()
 
-    def doc_terms(t: pa.Table) -> "pd.DataFrame":
-        trimmed, splits = _token_lists(t["text"])
-        mask = pc.not_equal(trimmed, "")
-        flat = pc.list_flatten(pc.filter(splits, mask))
-        doc_ids = pc.take(pc.filter(t["doc_id"], mask),
-                          pc.list_parent_indices(pc.filter(splits, mask)))
-        ex = pa.table({"doc_id": doc_ids, "term": flat}).to_pandas()
-        return ex.groupby(["doc_id", "term"], sort=False).size().reset_index(name="tf")
+    def attach(tf, vocab):
+        total = vocab.sum("cnt")
+        return _with_v(bucketed_hash_join(tf, vocab, on="term"), lambda t: rarity(t, total))
 
-    tf = ds.map_batches(doc_terms, batch_format="pyarrow", batch_size=65536)
-    cnts = grouped_sum_count(
-        tf.map_batches(lambda d: d[["term", "tf"]], batch_format="pandas"),
-        "term", sum_cols={"cnt": "tf"},
-    ).materialize()
-    total = int(cnts.map_batches(
-        lambda d: pd.DataFrame({"t": [d["cnt"].sum()]}), batch_format="pandas"
-    ).to_pandas()["t"].sum())
-
-    def doc_partial(d: pd.DataFrame) -> pd.DataFrame:
-        g = d.groupby("doc_id", as_index=False, sort=False).agg(
-            n_tokens=("tf", "sum"), rsum=("rtot", "sum"))
-        return g
-
-    def doc_final(d: pd.DataFrame) -> pd.DataFrame:
-        g = d.groupby("doc_id", as_index=False, sort=False).agg(
-            n_tokens=("n_tokens", "sum"), rsum=("rsum", "sum"))
-        g["rarity_e3"] = (g["rsum"] // g["n_tokens"]).astype("int64")
-        return g[["doc_id", "n_tokens", "rarity_e3"]]
-
-    if cnts.count() <= vocab_broadcast_limit:
-        vocab = cnts.to_pandas()
-        rarity = (1000 * total) // vocab["cnt"].to_numpy(dtype="int64")
-        ref = put_lookup(vocab["term"].to_numpy(), rarity)
-
-        def attach(d: pd.DataFrame) -> pd.DataFrame:
-            if len(d) == 0:
-                return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                     "tf": pd.Series([], dtype="int64"),
-                                     "rtot": pd.Series([], dtype="int64")})
-            keys, vals = get_once(ref)
-            idx = pc.index_in(pa.array(d["term"].to_numpy(dtype=object)),
-                              value_set=keys)
-            r = pc.take(vals, idx).to_numpy(zero_copy_only=False)
-            return d.assign(rtot=(d["tf"].to_numpy(dtype="int64") * r)
-                            .astype("int64"))[["doc_id", "tf", "rtot"]]
-
-        scored = tf.map_batches(attach, batch_format="pandas", batch_size=65536)
-    else:
-        joined = bucketed_hash_join(tf, cnts, on="term")
-
-        def attach_joined(d: pd.DataFrame) -> pd.DataFrame:
-            r = (1000 * total) // d["cnt"].to_numpy(dtype="int64")
-            return d.assign(rtot=(d["tf"].to_numpy(dtype="int64") * r)
-                            .astype("int64"))[["doc_id", "tf", "rtot"]]
-
-        scored = joined.map_batches(attach_joined, batch_format="pandas",
-                                    batch_size=65536)
-    return sorted_group_reduce(scored, "doc_id", doc_partial, doc_final)
+    return _doc_local_scores(
+        _read_documents(sf_dir, ["doc_id", "text"]),
+        lambda t: _tf(_token_rows(t), ["doc_id", "term"]), "term",
+        vocab=lambda tf: grouped_sum_count(tf, "term", sum_cols={"cnt": "tf"}),
+        lookup=lambda vocab: (vocab["term"], rarity(vocab, pc.sum(vocab["cnt"]).as_py())),
+        attach=attach, reduce=_floor_mean("n_tokens", "rarity_e3"),
+        limit=vocab_broadcast_limit)
 
 
 def inverted_index(sf_dir: str, min_df: int = 5):
@@ -1241,128 +1245,61 @@ def bigram_lm_score(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
     between libms and break the driver gate.  Document score = floor-mean
     of its bigram occurrences' surprises.
 
-    Scale shape (three grouped reductions + one size-switched attach, all
-    shuffles vocabulary-scale, never corpus-scale):
-
-    1. per-batch Arrow bigram explode (``binary_join_element_wise`` of the
-       flattened token array against its 1-shifted self, parent-boundary
-       masked) -> per-(doc, bigram) tf combine;
-    2. ``grouped_sum_count`` builds the bigram table (one row per distinct
-       bigram) and the context table (one row per distinct ``w1``);
-    3. under ``vocab_broadcast_limit`` the model ships as ONE ``ray.put``
-       aligned-array lookup (bg -> surprise) probed with ``pc.index_in``;
-       above it the attach is two ``bucketed_hash_join`` passes (on ``bg``,
-       then ``w1``) — same switch tf-idf documents for its vocabulary;
-    4. per-doc partial sums re-reduce through one doc_id sort, so a
-       document split across blocks still sums exactly once.
+    Shape: :func:`_doc_local_scores` keyed on the bigram ``bg``.  The
+    explode pairs the flattened token array with its 1-shifted self
+    (``binary_join_element_wise``, masked at document boundaries); pass 1
+    builds the bigram table, from which the driver derives ``c1`` and
+    ``V``; pass 2 sums each document's surprises inside the map that reads
+    it.  Above ``vocab_broadcast_limit`` the attach is two
+    ``bucketed_hash_join`` passes (on ``bg``, then on ``w1`` against a
+    grouped ``c1`` table), and ``V`` is the row count of a grouped reduce.
 
     Tokens are ``\\s+``-separated so the single-space bigram key
     ``w1 || ' ' || w2`` cannot alias.  Docs with < 2 tokens have no bigrams
     and are absent from the output (the SQL oracle mirrors this).
     """
-    import pandas as pd
-
-    from lexmapr_ray.functions.broadcast import get_once, put_lookup
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def doc_bigrams(t: pa.Table) -> "pd.DataFrame":
-        empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                              "w1": pd.Series([], dtype=object),
-                              "w2": pd.Series([], dtype=object),
-                              "bg": pd.Series([], dtype=object),
-                              "tf": pd.Series([], dtype="int64")})
-        if len(t) == 0:
-            return empty
+    def explode(t: pa.Table) -> pa.Table:
         trimmed, splits = _token_lists(t["text"])
-        mask = pc.not_equal(trimmed, "")
-        splits_f = pc.filter(splits, mask)
-        ids = pc.filter(t["doc_id"], mask)
-        flat = pc.list_flatten(splits_f)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        n = len(flat)
-        if n < 2:
-            return empty
-        parent = pc.list_parent_indices(splits_f).to_numpy(zero_copy_only=False)
+        keep = pc.not_equal(trimmed, "")
+        splits = pc.filter(splits, keep)
+        flat = pc.list_flatten(splits)
+        n = max(len(flat) - 1, 0)
+        parent = pc.list_parent_indices(splits).to_numpy(zero_copy_only=False)
         same = parent[:-1] == parent[1:]
-        same_arr = pa.array(same)
-        w1 = flat.slice(0, n - 1).filter(same_arr)
-        w2 = flat.slice(1, n - 1).filter(same_arr)
-        if len(w1) == 0:
-            return empty
-        bg = pc.binary_join_element_wise(w1, w2, " ")
-        doc = pc.take(ids, pa.array(parent[:-1][same]))
-        ex = pa.table({"doc_id": doc, "w1": w1, "w2": w2, "bg": bg}).to_pandas()
-        return ex.groupby(["doc_id", "w1", "w2", "bg"], sort=False).size().reset_index(name="tf")
+        w1 = flat.slice(0, n).filter(pa.array(same))
+        w2 = flat.slice(1, n).filter(pa.array(same))
+        return _tf(pa.table({"doc_id": pc.take(pc.filter(t["doc_id"], keep),
+                                               pa.array(parent[:-1][same])),
+                             "w1": w1, "w2": w2,
+                             "bg": pc.binary_join_element_wise(w1, w2, " ")}),
+                   ["doc_id", "w1", "w2", "bg"])
 
-    tf = ds.map_batches(doc_bigrams, batch_format="pyarrow", batch_size=65536)
+    def surprise(t, v):
+        return (1000 * (t["cnt1"].to_numpy() + v)) // (t["cnt2"].to_numpy() + 1)
+
+    def lookup(model):
+        c1 = model.group_by("w1", use_threads=False).aggregate([("cnt2", "sum")])
+        cnt1 = pc.take(c1["cnt2_sum"], pc.index_in(model["w1"], value_set=c1["w1"]))
+        v = pc.count_distinct(model["w2"]).as_py()
+        return model["bg"], surprise(model.append_column("cnt1", cnt1), v)
+
+    def attach(tf, model):
+        cnt1 = grouped_sum_count(tf, "w1", sum_cols={"cnt1": "tf"})
+        v = grouped_sum_count(tf, "w2").count()
+        j2 = bucketed_hash_join(tf.select_columns(["doc_id", "w1", "bg", "tf"]),
+                                model.select_columns(["bg", "cnt2"]), on="bg")
+        return _with_v(bucketed_hash_join(j2, cnt1, on="w1"), lambda t: surprise(t, v))
 
     # bigram table: one row per distinct (w1, w2); w1/w2 ride along (bg
-    # determines both, so the extra keys don't change granularity).
-    cnts2 = grouped_sum_count(
-        tf.map_batches(lambda d: d[["w1", "w2", "bg", "tf"]], batch_format="pandas"),
-        ["bg", "w1", "w2"], sum_cols={"cnt2": "tf"},
-    ).materialize()
-
-    def doc_partial(d: "pd.DataFrame") -> "pd.DataFrame":
-        return d.groupby("doc_id", as_index=False, sort=False).agg(
-            n_bigrams=("tf", "sum"), ssum=("stot", "sum"))
-
-    def doc_final(d: "pd.DataFrame") -> "pd.DataFrame":
-        g = d.groupby("doc_id", as_index=False, sort=False).agg(
-            n_bigrams=("n_bigrams", "sum"), ssum=("ssum", "sum"))
-        g["surprise_e3"] = (g["ssum"] // g["n_bigrams"]).astype("int64")
-        return g[["doc_id", "n_bigrams", "surprise_e3"]]
-
-    if cnts2.count() <= vocab_broadcast_limit:
-        model = cnts2.to_pandas()
-        c1 = model.groupby("w1")["cnt2"].transform("sum").to_numpy(dtype="int64")
-        v = int(model["w2"].nunique())
-        surprise = (1000 * (c1 + v)) // (model["cnt2"].to_numpy(dtype="int64") + 1)
-        ref = put_lookup(model["bg"].to_numpy(), surprise)
-
-        def attach(d: "pd.DataFrame") -> "pd.DataFrame":
-            if len(d) == 0:
-                return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                     "tf": pd.Series([], dtype="int64"),
-                                     "stot": pd.Series([], dtype="int64")})
-            keys, vals = get_once(ref)
-            idx = pc.index_in(pa.array(d["bg"].to_numpy(dtype=object)), value_set=keys)
-            s = pc.take(vals, idx).to_numpy(zero_copy_only=False)
-            return d.assign(stot=(d["tf"].to_numpy(dtype="int64") * s)
-                            .astype("int64"))[["doc_id", "tf", "stot"]]
-
-        scored = tf.map_batches(attach, batch_format="pandas", batch_size=65536)
-    else:
-        cnts1 = grouped_sum_count(
-            tf.map_batches(lambda d: d[["w1", "tf"]], batch_format="pandas"),
-            "w1", sum_cols={"cnt1": "tf"},
-        )
-        # V (one int64) is the only model statistic small enough to collect:
-        # distinct w2 = row count of a vocabulary-scale grouped reduce.
-        v = int(grouped_sum_count(
-            tf.map_batches(lambda d: d[["w2", "tf"]], batch_format="pandas"),
-            "w2", sum_cols={"c": "tf"},
-        ).count())
-        j2 = bucketed_hash_join(
-            tf.map_batches(lambda d: d[["doc_id", "w1", "bg", "tf"]],
-                           batch_format="pandas"),
-            cnts2.map_batches(lambda d: d[["bg", "cnt2"]], batch_format="pandas"),
-            on="bg")
-        j1 = bucketed_hash_join(j2, cnts1, on="w1")
-
-        def attach_joined(d: "pd.DataFrame") -> "pd.DataFrame":
-            s = (1000 * (d["cnt1"].to_numpy(dtype="int64") + v)) // (
-                d["cnt2"].to_numpy(dtype="int64") + 1)
-            return d.assign(stot=(d["tf"].to_numpy(dtype="int64") * s)
-                            .astype("int64"))[["doc_id", "tf", "stot"]]
-
-        scored = j1.map_batches(attach_joined, batch_format="pandas", batch_size=65536)
-
-    return sorted_group_reduce(scored, "doc_id", doc_partial, doc_final)
+    # determines both, so the extra keys don't change granularity)
+    return _doc_local_scores(
+        _read_documents(sf_dir, ["doc_id", "text"]), explode, "bg",
+        vocab=lambda tf: grouped_sum_count(tf, ["bg", "w1", "w2"], sum_cols={"cnt2": "tf"}),
+        lookup=lookup, attach=attach, reduce=_floor_mean("n_bigrams", "surprise_e3"),
+        limit=vocab_broadcast_limit)
 
 
 def target_affinity(sf_dir: str, target_lang: str = "en",
@@ -1386,84 +1323,29 @@ def target_affinity(sf_dir: str, target_lang: str = "en",
     tokens; no float ln (the tf-idf lesson).  Document score = floor-mean
     over its token occurrences.
 
-    Scale shape is :func:`token_rarity`'s exactly: one vocabulary-scale
-    grouped reduce building (c_all, c_tgt) per term in a single pass
-    (the target count is a conditional sum, not a second corpus scan), a
-    size-switched broadcast/bucketed-join attach, and a doc_id-sorted
-    final re-reduce."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.broadcast import get_once, put_lookup
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
+    Shape is :func:`token_rarity`'s: pass 1 builds (c_all, c_tgt) per term
+    in one grouped reduce (the target count is a conditional sum, not a
+    second corpus scan); pass 2 sums each document's affinities inside the
+    map that reads it, or, above ``vocab_broadcast_limit``, after a
+    bucketed hash join on term and a doc_id-sorted re-reduce."""
+    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
-    ds = _read_documents(sf_dir, ["doc_id", "text", "lang"])
+    def explode(t: pa.Table) -> pa.Table:
+        tgt = pc.cast(pc.equal(t["lang"], target_lang), pa.int64())
+        rows = _token_rows(t.append_column("tgt", tgt), ("doc_id", "tgt"))
+        return _tf(rows, ["doc_id", "term"], tf_tgt="tgt")
 
-    def doc_terms(t: pa.Table) -> "pd.DataFrame":
-        trimmed, splits = _token_lists(t["text"])
-        mask = pc.not_equal(trimmed, "")
-        flat = pc.list_flatten(pc.filter(splits, mask))
-        parents = pc.list_parent_indices(pc.filter(splits, mask))
-        doc_ids = pc.take(pc.filter(t["doc_id"], mask), parents)
-        is_tgt = pc.take(pc.equal(pc.filter(t["lang"], mask), target_lang),
-                         parents)
-        ex = pa.table({"doc_id": doc_ids, "term": flat,
-                       "tgt": pc.cast(is_tgt, pa.int64())}).to_pandas()
-        g = ex.groupby(["doc_id", "term"], sort=False).agg(
-            tf=("tgt", "size"), tf_tgt=("tgt", "sum")).reset_index()
-        return g
+    def affinity(t):
+        return (1000 * (t["c_tgt"].to_numpy() + 1)) // t["c_all"].to_numpy()
 
-    tf = ds.map_batches(doc_terms, batch_format="pyarrow", batch_size=65536)
-    cnts = grouped_sum_count(
-        tf.map_batches(lambda d: d[["term", "tf", "tf_tgt"]],
-                       batch_format="pandas"),
-        "term", sum_cols={"c_all": "tf", "c_tgt": "tf_tgt"},
-    ).materialize()
-
-    def doc_partial(d: "pd.DataFrame") -> "pd.DataFrame":
-        return d.groupby("doc_id", as_index=False, sort=False).agg(
-            n_tokens=("tf", "sum"), asum=("atot", "sum"))
-
-    def doc_final(d: "pd.DataFrame") -> "pd.DataFrame":
-        g = d.groupby("doc_id", as_index=False, sort=False).agg(
-            n_tokens=("n_tokens", "sum"), asum=("asum", "sum"))
-        g["affinity_e3"] = (g["asum"] // g["n_tokens"]).astype("int64")
-        return g[["doc_id", "n_tokens", "affinity_e3"]]
-
-    if cnts.count() <= vocab_broadcast_limit:
-        vocab = cnts.to_pandas()
-        aff = (1000 * (vocab["c_tgt"].to_numpy(dtype="int64") + 1)) \
-            // vocab["c_all"].to_numpy(dtype="int64")
-        ref = put_lookup(vocab["term"].to_numpy(), aff)
-
-        def attach(d: "pd.DataFrame") -> "pd.DataFrame":
-            if len(d) == 0:
-                return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                     "tf": pd.Series([], dtype="int64"),
-                                     "atot": pd.Series([], dtype="int64")})
-            keys, vals = get_once(ref)
-            idx = pc.index_in(pa.array(d["term"].to_numpy(dtype=object)),
-                              value_set=keys)
-            a = pc.take(vals, idx).to_numpy(zero_copy_only=False)
-            return d.assign(atot=(d["tf"].to_numpy(dtype="int64") * a)
-                            .astype("int64"))[["doc_id", "tf", "atot"]]
-
-        scored = tf.map_batches(attach, batch_format="pandas", batch_size=65536)
-    else:
-        joined = bucketed_hash_join(
-            tf.map_batches(lambda d: d[["doc_id", "term", "tf"]],
-                           batch_format="pandas"),
-            cnts, on="term")
-
-        def attach_joined(d: "pd.DataFrame") -> "pd.DataFrame":
-            a = (1000 * (d["c_tgt"].to_numpy(dtype="int64") + 1)) \
-                // d["c_all"].to_numpy(dtype="int64")
-            return d.assign(atot=(d["tf"].to_numpy(dtype="int64") * a)
-                            .astype("int64"))[["doc_id", "tf", "atot"]]
-
-        scored = joined.map_batches(attach_joined, batch_format="pandas",
-                                    batch_size=65536)
-    return sorted_group_reduce(scored, "doc_id", doc_partial, doc_final)
+    return _doc_local_scores(
+        _read_documents(sf_dir, ["doc_id", "text", "lang"]), explode, "term",
+        vocab=lambda tf: grouped_sum_count(tf, "term",
+                                           sum_cols={"c_all": "tf", "c_tgt": "tf_tgt"}),
+        lookup=lambda vocab: (vocab["term"], affinity(vocab)),
+        attach=lambda tf, vocab: _with_v(bucketed_hash_join(tf, vocab, on="term"), affinity),
+        reduce=_floor_mean("n_tokens", "affinity_e3"), limit=vocab_broadcast_limit)
 
 
 def corpus_sample_exact(sf_dir: str, n: int = 100):

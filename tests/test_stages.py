@@ -706,6 +706,66 @@ def test_tfidf_bucketed_vocab_path_matches_broadcast(ray_session, sf_dir):
     assert len(base) > 0
 
 
+CORPUS_STAT_OPS = ("tfidf_top_terms", "token_rarity", "bigram_lm_score",
+                   "target_affinity")
+
+
+def test_corpus_stats_on_tokenless_corpus(ray_session, tmp_path):
+    """A corpus of blank texts has an empty vocabulary.  Each corpus-
+    statistics operator then returns a typed 0-row result with its DuckDB
+    oracle's columns, on the broadcast and on the bucketed-join path."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+    from lexmapr_ray.stages import textstats
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, 2], pa.int64()),
+        "text": pa.array(["", "  ", "\t"], pa.string()),
+        "lang": pa.array(["en", "de", "en"], pa.string()),
+    }), str(tmp_path / "documents.parquet"))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    for name in CORPUS_STAT_OPS:
+        exp = con.execute(entrymod.oracle_sql()[name]).fetch_arrow_table()
+        assert exp.num_rows == 0, name
+        for limit in (10_000_000, 0):
+            ds = getattr(textstats, name)(str(tmp_path), vocab_broadcast_limit=limit)
+            assert ds.count() == 0, (name, limit)
+            schema = ds.schema()
+            assert schema is not None, (name, limit)
+            assert sorted(schema.names) == sorted(exp.column_names), (name, limit)
+            for col, typ in zip(schema.names, schema.types):
+                want = exp.schema.field(col).type
+                assert typ == want or (pa.types.is_string(typ)
+                                       and pa.types.is_large_string(want)), \
+                    (name, limit, col, typ, want)
+
+
+def test_corpus_stats_default_plans_are_arrow_only(ray_session, sf_dir, monkeypatch):
+    """No ``map_batches`` in the default plan of a corpus-statistics
+    operator asks for pandas batches: each pass stays on Arrow blocks."""
+    import ray.data as rd
+
+    from lexmapr_ray.stages import textstats
+
+    formats = []
+    map_batches = rd.Dataset.map_batches
+
+    def recording(self, fn, *args, batch_format="default", **kwargs):
+        formats.append(batch_format)
+        return map_batches(self, fn, *args, batch_format=batch_format, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", recording)
+    for name in CORPUS_STAT_OPS:
+        formats.clear()
+        assert getattr(textstats, name)(sf_dir).materialize().count() > 0, name
+        assert formats and "pandas" not in formats, (name, formats)
+
+
 def test_repetition_gopher_source_match_duckdb(ray_session, tmp_path):
     """r3 curation trio (repetition_stats / gopher_quality_filter /
     source_stats) against their DuckDB oracles on an adversarial corpus:
@@ -1375,7 +1435,16 @@ def test_rarity_index_hll_adversarial_oracle(ray_session, tmp_path):
             .reset_index(drop=True)
         exp = exp[sorted(exp.columns)].sort_values(sorted(exp.columns)) \
             .reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, exp, check_dtype=False), name
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False, obj=name)
+
+    # vocab_broadcast_limit=0 forces the bucketed-join vocabulary path; it
+    # must reproduce the broadcast path exactly
+    base = token_rarity(str(tmp_path)).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    joined = token_rarity(str(tmp_path), vocab_broadcast_limit=0).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(base, joined)
+    assert len(base) == 5
 
     # HLL: per-lang estimates land within the p=12 error envelope of the
     # exact distinct counts (tiny cardinalities -> linear counting regime,
