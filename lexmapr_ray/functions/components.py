@@ -111,12 +111,13 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
                             "label": _key(t[node_col])}),
         batch_format="pyarrow",
     ).materialize()
-    n_nodes = labels.count()
-    if n_nodes + edges.count() <= switch_limit:
+    n_nodes, n_edges = labels.count(), edges.count()
+    if n_nodes + n_edges <= switch_limit:
         import ray.data as rd
 
+        # an edge-less Dataset may hold only column-less blocks
         out = _serial_union_find(
-            edges.to_pandas(),
+            edges.to_pandas() if n_edges else pd.DataFrame(columns=["ea", "eb"]),
             labels.to_pandas()["node"].tolist())
         return rd.from_arrow(pa.table({
             "node": pa.array(out["node"], key_type),

@@ -109,7 +109,7 @@ def near_dup_gate(batch_docs, index_dir: str, corpus_dir: str,
     """(doc_id, dup_of, jaccard_pct) verdicts for new docs near-duplicating
     the already-ingested corpus: bands ONLY the new batch, unions the
     persisted (doc_id, bucket) index rows pretagged as existing, and runs
-    the shared prefilter/candidate/exact-verify/argmax tail with texts
+    the shared candidate/exact-verify/argmax tail with texts
     joined from batch ∪ corpus store.  Empty index -> no verdicts."""
     import ray.data as rd
 

@@ -4,10 +4,10 @@ Scale design:
  - Exact dedup hash-partitions on a content digest (the groupby key is the
    md5, so identical documents co-locate) with a per-batch combiner first.
  - MinHash-LSH is the shuffle-frugal near-dup path: per-batch
-   shingle->minhash (numpy-vectorized), explode to band-bucket keys, a
-   singleton-bucket count prefilter, ONE sort over the surviving bucket
-   keys, candidate pairs verified with exact Jaccard fully distributed.
-   No pairwise all-to-all.
+   shingle->minhash (numpy-vectorized), explode to band-bucket keys, ONE
+   sort over the bucket keys, an Arrow pair kernel per bucket-sorted block
+   (a singleton bucket yields no pair), candidate pairs verified with
+   exact Jaccard fully distributed.  No pairwise all-to-all.
  - SimHash emits one 64-bit signature per doc; near-dup candidates are
    bucketed by signature bands the same way.
 """
@@ -336,40 +336,92 @@ def _band_mix(sig: np.ndarray, band_seeds: np.ndarray, *,
     return (h >> np.uint64(1)).astype(np.int64)  # fit int64
 
 
-def _prune_singleton_buckets(banded, broadcast_limit: int = 2_000_000):
-    """Drop rows whose ``bucket`` key appears exactly once (judge r2 item
-    4, factored for every banded-LSH operator): an exact bucket-count pass
-    over narrow (bucket, n) rows finds buckets with >= 2 members, and the
-    banded table — materialized once to the object store so it feeds both
-    passes — is filtered through a size-switched
-    :func:`~lexmapr_ray.functions.joins.semi_join`.  On a mostly-unique
-    corpus nearly every bucket is a singleton, so the wide sort feeding
-    pair generation shrinks to the near-dup sliver; the count pass moves
-    16 bytes/row with a pre-shuffle combiner."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-    from lexmapr_ray.functions.joins import semi_join
+_PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+_JACCARD_SCHEMA = _PAIR_SCHEMA.append(pa.field("jaccard_pct", pa.int64()))
+_HAMMING_SCHEMA = _PAIR_SCHEMA.append(pa.field("hamming", pa.int64()))
+_VERDICT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("dup_of", pa.int64()),
+                             ("jaccard_pct", pa.int64())])
 
-    banded = banded.materialize()
-    counts = grouped_sum_count(
-        banded.map_batches(lambda t: t.select(["bucket"]),
-                           batch_format="pyarrow"),
-        "bucket", count_alias="n",
-    )
-    multi = counts.map_batches(
-        lambda df: df.loc[df["n"] >= 2, ["bucket"]], batch_format="pandas"
-    )
-    return semi_join(banded, "bucket", multi, "bucket",
-                     broadcast_limit=broadcast_limit)
+
+def _lsh_result(ds, schema: pa.Schema):
+    """The Dataset an LSH-family operator returns: ``ds`` plus one typed
+    0-row block, executed without Ray Data's per-operator resource
+    reservation.
+
+    - The typed block: Ray's sort leaves an all-empty input as column-less
+      blocks, and map stages pass a 0-row block through without calling
+      their function, so an empty result would otherwise have no schema
+      (``Dataset.schema()`` None).
+    - No reservation: the plan is one execution of about seven map
+      operators around three sorts, and the reservation splits half the
+      CPUs evenly among them, so the signature stage, the only
+      compute-heavy one, runs about one task at a time.  Measured on a
+      4-vCPU VM, Ray with 3 CPUs, 2,000 documents: minhash_dedup_pairs
+      0.78-0.94 s with the reservation, 0.48-0.59 s without.  Ray then
+      applies only its global CPU and object-store limits."""
+    import ray.data as rd
+
+    out = ds.union(rd.from_arrow(schema.empty_table()))
+    out.context.op_resource_reservation_enabled = False
+    return out
+
+
+def _bucket_pairs(bucket: np.ndarray, doc: np.ndarray,
+                  is_new: np.ndarray | None = None):
+    """Row-index pairs ``(ia, ib)`` of rows sharing a ``bucket``, for one
+    block in which every bucket is whole (a block out of the bucket sort).
+
+    Without ``is_new``: every two rows of a bucket with
+    ``doc[ia] < doc[ib]``.  With it: every (new, existing) pair of a
+    bucket, ``is_new[ia]`` and not ``is_new[ib]`` (a doc in both sides
+    pairs with itself).  A pair shared by several buckets comes out once
+    per bucket; :func:`_distinct_pairs` drops the repeats.
+
+    One sort makes each bucket a run (doc-ordered, or new rows first); run
+    row i pairs with the run positions ``[lo_i, hi_i)`` (the rows after it,
+    or the run's existing rows), and a repeat/cumsum expansion enumerates
+    every pair with no Python loop over runs; a singleton bucket yields
+    nothing."""
+    n = len(bucket)
+    if n == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    order = np.lexsort((doc, bucket) if is_new is None else (~is_new, bucket))
+    b = bucket[order]
+    head = np.ones(n, dtype=bool)
+    head[1:] = b[1:] != b[:-1]
+    starts = np.flatnonzero(head)
+    run = np.cumsum(head) - 1
+    end = np.append(starts[1:], n)[run]
+    if is_new is None:
+        lo, hi = np.arange(1, n + 1), end
+    else:
+        new = is_new[order]
+        lo = (starts + np.add.reduceat(new.astype(np.int64), starts))[run]
+        hi = np.where(new, end, lo)
+    cnt = hi - lo
+    ia = np.repeat(np.arange(n), cnt)
+    ib = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+    ia, ib = order[ia], order[ib]
+    if is_new is None:
+        keep = doc[ia] < doc[ib]
+        ia, ib = ia[keep], ib[keep]
+    return ia, ib
+
+
+def _distinct_pairs(t: pa.Table) -> pa.Table:
+    """The first row of each ``(doc_a, doc_b)`` in ``t``, pair-ordered."""
+    a = t["doc_a"].to_numpy()
+    b = t["doc_b"].to_numpy()
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    head = np.ones(len(a), dtype=bool)
+    head[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return t.take(order[head])
 
 
 def minhash_candidate_pairs(sf_dir: str, concurrency: int | None = None,
-                            shingle_kind: str = "word", distinct: bool = True,
-                            prefilter: bool = True,
-                            broadcast_limit: int = 2_000_000):
-    """LSH bucket groupby -> unverified candidate pairs (doc_a < doc_b).
-
-    ``prefilter=True`` (default) prunes SINGLETON buckets before the pair
-    sort via :func:`_prune_singleton_buckets`.
+                            shingle_kind: str = "word", distinct: bool = True):
+    """LSH bucket sort -> unverified candidate pairs (doc_a < doc_b).
 
     ``distinct=False`` skips the global pair-dedup shuffle (a pair can
     surface from several bands); callers that already co-locate pairs
@@ -379,29 +431,22 @@ def minhash_candidate_pairs(sf_dir: str, concurrency: int | None = None,
         MinHasher(shingle_kind), batch_format="pyarrow",
         concurrency=_auto_concurrency(concurrency),
     )
-    if prefilter:
-        banded = _prune_singleton_buckets(banded, broadcast_limit)
 
-    # pair generation: sort co-locates each LSH bucket in one block, then a
-    # vectorized self-merge within the block emits candidate pairs (a<b)
-    def pairs_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                                 "doc_b": pd.Series([], dtype="int64")})
-        m = df.merge(df, on="bucket")
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        out = m.rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})
-        return out[["doc_a", "doc_b"]].drop_duplicates()
+    # pair generation: the sort co-locates each LSH bucket in one block,
+    # where the pair kernel emits its candidate pairs (a<b)
+    def pairs_block(t: pa.Table) -> pa.Table:
+        doc = t["doc_id"].to_numpy()
+        ia, ib = _bucket_pairs(t["bucket"].to_numpy(), doc)
+        return _distinct_pairs(pa.table({"doc_a": doc[ia], "doc_b": doc[ib]}))
 
     cand = banded.sort("bucket").map_batches(
-        pairs_block, batch_format="pandas", batch_size=None
-    )
+        pairs_block, batch_format="pyarrow", batch_size=None)
     if not distinct:
         return cand
     # distinct pairs (a pair can surface from several bands/blocks)
-    return cand.sort(["doc_a", "doc_b"]).map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas", batch_size=None
-    )
+    return _lsh_result(cand.sort(["doc_a", "doc_b"]).map_batches(
+        _distinct_pairs, batch_format="pyarrow", batch_size=None),
+        _PAIR_SCHEMA)
 
 
 def _verified_pairs(sf_dir: str, threshold: float, shingle_kind: str,
@@ -419,9 +464,9 @@ def _verified_pairs(sf_dir: str, threshold: float, shingle_kind: str,
     shingle_fn = _SHINGLERS[shingle_kind]
     # distinct=False: a pair surfacing from several bands reaches the
     # verify stage multiply, where the (doc_a, doc_b) sort co-locates every
-    # copy in one block and verify_block's drop_duplicates removes them
-    # exactly — so the global pair-distinct shuffle buys nothing the verify
-    # sort doesn't already do.  The join's candidate side inflates at most
+    # copy in one block and the verifier keeps one row per pair half — so
+    # the global pair-distinct shuffle buys nothing the verify sort doesn't
+    # already do.  The join's candidate side inflates at most
     # NUM_BANDS x, but the join is dominated by its corpus side whenever
     # candidates << corpus (the regime LSH parameters are tuned for); a
     # pathological all-duplicate corpus can flip distinct=True back on.
@@ -455,25 +500,35 @@ def _verified_pairs(sf_dir: str, threshold: float, shingle_kind: str,
         right_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
     )
 
-    # pair-key sort co-locates both halves of every pair in one block; the
-    # block fn re-merges them and runs the exact-Jaccard check vectorized
-    # over the pair list, with per-batch shingle memoization (hub docs
-    # appear in many pairs)
-    def verify_block(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "doc_a": pd.Series([], dtype="int64"),
-            "doc_b": pd.Series([], dtype="int64"),
-            "jaccard_pct": pd.Series([], dtype="int64"),
-        })
-        if len(df) == 0:
-            return empty
-        half_a = df[df["doc_id"] == df["doc_a"]][["doc_a", "doc_b", "text"]] \
-            .drop_duplicates(["doc_a", "doc_b"]).rename(columns={"text": "text_a"})
-        half_b = df[df["doc_id"] == df["doc_b"]][["doc_a", "doc_b", "text"]] \
-            .drop_duplicates(["doc_a", "doc_b"]).rename(columns={"text": "text_b"})
-        m = half_a.merge(half_b, on=["doc_a", "doc_b"])
-        if len(m) == 0:
-            return empty
+    # batch_size=None: blocks out of the pair sort must not be re-split
+    # mid-pair; the sort leaves output globally pair-ordered, so the block
+    # verify's pair-ordered output is globally sorted with NO extra shuffle
+    return _lsh_result(joined.sort(["doc_a", "doc_b"]).map_batches(
+        _verifier(shingle_fn, threshold, _JACCARD_SCHEMA),
+        batch_format="pyarrow", batch_size=None), _JACCARD_SCHEMA)
+
+
+def _verifier(shingle_fn, threshold: float, schema: pa.Schema):
+    """Block fn of the verify stage: exact-Jaccard verdicts for the pairs of
+    one block of the pair-sorted corpus join.
+
+    A block holds rows ``(doc_a, doc_b, doc_id, text)`` with both halves
+    of every pair in it (``doc_id == doc_a`` carries the first text,
+    ``doc_id == doc_b`` the second; a repeated half keeps its first row).
+    Output: one ``schema`` row (first doc, second doc, jaccard_pct) per
+    pair with Jaccard >= ``threshold``, pair-ordered.  Shingle sets are
+    memoized per block (hub docs appear in many pairs)."""
+
+    def half(t: pa.Table, side: str, text: str) -> pa.Table:
+        mine = t.filter(pa.array(t["doc_id"].to_numpy() == t[side].to_numpy()))
+        return _distinct_pairs(mine).select(["doc_a", "doc_b", "text"]) \
+            .rename_columns(["doc_a", "doc_b", text])
+
+    def verify_block(t: pa.Table) -> pa.Table:
+        m = half(t, "doc_a", "text_a").join(
+            half(t, "doc_b", "text_b"), keys=["doc_a", "doc_b"],
+            use_threads=False,
+        ).sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
         cache: dict = {}
 
         def sh(key, text):
@@ -483,7 +538,8 @@ def _verified_pairs(sf_dir: str, threshold: float, shingle_kind: str,
             return s
 
         out_a, out_b, out_j = [], [], []
-        for a, b, ta, tb in zip(m["doc_a"], m["doc_b"], m["text_a"], m["text_b"]):
+        for a, b, ta, tb in zip(*(m[c].to_pylist() for c in
+                                  ("doc_a", "doc_b", "text_a", "text_b"))):
             sa, sb = sh(a, ta), sh(b, tb)
             union = len(sa | sb)
             j = (len(sa & sb) / union) if union else 1.0
@@ -491,20 +547,9 @@ def _verified_pairs(sf_dir: str, threshold: float, shingle_kind: str,
                 out_a.append(a)
                 out_b.append(b)
                 out_j.append(int(round(j * 100)))
-        out = pd.DataFrame({
-            "doc_a": pd.Series(out_a, dtype="int64"),
-            "doc_b": pd.Series(out_b, dtype="int64"),
-            "jaccard_pct": pd.Series(out_j, dtype="int64"),
-        })
-        return out.sort_values(["doc_a", "doc_b"], kind="mergesort")
+        return pa.table([out_a, out_b, out_j], schema=schema)
 
-    # batch_size=None: blocks out of the pair sort must not be re-split
-    # mid-pair; the sort leaves output globally pair-ordered, so the block
-    # reduce's local sort yields a globally sorted result with NO extra
-    # shuffle
-    return joined.sort(["doc_a", "doc_b"]).map_batches(
-        verify_block, batch_format="pandas", batch_size=None
-    )
+    return verify_block
 
 
 def minhash_dedup_pairs(sf_dir: str, threshold: float = 0.8, concurrency: int | None = None):
@@ -611,9 +656,9 @@ def near_dup_clusters(sf_dir: str, threshold: float = 0.8,
         key_type=pa.int64(), max_iters=max_iters,
     )
     return labels.map_batches(
-        lambda df: df.rename(columns={"node": "doc_id",
-                                      "label": "cluster_id"}),
-        batch_format="pandas",
+        lambda t: t.select(["node", "label"])
+        .rename_columns(["doc_id", "cluster_id"]),
+        batch_format="pyarrow",
     ).sort("doc_id")
 
 
@@ -651,7 +696,9 @@ def corpus_clean(sf_dir: str, min_tokens: int = 5, threshold: float = 0.8,
         return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()),
                          "text": pc.cast(t["text"], pa.string())})
 
-    return joined.map_batches(keep, batch_format="pyarrow").sort("doc_id")
+    return _lsh_result(
+        joined.map_batches(keep, batch_format="pyarrow").sort("doc_id"),
+        pa.schema([("doc_id", pa.int64()), ("text", pa.string())]))
 
 
 def ngram_decontaminate(sf_dir: str, k: int = 8, test_permille: int = 50):
@@ -780,7 +827,7 @@ def _gram_hash64(grams: list) -> np.ndarray:
 def bloom_decontaminate(sf_dir: str, k: int = 8, test_permille: int = 50):
     """Bloom-pruned n-gram decontamination: OUTPUT-IDENTICAL to
     :func:`ngram_decontaminate` (same oracle SQL), but the train side is
-    prefiltered through a broadcast Bloom filter of the test grams, so the
+    screened through a broadcast Bloom filter of the test grams, so the
     exact-verification join only ever sees the bloom-positive sliver.
 
     Why this is the 100-TB shape: the exact path's semi join moves every
@@ -878,8 +925,7 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 SIMHASH_BANDS = 4  # 4 x 16-bit bands: any pair with hamming <= 3 shares a band
 
 
-def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3,
-                           broadcast_limit: int = 2_000_000):
+def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3):
     """Near-duplicate pairs by SimHash hamming distance.
 
     The third near-dup family next to MinHash (word shingles) and n-gram
@@ -889,11 +935,10 @@ def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3,
     Recall is exact, not probabilistic: the signature is split into
     ``SIMHASH_BANDS`` = 4 disjoint 16-bit bands, and a pair with hamming
     distance <= 3 differs in at most 3 bands, so by pigeonhole it collides
-    in at least one (the classic Charikar/Manku multi-table trick).  Within
-    a band bucket the exact hamming distance is verified with a vectorized
-    SWAR popcount; the bucket sort uses the same singleton-prefilter as
-    MinHash-LSH so a mostly-unique corpus shuffles only the near-dup
-    sliver into pair generation.
+    in at least one (the classic Charikar/Manku multi-table trick).  The
+    bucket sort co-locates each band value, the MinHash pair kernel
+    (:func:`_bucket_pairs`) enumerates its pairs, and the exact hamming
+    distance is verified with a vectorized SWAR popcount.
 
     Hot-bucket caveat (documented like the MinHash path): a band value
     shared by B docs emits B^2/2 candidates in one block; at web scale
@@ -920,33 +965,21 @@ def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3,
             "simhash": np.concatenate(sigs_out) if n else np.array([], np.int64),
         })
 
-    banded = _prune_singleton_buckets(
-        sigs.map_batches(explode, batch_format="pyarrow"), broadcast_limit)
+    def pairs_block(t: pa.Table) -> pa.Table:
+        doc = t["doc_id"].to_numpy()
+        sig = t["simhash"].to_numpy().view(np.uint64)
+        ia, ib = _bucket_pairs(t["bucket"].to_numpy(), doc)
+        ham = _popcount64(np.bitwise_xor(sig[ia], sig[ib]))
+        ok = ham <= max_hamming
+        return _distinct_pairs(pa.table(
+            [doc[ia][ok], doc[ib][ok], ham[ok]], schema=_HAMMING_SCHEMA))
 
-    def pairs_block(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                              "doc_b": pd.Series([], dtype="int64"),
-                              "hamming": pd.Series([], dtype="int64")})
-        if len(df) == 0:
-            return empty
-        m = df.merge(df, on="bucket")
-        m = m[m["doc_id_x"] < m["doc_id_y"]]
-        if len(m) == 0:
-            return empty
-        ham = _popcount64(
-            np.bitwise_xor(m["simhash_x"].to_numpy().view(np.uint64),
-                           m["simhash_y"].to_numpy().view(np.uint64)))
-        m = m.assign(hamming=ham)
-        m = m[m["hamming"] <= max_hamming]
-        out = m.rename(columns={"doc_id_x": "doc_a", "doc_id_y": "doc_b"})
-        return out[["doc_a", "doc_b", "hamming"]].drop_duplicates(["doc_a", "doc_b"])
-
-    cand = banded.sort("bucket").map_batches(
-        pairs_block, batch_format="pandas", batch_size=None)
+    cand = sigs.map_batches(explode, batch_format="pyarrow").sort("bucket") \
+        .map_batches(pairs_block, batch_format="pyarrow", batch_size=None)
     # a pair can surface from several bands; sort co-locates equal pairs
-    return cand.sort(["doc_a", "doc_b"]).map_batches(
-        lambda df: df.drop_duplicates(["doc_a", "doc_b"]),
-        batch_format="pandas", batch_size=None)
+    return _lsh_result(cand.sort(["doc_a", "doc_b"]).map_batches(
+        _distinct_pairs, batch_format="pyarrow", batch_size=None),
+        _HAMMING_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,16 +1069,14 @@ def minhash_index_dedup(sf_dir: str, threshold: float = 0.8,
     1. ONE :class:`MinHasher` pass bands both sides (at ingest the existing
        side's ``(doc_id, bucket)`` rows would be a persisted parquet index
        read back instead of recomputed — same rows either way);
-    2. singleton buckets pruned (:func:`_prune_singleton_buckets`: a
-       new-vs-existing match needs >= 2 members, so the prune is sound);
-    3. the bucket sort co-locates each LSH bucket; the block merge emits
+    2. the bucket sort co-locates each LSH bucket; the pair kernel emits
        only CROSS-SIDE candidates (new x existing) — never new-new or
        existing-existing, so a batch of mutual duplicates of a fresh
        template generates no intra-batch quadratic pair load;
-    4. exact word-shingle Jaccard verification via the pair-explode +
+    3. exact word-shingle Jaccard verification via the pair-explode +
        bucketed corpus join (the :func:`_verified_pairs` shape — nothing
        driver-side);
-    5. per new doc, ONE verdict: the best-matching existing doc (max
+    4. per new doc, ONE verdict: the best-matching existing doc (max
        jaccard, tie-break min existing id) through a doc-sorted argmax
        reduce.
 
@@ -1066,10 +1097,8 @@ def build_minhash_bucket_index(sf_dir: str, index_dir: str,
     the write-once artifact :func:`minhash_index_dedup`'s step 1 promises:
     at 100 TB the existing side is banded ONCE at curation time and every
     subsequent ingest batch reads the (doc_id, bucket) index back instead
-    of re-banding petabytes of text.  Rows are stored UNPRUNED — the
-    singleton-bucket prefilter is a property of (index ∪ new-batch) rows,
-    so it must run at ingest time, not here.  An ``_INDEXED`` marker makes
-    the build idempotent/resumable-safe."""
+    of re-banding petabytes of text.  An ``_INDEXED`` marker makes the
+    build idempotent/resumable-safe."""
     from lexmapr_ray.stages.textstats import md5_permille
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
@@ -1094,7 +1123,7 @@ def minhash_index_dedup_persisted(sf_dir: str, index_dir: str | None = None,
     PERSISTED parquet index (:func:`build_minhash_bucket_index`) instead of
     recomputed — the actual ingest-time topology.  Only the NEW side's text
     is banded; the union of new rows + index rows feeds the identical
-    prefilter/candidate/verify/argmax tail, so the verdicts are
+    candidate/verify/argmax tail, so the verdicts are
     row-identical to the recompute path (pinned by test and by sharing the
     recompute path's SQL oracle).  Builds the index on first use
     (idempotent ``_INDEXED`` marker), default location keyed by corpus path
@@ -1136,8 +1165,8 @@ def minhash_index_dedup_persisted(sf_dir: str, index_dir: str | None = None,
 def _index_dedup_verdicts(banded, docs, threshold: float,
                           existing_permille: int | None = None,
                           *, pretagged: bool = False):
-    """Shared tail of the incremental-dedup topology: singleton prefilter,
-    bucket-sorted cross-side candidates, distributed exact-Jaccard verify,
+    """Shared tail of the incremental-dedup topology: bucket-sorted
+    cross-side candidates, distributed exact-Jaccard verify,
     per-new-doc argmax verdict.  ``banded`` rows may come from a live
     MinHasher pass, a persisted index, or their union — identical rows
     give identical verdicts.
@@ -1148,36 +1177,24 @@ def _index_dedup_verdicts(banded, docs, threshold: float,
     banded rows (the real ingest topology, pipelines/ingest.py, where
     'existing' means 'row came from the persisted index', no arithmetic
     gate exists)."""
-    import pandas as pd
-
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.stages.textstats import md5_permille
-
-    banded = _prune_singleton_buckets(banded)
 
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column(
             "is_new", pa.array(md5_permille(t["doc_id"]) >= existing_permille))
 
-    def cross_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                              "doc_b": pd.Series([], dtype="int64")})
-        if len(df) == 0:
-            return empty
-        new = df.loc[df["is_new"], ["bucket", "doc_id"]].rename(
-            columns={"doc_id": "doc_a"})
-        old = df.loc[~df["is_new"], ["bucket", "doc_id"]].rename(
-            columns={"doc_id": "doc_b"})
-        if len(new) == 0 or len(old) == 0:
-            return empty
-        m = new.merge(old, on="bucket")
-        return m[["doc_a", "doc_b"]].drop_duplicates()
+    def cross_pairs(t: pa.Table) -> pa.Table:
+        doc = t["doc_id"].to_numpy()
+        ia, ib = _bucket_pairs(t["bucket"].to_numpy(), doc,
+                               t["is_new"].to_numpy(zero_copy_only=False))
+        return _distinct_pairs(pa.table({"doc_a": doc[ia], "doc_b": doc[ib]}))
 
     # doc_a = new doc, doc_b = existing doc (sides fixed, not ordered ids)
     tagged = banded if pretagged else \
         banded.map_batches(tag, batch_format="pyarrow")
-    cand = tagged.sort("bucket") \
-        .map_batches(cross_pairs, batch_format="pandas", batch_size=None)
+    cand = tagged.sort("bucket").map_batches(
+        cross_pairs, batch_format="pyarrow", batch_size=None)
 
     def explode(t: pa.Table) -> pa.Table:
         a, b = t["doc_a"].combine_chunks(), t["doc_b"].combine_chunks()
@@ -1193,61 +1210,24 @@ def _index_dedup_verdicts(banded, docs, threshold: float,
                                ("doc_id", pa.int64())]),
         right_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
     )
-
-    shingle_fn = _SHINGLERS["word"]
-
-    def verify_block(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "doc_id": pd.Series([], dtype="int64"),
-            "dup_of": pd.Series([], dtype="int64"),
-            "jaccard_pct": pd.Series([], dtype="int64"),
-        })
-        if len(df) == 0:
-            return empty
-        half_a = df[df["doc_id"] == df["doc_a"]][["doc_a", "doc_b", "text"]] \
-            .drop_duplicates(["doc_a", "doc_b"]).rename(columns={"text": "text_a"})
-        half_b = df[df["doc_id"] == df["doc_b"]][["doc_a", "doc_b", "text"]] \
-            .drop_duplicates(["doc_a", "doc_b"]).rename(columns={"text": "text_b"})
-        m = half_a.merge(half_b, on=["doc_a", "doc_b"])
-        if len(m) == 0:
-            return empty
-        cache: dict = {}
-
-        def sh(key, text):
-            s = cache.get(key)
-            if s is None:
-                s = cache[key] = shingle_fn(text)
-            return s
-
-        out_a, out_b, out_j = [], [], []
-        for a, b, ta, tb in zip(m["doc_a"], m["doc_b"], m["text_a"], m["text_b"]):
-            sa, sb = sh(a, ta), sh(b, tb)
-            union = len(sa | sb)
-            j = (len(sa & sb) / union) if union else 1.0
-            if j >= threshold:
-                out_a.append(a)
-                out_b.append(b)
-                out_j.append(int(round(j * 100)))
-        return pd.DataFrame({
-            "doc_id": pd.Series(out_a, dtype="int64"),
-            "dup_of": pd.Series(out_b, dtype="int64"),
-            "jaccard_pct": pd.Series(out_j, dtype="int64"),
-        })
-
     verified = joined.sort(["doc_a", "doc_b"]).map_batches(
-        verify_block, batch_format="pandas", batch_size=None)
+        _verifier(_SHINGLERS["word"], threshold, _VERDICT_SCHEMA),
+        batch_format="pyarrow", batch_size=None)
 
     # one verdict per new doc: max jaccard, tie-break min existing id —
     # associative, so the per-batch prune + post-sort final is exact
-    def best(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df
-        return df.sort_values(["doc_id", "jaccard_pct", "dup_of"],
-                              ascending=[True, False, True]) \
-            .drop_duplicates("doc_id")
+    def best(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("doc_id", "ascending"), ("jaccard_pct", "descending"),
+                       ("dup_of", "ascending")])
+        doc = t["doc_id"].to_numpy()
+        head = np.ones(len(doc), dtype=bool)
+        head[1:] = doc[1:] != doc[:-1]
+        return t.filter(pa.array(head))
 
-    return verified.map_batches(best, batch_format="pandas", batch_size=65536) \
-        .sort("doc_id").map_batches(best, batch_format="pandas", batch_size=None)
+    return _lsh_result(
+        verified.map_batches(best, batch_format="pyarrow", batch_size=65536)
+        .sort("doc_id").map_batches(best, batch_format="pyarrow", batch_size=None),
+        _VERDICT_SCHEMA)
 
 
 def _window_grams(texts, k: int):

@@ -252,7 +252,7 @@ def embedding_near_dup_pairs(sf_dir: str, threshold_bp: int = 3000,
 
 def hybrid_search(sf_dir: str, keyword: str = "spark",
                   query_vec_id: int = 0, k: int = 10):
-    """Hybrid retrieval: exact keyword-token prefilter over the text
+    """Hybrid retrieval: exact keyword-token filter over the text
     corpus, then cosine ranking of the survivors against a broadcast query
     embedding — the RAG-standard hybrid (sparse gate + dense rerank) in
     its distributed shape.

@@ -1142,9 +1142,8 @@ def inverted_index(sf_dir: str, min_df: int = 5):
     that is the size of the index being built, so it is the information-
     theoretic floor for this op (within-doc duplicate tokens collapse in
     the per-batch combine).  ``min_df`` prunes the hapax tail AFTER the
-    grouped reduce (the filter is on a post-aggregation value, so unlike
-    the LSH singleton prefilter there is no second pass to save — df is
-    only known at the end)."""
+    grouped reduce (the filter is on a post-aggregation value: df is only
+    known at the end)."""
     import pandas as pd
 
     from lexmapr_ray.functions.groupagg import sorted_group_reduce

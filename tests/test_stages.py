@@ -766,6 +766,184 @@ def test_corpus_stats_default_plans_are_arrow_only(ray_session, sf_dir, monkeypa
         assert formats and "pandas" not in formats, (name, formats)
 
 
+LSH_FAMILY = ("minhash_dedup_pairs", "ngram_jaccard_pairs",
+              "simhash_near_dup_pairs", "minhash_index_dedup",
+              "near_dup_clusters")
+
+
+@pytest.mark.parametrize("texts", [
+    ["alpha beta gamma delta", "one two three four five",
+     "red green blue yellow"],
+    ["", "  ", "\t"],
+], ids=["no_near_dups", "tokenless"])
+def test_lsh_family_typed_results_on_tiny_corpora(ray_session, tmp_path, texts):
+    """Each banded-LSH operator returns its DuckDB oracle's columns and
+    types and its serial reimplementation's rows on a corpus with no
+    near-duplicates (no pair; every document is its own cluster) and on a
+    tokenless one (every document has the same empty feature set, so
+    every pair is a duplicate).  An empty result keeps its schema."""
+    import os
+    import sys
+
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+    from lexmapr_ray.stages import dedup
+
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+    import make_op_expected as ops
+
+    ids = list(range(len(texts)))
+    pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64()),
+                             "text": pa.array(texts, pa.string())}),
+                   str(tmp_path / "documents.parquet"))
+    word = ops.serial_lsh_pairs(ids, texts, ops.word_shingles, b"word", 0.8)
+    sig = {d: s + (1 << 63) for d, s in ops.serial_simhash(ids, texts)}
+    ham = {(a, b): bin(sig[a] ^ sig[b]).count("1")
+           for a in ids for b in ids if a < b}
+    expected = {
+        "minhash_dedup_pairs": word,
+        "ngram_jaccard_pairs": ops.serial_lsh_pairs(
+            ids, texts, ops.char_shingles, b"char", 0.5),
+        "simhash_near_dup_pairs": [(a, b, h) for (a, b), h in sorted(ham.items())
+                                   if h <= 3],
+        "minhash_index_dedup": ops.serial_index_dedup(ids, texts, word),
+        "near_dup_clusters": ops.serial_union_find_clusters(ids, word),
+    }
+    if texts[0]:
+        assert not word and expected["near_dup_clusters"] == [(d, d) for d in ids]
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    for name in LSH_FAMILY:
+        want = con.execute(entrymod.oracle_sql()[name]).fetch_arrow_table().schema
+        ds = getattr(dedup, name)(str(tmp_path))
+        schema = ds.schema()
+        assert schema is not None, name
+        assert (schema.names, schema.types) == (want.names, want.types), \
+            (name, schema, want)
+        got = sorted(tuple(r[c] for c in want.names) for r in ds.take_all())
+        assert got == sorted(expected[name]), (name, got)
+
+
+LSH_PLAN_OPS = ("minhash_candidate_pairs", "minhash_dedup_pairs",
+                "ngram_jaccard_pairs", "simhash_near_dup_pairs",
+                "minhash_index_dedup")
+
+
+def test_lsh_family_plans_are_lazy_and_arrow_only(ray_session, sf_dir, monkeypatch):
+    """Building the default plan of a banded-LSH operator executes nothing:
+    candidates come from the one bucket sort, so no pass in front of it is
+    materialized or streamed to the driver.  No ``map_batches`` in the plan
+    asks for pandas batches."""
+    import ray.data as rd
+
+    calls = []
+
+    def recording(name):
+        orig = getattr(rd.Dataset, name)
+
+        def f(self, *args, **kwargs):
+            calls.append((name, kwargs.get("batch_format", "default")))
+            return orig(self, *args, **kwargs)
+        monkeypatch.setattr(rd.Dataset, name, f)
+
+    for name in ("map_batches", "materialize", "iter_batches"):
+        recording(name)
+    from lexmapr_ray.stages import dedup
+
+    for op in LSH_PLAN_OPS:
+        calls.clear()
+        getattr(dedup, op)(sf_dir)
+        assert calls, op
+        assert all(c == "map_batches" for c, _ in calls), (op, calls)
+        assert "pandas" not in [f for _, f in calls], (op, calls)
+
+
+def test_bucket_pairs_kernel_matches_bruteforce():
+    """The LSH pair kernel against a Python all-pairs enumeration, in both
+    modes: ordered pairs ``doc_a < doc_b`` and (new, existing) cross pairs.
+    The block holds a hot bucket, a pair repeated across buckets, a doc
+    twice in one bucket (index rows unioned with new rows), an all-new and
+    an all-existing bucket, and singleton buckets; an empty block yields
+    nothing.  ``_distinct_pairs`` keeps each pair once, pair-ordered."""
+    import pyarrow as pa
+
+    from lexmapr_ray.stages.dedup import _bucket_pairs, _distinct_pairs
+
+    rows = (
+        [(7, d, d % 2 == 0) for d in range(40)]        # hot bucket
+        + [(1, 100, True), (1, 101, False),            # pair 100/101 ...
+           (2, 101, False), (2, 100, True)]            # ... in two buckets
+        + [(3, 200, True), (3, 200, False), (3, 201, False),
+           (3, 200, True)]                             # doc 200 twice per side
+        + [(4, 300, True), (4, 301, True)]             # all new
+        + [(5, 400, False), (5, 401, False)]           # all existing
+        + [(6, 500, True), (8, 501, False)]            # singletons
+    )
+    order = np.random.RandomState(0).permutation(len(rows))
+    bucket = np.array([rows[i][0] for i in order], np.int64)
+    doc = np.array([rows[i][1] for i in order], np.int64)
+    new = np.array([rows[i][2] for i in order])
+    n = len(rows)
+
+    def brute(keep):
+        return sorted((i, j) for i in range(n) for j in range(n)
+                      if i != j and bucket[i] == bucket[j] and keep(i, j))
+
+    ia, ib = _bucket_pairs(bucket, doc)
+    assert sorted(zip(ia.tolist(), ib.tolist())) == \
+        brute(lambda i, j: doc[i] < doc[j])
+    ia, ib = _bucket_pairs(bucket, doc, new)
+    cross = brute(lambda i, j: new[i] and not new[j])
+    assert sorted(zip(ia.tolist(), ib.tolist())) == cross
+    assert (200, 200) in {(doc[i], doc[j]) for i, j in cross}
+
+    got = _distinct_pairs(pa.table({"doc_a": doc[ia], "doc_b": doc[ib]}))
+    assert list(zip(got["doc_a"].to_pylist(), got["doc_b"].to_pylist())) == \
+        sorted({(doc[i], doc[j]) for i, j in cross})
+
+    empty = np.array([], np.int64)
+    for is_new in (None, np.array([], bool)):
+        ia, ib = _bucket_pairs(empty, empty, is_new)
+        assert len(ia) == len(ib) == 0
+
+
+def test_simhash_near_dup_pairs_hamming_bound_is_inclusive(ray_session, tmp_path):
+    """A pair at exactly ``max_hamming`` is kept, one bit further is not:
+    the base text and two one-token edits of it at hamming 3 and 4, each
+    sharing a 16-bit band with the base, so both are candidates."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lexmapr_ray.stages.dedup import (SIMHASH_BANDS, _popcount64,
+                                          _simhash_block,
+                                          simhash_near_dup_pairs)
+
+    base = " ".join(f"w{i}" for i in range(30))
+    edits = [base.replace("w5 ", f"x{i} ") for i in range(400)]
+    tbl = pa.table({"doc_id": pa.array(range(len(edits) + 1), pa.int64()),
+                    "text": pa.array([base] + edits, pa.string())})
+    sig = _simhash_block(tbl)["simhash"].to_numpy().view(np.uint64)
+    ham = _popcount64(sig[1:] ^ sig[0])
+    bands = [(sig >> np.uint64(16 * b)) & np.uint64(0xFFFF)
+             for b in range(SIMHASH_BANDS)]
+    shares = np.any([band[1:] == band[0] for band in bands], axis=0)
+    pick = {h: 1 + int(np.flatnonzero((ham == h) & shares)[0]) for h in (3, 4)}
+    texts = [base, edits[pick[3] - 1], edits[pick[4] - 1]]
+    pq.write_table(pa.table({"doc_id": pa.array([0, 1, 2], pa.int64()),
+                             "text": pa.array(texts, pa.string())}),
+                   str(tmp_path / "documents.parquet"))
+
+    for bound, want in ((3, {(0, 1, 3)}), (4, {(0, 1, 3), (0, 2, 4)})):
+        got = simhash_near_dup_pairs(str(tmp_path), max_hamming=bound).take_all()
+        got = {(r["doc_a"], r["doc_b"], r["hamming"]) for r in got}
+        assert {p for p in got if p[0] == 0} == want, (bound, got)
+
+
 def test_repetition_gopher_source_match_duckdb(ray_session, tmp_path):
     """r3 curation trio (repetition_stats / gopher_quality_filter /
     source_stats) against their DuckDB oracles on an adversarial corpus:
@@ -822,7 +1000,7 @@ def test_repetition_gopher_source_match_duckdb(ray_session, tmp_path):
         exp = con.execute(oracles[name]).fetchdf().reset_index(drop=True)
         pd.testing.assert_frame_equal(
             got[sorted(got.columns)], exp[sorted(exp.columns)],
-            check_dtype=False), name
+            check_dtype=False, obj=name)
 
 
 def test_ngram_decontaminate_binding_split(ray_session, tmp_path):
@@ -990,7 +1168,7 @@ def test_new_curation_ops_adversarial_oracle(ray_session, tmp_path):
         exp = con.execute(oracles[name]).fetchdf().reset_index(drop=True)
         pd.testing.assert_frame_equal(
             got[sorted(got.columns)], exp[sorted(exp.columns)],
-            check_dtype=False), name
+            check_dtype=False, obj=name)
     # the exact-duplicate doc 2 must vanish (all its spans lose to doc 0)
     out = span_dedup(str(tmp_path)).to_pandas()
     assert 2 not in set(out["doc_id"])
@@ -1345,7 +1523,7 @@ def test_quantiles_centroids_fullouter_adversarial_oracle(ray_session, tmp_path)
         exp = con.execute(oracles[name]).fetchdf()
         exp = exp[sorted(exp.columns)].sort_values(sorted(exp.columns)) \
             .reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, exp, check_dtype=False), name
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False, obj=name)
 
 
 def test_length_trim_and_shuffle_order_adversarial_oracle(ray_session, tmp_path):
@@ -1384,7 +1562,7 @@ def test_length_trim_and_shuffle_order_adversarial_oracle(ray_session, tmp_path)
         exp = con.execute(oracles[name]).fetchdf()
         exp = exp[sorted(exp.columns)].sort_values(sorted(exp.columns)) \
             .reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, exp, check_dtype=False), name
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False, obj=name)
     # the singleton language survives its own trivial quantile window
     out = length_trim(str(tmp_path)).to_pandas()
     assert 40 in set(out["doc_id"])
