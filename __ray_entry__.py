@@ -592,7 +592,9 @@ def _bfs_sql(hops: int = 12, seed: int = 0) -> str:
     """Mirror of pipelines/webgraph.py::bfs_distances: the synthetic edge
     CTE (same formula as the pagerank oracle) plus ``hops`` unrolled
     min-union rounds — generated so engine rounds and oracle rounds can
-    never drift."""
+    never drift.  Each round reads the one before it twice, so every round
+    is ``MATERIALIZED``: inlined, the work grows ~2.7x per hop (hops=12
+    did not finish in minutes on 500 documents)."""
     parts = [
         "WITH e AS (SELECT d.doc_id AS src, (d.doc_id * 31 + 7 + 13 * u.j)"
         " % (SELECT COUNT(*) FROM documents) AS dst"
@@ -601,7 +603,7 @@ def _bfs_sql(hops: int = 12, seed: int = 0) -> str:
     ]
     for i in range(1, hops + 1):
         parts.append(
-            f"d{i} AS (SELECT node, MIN(dist)::BIGINT AS dist FROM ("
+            f"d{i} AS MATERIALIZED (SELECT node, MIN(dist)::BIGINT AS dist FROM ("
             f"SELECT node, dist FROM d{i-1} UNION ALL "
             f"SELECT e.dst AS node, p.dist + 1 AS dist"
             f" FROM e JOIN d{i-1} p ON e.src = p.node) GROUP BY node),")

@@ -143,19 +143,21 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
 
         return fn
 
-    def min_label_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", sort=False, as_index=False)
-        out = g.agg(label=("label", "min"))
-        olds = df[df["side"] == 0].groupby("node", sort=False)["label"] \
-            .min().rename("old")
-        return out.join(olds, on="node")  # old is NaN when the side-0 row
-        # for this node sits in another batch; the final min skips NaN
+    def min_labels(t: pa.Table) -> pa.Table:
+        return t.group_by("node", use_threads=False).aggregate(
+            [("label", "min"), ("old", "min")]).rename_columns(["node", "label", "old"])
 
-    def min_label_final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", sort=True, as_index=False)
-        out = g.agg(label=("label", "min"), old=("old", "min"))
-        out["changed"] = (out["label"] < out["old"]).astype("int64")
-        return out[["node", "label", "changed"]]
+    # old is null when the side-0 row for this node sits in another batch;
+    # the final min skips nulls
+    def min_label_partial(t: pa.Table) -> pa.Table:
+        old = pc.if_else(pc.equal(t["side"], 0), t["label"],
+                         pa.scalar(None, key_type))
+        return min_labels(t.select(["node", "label"]).append_column("old", old))
+
+    def min_label_final(t: pa.Table) -> pa.Table:
+        out = min_labels(t)
+        return out.select(["node", "label"]).append_column(
+            "changed", pc.cast(pc.less(out["label"], out["old"]), pa.int64()))
 
     for it in range(max_iters):
         to_b = bucketed_hash_join(
@@ -180,11 +182,6 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
         new_labels = sorted_group_reduce(
             tagged.union(to_b).union(to_a), "node",
             min_label_partial, min_label_final,
-        ).map_batches(
-            # normalize to Arrow blocks: the next round unions this with
-            # Arrow-block join outputs, and a mixed-block-type union
-            # trips the sort batcher
-            lambda t: t, batch_format="pyarrow",
         ).materialize()
         n_changed = new_labels.sum("changed")
         labels = new_labels.map_batches(

@@ -2,7 +2,7 @@
 
 Measured on this Ray build (2.49), both built-in grouped operators are
 dominated by per-group / per-block machinery rather than the actual
-reduction: ``groupby().map_groups`` pays one Python+pandas call per group
+reduction: ``groupby().map_groups`` pays one Python call per group
 (~1 ms x cardinality), and ``groupby().aggregate`` pays AggregateFn row
 accounting that hit 28 s for a single 76k-row block in the q5 join.  The
 engine therefore standardizes on ONE shape for every grouped reduction:
@@ -14,10 +14,13 @@ engine therefore standardizes on ONE shape for every grouped reduction:
     -> per-block vectorized final combine  (batch_size=None so batches
         never split a sorted block)
 
-``grouped_sum_count`` covers the Sum/Count family (every SQL-oracled query
-in this repo) with Arrow hash aggregation on both sides; pass
-``partial_fn``/``final_fn`` to :func:`sorted_group_reduce` for custom
-reductions (argmax, pair generation, ...) over pandas or Arrow batches.
+Both sides run on Arrow tables.  ``grouped_sum_count`` covers the
+Sum/Count family (every SQL-oracled query in this repo) with Arrow hash
+aggregation; pass ``partial_fn``/``final_fn`` to :func:`sorted_group_reduce`
+for custom reductions (argmax, pair generation, ...).  :func:`run_starts`
+and :func:`fold_binary` are the two kernels those reductions share:
+keep-first/argmax over a key-sorted table, and the element-wise merge of
+fixed-width register/bitmap rows.
 
 Why the co-location invariant is safe under dynamic block splitting
 (advisor r2 raised it): Ray 2.49's sort reduce task merges its range's
@@ -35,23 +38,26 @@ that test fails loudly instead of queries silently double-counting.
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 DEFAULT_BUNDLE = 65536
 
 
-def sorted_group_reduce(ds, keys, partial_fn, final_fn, *, bundle: int = DEFAULT_BUNDLE,
-                        batch_format: str = "pandas"):
+def sorted_group_reduce(ds, keys, partial_fn, final_fn, *, bundle: int = DEFAULT_BUNDLE):
     """General two-phase grouped reduction (see module docstring).
 
-    ``partial_fn``/``final_fn`` map a ``batch_format`` batch (a pandas
-    DataFrame by default) to the same; both must be per-key associative
-    (partial output rows for one key are merged by final_fn exactly once,
-    in one block).
+    ``partial_fn``/``final_fn`` map an Arrow table to an Arrow table; both
+    must be per-key associative (partial output rows for one key are
+    merged by final_fn exactly once, in one block).  Neither is called on
+    a 0-row batch: Ray passes an empty block through a ``map_batches``
+    unchanged (pinned by ``tests/test_stages.py::
+    test_map_batches_never_sees_an_empty_batch``).
     """
-    partial = ds.map_batches(partial_fn, batch_format=batch_format, batch_size=bundle)
+    partial = ds.map_batches(partial_fn, batch_format="pyarrow", batch_size=bundle)
     return partial.sort(keys).map_batches(
-        final_fn, batch_format=batch_format, batch_size=None
+        final_fn, batch_format="pyarrow", batch_size=None
     )
 
 
@@ -60,21 +66,17 @@ def grouped_sum_count(
     keys: list[str] | str,
     sum_cols: dict[str, str] | None = None,
     count_alias: str | None = None,
-    *,
-    bundle: int = DEFAULT_BUNDLE,
 ):
     """groupby(keys) with integer/float Sum(col)->alias and optional Count.
 
     Output columns: keys + sum aliases (+ count alias), globally sorted by
     *keys* (range-partitioned blocks, sorted within).
     """
-    import pyarrow as pa
-
     keys = [keys] if isinstance(keys, str) else list(keys)
     sum_cols = sum_cols or {}
     count_col = count_alias or "__n"
 
-    # Arrow-native hash aggregation on both sides (C++ kernels, zero pandas
+    # Arrow hash aggregation on both sides (C++ kernels, no Python
     # boxing — the combiner sits right behind hot per-batch stages).
     # use_threads=False: each task owns one CPU token.  Integer sums widen
     # to int64 (matching the engine's integer-exact convention); the final
@@ -101,7 +103,32 @@ def grouped_sum_count(
             cols[count_col] = out[f"{count_col}_sum"]
         return pa.table(cols).sort_by([(k, "ascending") for k in keys])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=bundle)
-    return partials.sort(keys).map_batches(
-        final, batch_format="pyarrow", batch_size=None
-    )
+    return sorted_group_reduce(ds, keys, partial, final)
+
+
+def run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Row offsets at which each run of equal ``keys`` starts in ``t``
+    (sorted on ``keys``): ``t.take(run_starts(...))`` keeps each key's
+    first row, ``np.add.reduceat(col, run_starts(...))`` sums per key."""
+    n = t.num_rows
+    head = np.zeros(n, dtype=bool)
+    head[:1] = True
+    for k in keys:
+        c = t[k]
+        head[1:] |= pc.not_equal(c.slice(1), c.slice(0, max(n - 1, 0))) \
+            .to_numpy(zero_copy_only=False)
+    return np.flatnonzero(head)
+
+
+def fold_binary(t: pa.Table, key: str, col: str, dtype, ufunc) -> pa.Table:
+    """``(key, col)`` rows, one per key, sorted: the element-wise ``ufunc``
+    reduce (``np.maximum``, ``np.add``, ...) of the equal-width ``dtype``
+    vectors packed in the binary column ``col`` (sketch registers,
+    bitmaps)."""
+    t = t.sort_by(key)
+    starts = run_starts(t, [key])
+    rows = np.frombuffer(b"".join(t[col].to_pylist()), dtype=dtype) \
+        .reshape(t.num_rows, -1)
+    merged = ufunc.reduceat(rows, starts, axis=0)
+    return pa.table({key: t[key].take(starts),
+                     col: pa.array([r.tobytes() for r in merged], pa.binary())})

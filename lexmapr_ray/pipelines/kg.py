@@ -350,34 +350,33 @@ def degree_stats(triples_ds):
     subject count (equal obj provably lives in one block, see
     functions/groupagg.py).  Shuffle volume is <= one row per distinct
     (obj, subj) pair per batch — never triple-scale."""
-    import pandas as pd
-
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
     deduped = dedup_triples(triples_ds).map_batches(
         lambda t: t.select(["subj", "obj"]), batch_format="pyarrow"
     )
+    return sorted_group_reduce(deduped, "obj", _pair_counts(["obj", "subj"]),
+                               _term_support(["obj"], "subj",
+                                             ["n_triples", "n_pages"]))
 
-    def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"obj": pd.Series([], dtype="object"),
-                                 "subj": pd.Series([], dtype="object"),
-                                 "cnt": pd.Series([], dtype="int64")})
-        return df.groupby(["obj", "subj"], as_index=False, sort=False) \
-            .size().rename(columns={"size": "cnt"})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"obj": pd.Series([], dtype="object"),
-                                 "n_triples": pd.Series([], dtype="int64"),
-                                 "n_pages": pd.Series([], dtype="int64")})
-        g = df.groupby("obj", sort=True).agg(
-            n_triples=("cnt", "sum"), n_pages=("subj", "nunique")).reset_index()
-        g["n_triples"] = g["n_triples"].astype("int64")
-        g["n_pages"] = g["n_pages"].astype("int64")
-        return g
+def _pair_counts(keys: list[str]):
+    """Per-batch partial: one ``(*keys, cnt)`` row per distinct ``keys``."""
+    def partial(t: pa.Table) -> pa.Table:
+        return t.group_by(keys, use_threads=False).aggregate(
+            [([], "count_all")]).rename_columns(keys + ["cnt"])
+    return partial
 
-    return sorted_group_reduce(deduped, "obj", pair_partial, final)
+
+def _term_support(keys: list[str], distinct: str, names: list[str]):
+    """Post-sort final over ``_pair_counts`` rows: per ``keys``, the summed
+    ``cnt`` and the exact count of distinct ``distinct`` values, in key
+    order (Arrow ``group_by`` emits groups in hash order)."""
+    def final(t: pa.Table) -> pa.Table:
+        return t.group_by(keys, use_threads=False).aggregate(
+            [("cnt", "sum"), (distinct, "count_distinct")]
+        ).rename_columns(keys + names).sort_by([(k, "ascending") for k in keys])
+    return final
 
 
 def mention_contexts(
@@ -459,8 +458,6 @@ def triple_confidence(triples_ds):
     per-predicate maxima (<= |preds| = 3 rows) fold on the driver without
     re-running the matcher; the annotate step is a stateless map over the
     materialized stats."""
-    import pandas as pd
-
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
     def quad_partial(t: pa.Table) -> pa.Table:
@@ -473,52 +470,39 @@ def triple_confidence(triples_ds):
 
     quads = triples_ds.map_batches(quad_partial, batch_format="pyarrow")
 
-    _QCOLS = ["pred", "obj", "subj", "mention", "cnt"]
+    _QKEYS = ["pred", "obj", "subj", "mention"]
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype="int64" if c == "cnt"
-                                              else "object") for c in _QCOLS})
-        return df.groupby(["pred", "obj", "subj", "mention"],
-                          as_index=False, sort=False)["cnt"].sum()
+    def combine(t: pa.Table) -> pa.Table:
+        return t.group_by(_QKEYS, use_threads=False).aggregate(
+            [("cnt", "sum")]).rename_columns(_QKEYS + ["cnt"])
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "pred": pd.Series([], dtype="object"),
-                "obj": pd.Series([], dtype="object"),
-                "n_mentions": pd.Series([], dtype="int64"),
-                "n_pages": pd.Series([], dtype="int64"),
-                "n_surfaces": pd.Series([], dtype="int64")})
-        g = df.groupby(["pred", "obj"], sort=True).agg(
-            n_mentions=("cnt", "sum"), n_pages=("subj", "nunique"),
-            n_surfaces=("mention", "nunique")).reset_index()
-        for c in ("n_mentions", "n_pages", "n_surfaces"):
-            g[c] = g[c].astype("int64")
-        return g
+    def final(t: pa.Table) -> pa.Table:
+        return t.group_by(["pred", "obj"], use_threads=False).aggregate(
+            [("cnt", "sum"), ("subj", "count_distinct"),
+             ("mention", "count_distinct")]
+        ).rename_columns(["pred", "obj", "n_mentions", "n_pages", "n_surfaces"]) \
+            .sort_by([("pred", "ascending"), ("obj", "ascending")])
 
     stats = sorted_group_reduce(quads, ["pred", "obj"], combine, final) \
         .materialize()  # assertion-scale, never corpus-scale
 
-    def max_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"pred": pd.Series([], dtype="object"),
-                                 "mx": pd.Series([], dtype="int64")})
-        return df.groupby("pred", as_index=False)["n_pages"].max() \
-            .rename(columns={"n_pages": "mx"})
+    def max_partial(t: pa.Table) -> pa.Table:
+        return t.group_by("pred", use_threads=False).aggregate(
+            [("n_pages", "max")]).rename_columns(["pred", "mx"])
 
     # |preds| = 3 fixed predicate constants — a domain-bounded aggregate
     pred_max: dict[str, int] = {}
-    for r in stats.map_batches(max_partial, batch_format="pandas").take_all():
+    for r in stats.map_batches(max_partial, batch_format="pyarrow").take_all():
         pred_max[r["pred"]] = max(pred_max.get(r["pred"], 0), int(r["mx"]))
+    preds = pa.array(list(pred_max), pa.string())
+    maxes = pa.array(list(pred_max.values()), pa.int64())
 
-    def annotate(df: pd.DataFrame) -> pd.DataFrame:
-        mx = df["pred"].map(pred_max).to_numpy(np.int64)
-        df = df.copy()
-        df["conf_permille"] = (1000 * df["n_pages"].to_numpy(np.int64)) // mx
-        return df
+    def annotate(t: pa.Table) -> pa.Table:
+        mx = pc.take(maxes, pc.index_in(t["pred"], value_set=preds))
+        return t.append_column("conf_permille",
+                               pc.divide(pc.multiply(t["n_pages"], 1000), mx))
 
-    return stats.map_batches(annotate, batch_format="pandas")
+    return stats.map_batches(annotate, batch_format="pyarrow")
 
 
 def host_entity_profile(triples_ds, docs_per_host: int = 16):
@@ -533,38 +517,21 @@ def host_entity_profile(triples_ds, docs_per_host: int = 16):
     Shape: same ONE-sort grouped reduce as :func:`degree_stats`, keyed
     (host, obj); the per-batch (host, obj, subj) collapse bounds a hot
     (host, term) pair at one row per batch."""
-    import pandas as pd
-
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
-    deduped = dedup_triples(triples_ds).map_batches(
-        lambda t: t.select(["subj", "obj"]), batch_format="pyarrow")
+    def with_host(t: pa.Table) -> pa.Table:
+        doc = pc.cast(pc.replace_substring_regex(t["subj"], "^doc://", ""),
+                      pa.int64())
+        host = pc.binary_join_element_wise(
+            "host", pc.cast(pc.divide(doc, docs_per_host), pa.string()), "")
+        return pa.table({"host": host, "obj": t["obj"], "subj": t["subj"]})
 
-    def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"host": pd.Series([], dtype="object"),
-                                 "obj": pd.Series([], dtype="object"),
-                                 "subj": pd.Series([], dtype="object"),
-                                 "cnt": pd.Series([], dtype="int64")})
-        doc = df["subj"].astype(str).str.removeprefix("doc://").astype("int64")
-        df = df.assign(host="host" + (doc // docs_per_host).astype(str))
-        return df.groupby(["host", "obj", "subj"], as_index=False,
-                          sort=False, observed=True).size() \
-            .rename(columns={"size": "cnt"})
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"host": pd.Series([], dtype="object"),
-                                 "obj": pd.Series([], dtype="object"),
-                                 "n_triples": pd.Series([], dtype="int64"),
-                                 "n_pages": pd.Series([], dtype="int64")})
-        g = df.groupby(["host", "obj"], sort=True, observed=True).agg(
-            n_triples=("cnt", "sum"), n_pages=("subj", "nunique")).reset_index()
-        g["n_triples"] = g["n_triples"].astype("int64")
-        g["n_pages"] = g["n_pages"].astype("int64")
-        return g
-
-    return sorted_group_reduce(deduped, ["host", "obj"], pair_partial, final)
+    deduped = dedup_triples(triples_ds).map_batches(with_host,
+                                                    batch_format="pyarrow")
+    return sorted_group_reduce(deduped, ["host", "obj"],
+                               _pair_counts(["host", "obj", "subj"]),
+                               _term_support(["host", "obj"], "subj",
+                                             ["n_triples", "n_pages"]))
 
 
 def density_filter(triples_ds, sf_dir: str, min_density_permille: int = 10):
@@ -653,9 +620,7 @@ def snapshot_diff(triples_a, triples_b):
     ONE triple-key sort (not two dedup sorts plus a join), and the
     co-located final ORs the flags and keeps the symmetric difference.
     Shuffle volume is <= one row per distinct triple per batch per side."""
-    import pandas as pd
-
-    _DCOLS = ["subj", "pred", "obj", "in_a", "in_b"]
+    _KEYS = ["subj", "pred", "obj"]
 
     def tag(a_flag: int, b_flag: int):
         def f(t: pa.Table) -> pa.Table:
@@ -674,30 +639,20 @@ def snapshot_diff(triples_a, triples_b):
     tagged = triples_a.map_batches(tag(1, 0), batch_format="pyarrow").union(
         triples_b.map_batches(tag(0, 1), batch_format="pyarrow"))
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series(
-                [], dtype="int64" if c in ("in_a", "in_b") else "object")
-                for c in _DCOLS})
-        return df.groupby(["subj", "pred", "obj"], as_index=False,
-                          sort=False)[["in_a", "in_b"]].max()
+    def combine(t: pa.Table) -> pa.Table:
+        return t.group_by(_KEYS, use_threads=False).aggregate(
+            [("in_a", "max"), ("in_b", "max")]).rename_columns(_KEYS + ["in_a", "in_b"])
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = combine(df)
-        if len(g) == 0:
-            return pd.DataFrame({"subj": pd.Series([], dtype="object"),
-                                 "pred": pd.Series([], dtype="object"),
-                                 "obj": pd.Series([], dtype="object"),
-                                 "change": pd.Series([], dtype="object")})
-        g = g[g["in_a"] != g["in_b"]].copy()
-        g["change"] = np.where(g["in_b"] == 1, "added", "removed")
-        return g.sort_values(["subj", "pred", "obj"])[
-            ["subj", "pred", "obj", "change"]]
+    def final(t: pa.Table) -> pa.Table:
+        g = combine(t)
+        g = g.filter(pc.not_equal(g["in_a"], g["in_b"]))
+        return g.select(_KEYS).append_column(
+            "change", pc.if_else(pc.equal(g["in_b"], 1), "added", "removed")
+        ).sort_by([(k, "ascending") for k in _KEYS])
 
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
-    return sorted_group_reduce(tagged, ["subj", "pred", "obj"],
-                               combine, final)
+    return sorted_group_reduce(tagged, _KEYS, combine, final)
 
 
 def negative_samples(triples_ds):
@@ -916,51 +871,36 @@ def ancestor_rollup(triples_ds, parents):
 
     Scale shape: the ``degree_stats`` shape lifted up the ontology DAG —
     everything after the triple dedup is VOCABULARY-bounded: per-batch
-    (anc, obj) partial counts with the closure memoized per task over
-    the broadcast table, one anc sort, co-located exact distinct-term
-    finals; shuffle <= one row per (anc, obj) per batch, never
-    triple-scale.  Closure depth multiplies only the vocabulary-sized
+    (anc, obj) partial counts with one closure per distinct obj of the
+    batch over the broadcast table, one anc sort, co-located exact
+    distinct-term finals; shuffle <= one row per (anc, obj) per batch,
+    never triple-scale.  Closure depth multiplies only the vocabulary-sized
     partials, not the corpus."""
-    import pandas as pd
     import ray
 
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
     deduped = dedup_triples(triples_ds).map_batches(
         lambda t: t.select(["obj"]), batch_format="pyarrow")
+    count_objs = _pair_counts(["obj"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"anc": pd.Series([], dtype="object"),
-                              "obj": pd.Series([], dtype="object"),
-                              "cnt": pd.Series([], dtype="int64")})
-        if len(df) == 0:
-            return empty
+    def partial(t: pa.Table) -> pa.Table:
         table = ray.get(parents) if isinstance(parents, ray.ObjectRef) \
             else parents
-        memo: dict[str, set] = {}
         anc_col, obj_col, cnt_col = [], [], []
-        for obj, cnt in df.groupby("obj", sort=False).size().items():
-            if obj not in memo:
-                memo[obj] = _ancestor_closure(obj, table)
-            for anc in memo[obj]:
+        counts = count_objs(t)
+        for obj, cnt in zip(counts["obj"].to_pylist(), counts["cnt"].to_pylist()):
+            for anc in _ancestor_closure(obj, table):
                 anc_col.append(anc)
                 obj_col.append(obj)
-                cnt_col.append(int(cnt))
-        return pd.DataFrame({"anc": anc_col, "obj": obj_col,
-                             "cnt": np.asarray(cnt_col, dtype=np.int64)})
+                cnt_col.append(cnt)
+        return pa.table({"anc": pa.array(anc_col, pa.string()),
+                         "obj": pa.array(obj_col, pa.string()),
+                         "cnt": pa.array(cnt_col, pa.int64())})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"anc": pd.Series([], dtype="object"),
-                                 "n_triples": pd.Series([], dtype="int64"),
-                                 "n_terms": pd.Series([], dtype="int64")})
-        g = df.groupby("anc", sort=True).agg(
-            n_triples=("cnt", "sum"), n_terms=("obj", "nunique")).reset_index()
-        g["n_triples"] = g["n_triples"].astype("int64")
-        g["n_terms"] = g["n_terms"].astype("int64")
-        return g
-
-    return sorted_group_reduce(deduped, "anc", partial, final)
+    return sorted_group_reduce(deduped, "anc", partial,
+                               _term_support(["anc"], "obj",
+                                             ["n_triples", "n_terms"]))
 
 
 # ---------------------------------------------------------------------------

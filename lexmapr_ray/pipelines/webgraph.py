@@ -621,7 +621,6 @@ def bfs_distances(sf_dir: str, seed: int = 0, hops: int = 12,
     row — the fixed unroll keeps engine and oracle definitionally
     identical.
     """
-    import pandas as pd
     import ray.data as rd
 
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
@@ -629,28 +628,21 @@ def bfs_distances(sf_dir: str, seed: int = 0, hops: int = 12,
     edges = doc_links(sf_dir).materialize()
     i64 = pa.int64()
 
-    def mn(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "dist": pd.Series([], dtype="int64")})
-        out = df.groupby("node", as_index=False, sort=True)["dist"].min()
-        return out.astype({"node": "int64", "dist": "int64"})
+    def mn(t: pa.Table) -> pa.Table:
+        return t.group_by("node", use_threads=False).aggregate(
+            [("dist", "min")]).rename_columns(["node", "dist"]).sort_by("node")
 
-    def bump(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": df["dst"].astype("int64"),
-                             "dist": df["dist"].astype("int64") + 1})
-
-    # pandas blocks throughout: union requires both sides the same block
-    # type, and the sorted_group_reduce final emits pandas
-    dist = rd.from_items([{"node": seed, "dist": 0}]).map_batches(
-        lambda df: df.astype("int64"), batch_format="pandas")
+    dist = rd.from_arrow(pa.table({"node": pa.array([seed], i64),
+                                   "dist": pa.array([0], i64)}))
     for _ in range(hops):
         contrib = bucketed_hash_join(
             edges, dist, on="src", right_on="node",
             num_buckets=num_buckets,
             left_schema=pa.schema([("src", i64), ("dst", i64)]),
             right_schema=pa.schema([("node", i64), ("dist", i64)]),
-        ).map_batches(bump, batch_format="pandas")
+        ).map_batches(lambda t: pa.table({"node": t["dst"],
+                                          "dist": pc.add(t["dist"], 1)}),
+                      batch_format="pyarrow")
         dist = sorted_group_reduce(dist.union(contrib), "node", mn, mn) \
             .materialize()
     return dist
@@ -1041,8 +1033,6 @@ def anchor_text_profile(sf_dir: str):
     (dst_url, n_inlinks, n_src_hosts, anchor_text), dst-sorted."""
     import re
 
-    import pandas as pd
-
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
     from lexmapr_ray.sources.pages import linked_pages_from_documents
 
@@ -1072,33 +1062,18 @@ def anchor_text_profile(sf_dir: str):
 
     edges = pages.map_batches(extract, batch_format="pyarrow")
 
-    _COLS = ["dst_url", "src_host", "anchor_text", "cnt"]
+    def partial(t: pa.Table) -> pa.Table:
+        if "cnt" not in t.column_names:
+            t = t.append_column("cnt", pa.array(np.ones(len(t), dtype=np.int64)))
+        return t.group_by(["dst_url", "src_host"], use_threads=False).aggregate(
+            [("anchor_text", "min"), ("cnt", "sum")]
+        ).rename_columns(["dst_url", "src_host", "anchor_text", "cnt"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series(
-                [], dtype="int64" if c == "cnt" else "object")
-                for c in _COLS})
-        if "cnt" not in df.columns:
-            df = df.assign(cnt=np.ones(len(df), dtype=np.int64))
-        return df.groupby(["dst_url", "src_host"], as_index=False,
-                          sort=False).agg(anchor_text=("anchor_text", "min"),
-                                          cnt=("cnt", "sum"))[_COLS]
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = partial(df)
-        if len(g) == 0:
-            return pd.DataFrame({
-                "dst_url": pd.Series([], dtype="object"),
-                "n_inlinks": pd.Series([], dtype="int64"),
-                "n_src_hosts": pd.Series([], dtype="int64"),
-                "anchor_text": pd.Series([], dtype="object")})
-        out = g.groupby("dst_url", sort=True).agg(
-            n_inlinks=("cnt", "sum"), n_src_hosts=("src_host", "nunique"),
-            anchor_text=("anchor_text", "min")).reset_index()
-        out["n_inlinks"] = out["n_inlinks"].astype("int64")
-        out["n_src_hosts"] = out["n_src_hosts"].astype("int64")
-        return out[["dst_url", "n_inlinks", "n_src_hosts", "anchor_text"]]
+    def final(t: pa.Table) -> pa.Table:
+        return partial(t).group_by("dst_url", use_threads=False).aggregate(
+            [("cnt", "sum"), ("src_host", "count_distinct"), ("anchor_text", "min")]
+        ).rename_columns(["dst_url", "n_inlinks", "n_src_hosts", "anchor_text"]) \
+            .sort_by("dst_url")
 
     return sorted_group_reduce(edges, "dst_url", partial, final)
 

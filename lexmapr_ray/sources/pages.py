@@ -254,25 +254,18 @@ def url_latest_capture(sf_dir: str):
     each batch's latest for its url) -> ONE url sort -> co-located final
     argmax + count sum.  Shuffle volume is <= one row per (url, batch),
     never capture-scale."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
 
     caps = multi_capture_pages(sf_dir)
 
-    def keep_latest(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"url": pd.Series([], dtype="object"),
-                                 "warc_ts_us": pd.Series([], dtype="int64"),
-                                 "n_chars": pd.Series([], dtype="int64"),
-                                 "n_captures": pd.Series([], dtype="int64")})
-        if "n_captures" not in df.columns:
-            df = df.assign(n_captures=np.ones(len(df), dtype=np.int64))
-        df = df.sort_values(["url", "warc_ts_us"], kind="mergesort")
-        counts = df.groupby("url", sort=False)["n_captures"].sum()
-        last = df.groupby("url", sort=False).tail(1).set_index("url")
-        last["n_captures"] = counts
-        return last.reset_index()[["url", "warc_ts_us", "n_chars", "n_captures"]]
+    def keep_latest(t: pa.Table) -> pa.Table:
+        if "n_captures" not in t.column_names:
+            t = t.append_column("n_captures", pa.array(np.ones(len(t), dtype=np.int64)))
+        t = t.sort_by([("url", "ascending"), ("warc_ts_us", "ascending")])
+        starts = run_starts(t, ["url"])
+        last = np.append(starts[1:], len(t)) - 1
+        return t.select(["url", "warc_ts_us", "n_chars"]).take(last).append_column(
+            "n_captures", pa.array(np.add.reduceat(t["n_captures"].to_numpy(), starts)))
 
     return sorted_group_reduce(caps, "url", keep_latest, keep_latest)
 

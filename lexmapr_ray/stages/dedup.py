@@ -154,14 +154,14 @@ def dedup_exact(sf_dir: str):
     # per-key min is associative: the same vectorized reduce serves as the
     # pre-shuffle combiner (keeping digest) and the post-sort final (see
     # lexmapr_ray.functions.groupagg for why groupby().map_groups is banned)
-    def keep_min_partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["digest", "doc_id"], kind="mergesort")
-        return df.drop_duplicates("digest", keep="first")
+    def keep_min_partial(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("digest", "ascending"), ("doc_id", "ascending")])
+        return t.take(run_starts(t, ["digest"]))
 
-    def keep_min_final(df: pd.DataFrame) -> pd.DataFrame:
-        return keep_min_partial(df)[["doc_id", "text"]]
+    def keep_min_final(t: pa.Table) -> pa.Table:
+        return keep_min_partial(t).select(["doc_id", "text"])
 
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
 
     return sorted_group_reduce(
         ds.map_batches(digest, batch_format="pyarrow"),
@@ -855,29 +855,19 @@ def bloom_decontaminate(sf_dir: str, k: int = 8, test_permille: int = 50):
             pos = _bloom_positions(_gram_hash64(grams)).ravel()
             np.bitwise_or.at(bm, pos >> 3,
                              np.uint8(1) << (pos & 7).astype(np.uint8))
-        return pa.table({"bitmap": pa.array([bm.tobytes()], pa.binary())})
+        return pa.table({"b": pa.array([0], pa.int64()),
+                         "bitmap": pa.array([bm.tobytes()], pa.binary())})
 
     # OR-merge through the standard combine -> sorted-reduce shape: the
     # per-batch bitmaps fold 32-at-a-time in combiner tasks, the constant
     # key co-locates the survivors in ONE final block, and the driver only
     # ever receives the single merged 1 MiB row (never n_batches of them)
-    import pandas as pd
+    from lexmapr_ray.functions.groupagg import fold_binary, sorted_group_reduce
 
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    def or_merge(t: pa.Table) -> pa.Table:
+        return fold_binary(t, "b", "bitmap", np.uint8, np.bitwise_or)
 
-    def or_merge(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"b": pd.Series([], dtype="int64"),
-                                 "bitmap": pd.Series([], dtype="object")})
-        acc = np.frombuffer(b"".join(df["bitmap"]), dtype=np.uint8) \
-            .reshape(len(df), -1)
-        out = np.bitwise_or.reduce(acc, axis=0)
-        return pd.DataFrame({"b": [0], "bitmap": [out.tobytes()]})
-
-    bitmaps = docs.map_batches(batch_bitmap, batch_format="pyarrow") \
-        .map_batches(lambda t: t.append_column(
-            "b", pa.array(np.zeros(len(t), dtype=np.int64))),
-            batch_format="pyarrow")
+    bitmaps = docs.map_batches(batch_bitmap, batch_format="pyarrow")
     final = sorted_group_reduce(bitmaps, "b", or_merge, or_merge,
                                 bundle=32).take_all()
     merged = np.frombuffer(final[0]["bitmap"], dtype=np.uint8)
@@ -1007,7 +997,9 @@ def span_dedup(sf_dir: str, span_tokens: int = 3):
     text from the source documents at reassembly; the plain form is kept
     for clarity since the span text must be shuffled once either way.
     """
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    import pyarrow.compute as pc
+
+    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
     from lexmapr_ray.stages.textstats import _token_lists
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
@@ -1027,29 +1019,28 @@ def span_dedup(sf_dir: str, span_tokens: int = 3):
             "span_idx": pa.array(out_idx, pa.int64()),
         })
 
-    def keep_min(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["span", "doc_id", "span_idx"], kind="mergesort")
-        return df.drop_duplicates("span", keep="first")
+    def keep_min(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("span", "ascending"), ("doc_id", "ascending"),
+                       ("span_idx", "ascending")])
+        return t.take(run_starts(t, ["span"]))
 
     winners = sorted_group_reduce(
         ds.map_batches(explode, batch_format="pyarrow"),
         "span", keep_min, keep_min,
     )
 
-    def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "text_clean": pd.Series([], dtype="object")})
-        df = df.sort_values(["doc_id", "span_idx"], kind="mergesort")
-        g = df.groupby("doc_id", sort=False)["span"].agg(" ".join)
-        return pd.DataFrame({"doc_id": g.index.to_numpy(), "text_clean": g.to_numpy()})
+    def reassemble(t: pa.Table) -> pa.Table:
+        g = t.sort_by([("doc_id", "ascending"), ("span_idx", "ascending")]) \
+            .group_by("doc_id", use_threads=False).aggregate([("span", "list")])
+        return pa.table({"doc_id": g["doc_id"],
+                         "text_clean": pc.binary_join(g["span_list"], " ")})
 
     # doc_id ALONE as the sort key: a (doc_id, span_idx) composite sort
     # could cut one doc's spans across two range partitions and reassemble
     # would emit the doc twice (same boundary hazard the sf0.1 sweep caught
-    # in orders_running_window); the in-block mergesort restores span order
+    # in orders_running_window); the in-block sort restores span order
     return winners.sort("doc_id").map_batches(
-        reassemble, batch_format="pandas", batch_size=None
+        reassemble, batch_format="pyarrow", batch_size=None
     ).sort("doc_id")
 
 
@@ -1338,19 +1329,17 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
         .map_batches(lambda t: t.select(["doc_id", "pos"]),
                      batch_format="pyarrow")
 
-    def pack(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "hits": pd.Series([], dtype="object")})
-        if "hits" in df.columns:  # final: merge partial packs
-            merged = df.groupby("doc_id", sort=True)["hits"].agg(
-                lambda s: ",".join(
-                    map(str, sorted({int(x) for h in s for x in h.split(",")})))
-            )
-        else:
-            merged = df.groupby("doc_id", sort=False)["pos"].agg(
-                lambda s: ",".join(map(str, sorted(set(s)))))
-        return merged.rename("hits").reset_index()
+    def pack(t: pa.Table) -> pa.Table:
+        if "hits" in t.column_names:  # final: unpack the partial packs
+            parts = pc.split_pattern(t["hits"], ",")
+            t = pa.table({
+                "doc_id": pc.take(t["doc_id"], pc.list_parent_indices(parts)),
+                "pos": pc.cast(pc.list_flatten(parts), pa.int64())})
+        g = t.group_by(["doc_id", "pos"], use_threads=False).aggregate([]) \
+            .sort_by([("doc_id", "ascending"), ("pos", "ascending")]) \
+            .group_by("doc_id", use_threads=False).aggregate([("pos", "list")])
+        return pa.table({"doc_id": g["doc_id"], "hits": pc.binary_join(
+            pc.cast(g["pos_list"], pa.list_(pa.string())), ",")})
 
     # one packed row per affected doc; materialized because three
     # consumers (anti filter, semi filter, join) would otherwise each
@@ -1459,7 +1448,7 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
     ``pipelines/webgraph.py``."""
     import pyarrow.compute as pc
 
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
@@ -1468,10 +1457,9 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
                              concurrency=_auto_concurrency(concurrency),
                              batch_size=1024)
 
-    def min_combine(df):
-        if len(df) == 0:
-            return df
-        return df.groupby("host_id", as_index=False, sort=False)[HOST_SIG_COLS].min()
+    def min_combine(t: pa.Table) -> pa.Table:
+        return t.group_by("host_id", use_threads=False).aggregate(
+            [(c, "min") for c in HOST_SIG_COLS]).rename_columns(["host_id"] + HOST_SIG_COLS)
 
     host_sigs = sorted_group_reduce(partial, "host_id",
                                     min_combine, min_combine).materialize()
@@ -1483,11 +1471,6 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
     ], dtype=np.uint64)
 
     def band(df):
-        import pandas as pd
-        if len(df) == 0:
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "host_id": pd.Series([], dtype="int64"),
-                                 "sig_hex": pd.Series([], dtype="object")})
         sig = df[HOST_SIG_COLS].to_numpy(dtype=np.int64).astype(np.uint64)
         buckets = _band_mix(sig, band_seeds, n_bands=HOST_BANDS,
                             rows_per_band=HOST_ROWS)
@@ -1503,9 +1486,6 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
     def pair_block(df):
         import pandas as pd
         cols = {"host_a": "int64", "host_b": "int64", "pct": "int64"}
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=d)
-                                 for c, d in cols.items()})
         d = df.drop_duplicates(["bucket", "host_id"])
         m = d.merge(d, on="bucket")
         m = m[m["host_id_x"] < m["host_id_y"]]
@@ -1522,10 +1502,9 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
                             "pct": pct.astype(np.int64)})
         return out[out["pct"] >= min_match_pct]
 
-    def dedupe(df):
-        if len(df) == 0:
-            return df
-        return df.drop_duplicates(["host_a", "host_b"])
+    def dedupe(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("host_a", "ascending"), ("host_b", "ascending")])
+        return t.take(run_starts(t, ["host_a", "host_b"]))
 
     pairs = banded.sort("bucket").map_batches(pair_block,
                                               batch_format="pandas",
@@ -1580,39 +1559,21 @@ def winnowing_dup_pairs(sf_dir: str, k: int = 16, w: int = 8,
 
     exploded = ds.map_batches(select_fps, batch_format="pyarrow")
 
-    def fp_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"fp": pd.Series([], dtype="int64"),
-                                 "doc_id": pd.Series([], dtype="int64")})
-        return df.drop_duplicates(["fp", "doc_id"])
+    def fp_partial(t: pa.Table) -> pa.Table:
+        return t.group_by(["fp", "doc_id"], use_threads=False).aggregate([])
 
-    def fp_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        # boundary scan instead of pandas groupby iteration: the fp space
-        # is fingerprint-scale (millions of mostly-singleton groups), and
-        # a Python loop per group was 9.3 of this op's 9.3 s at sf0.1 —
-        # only groups holding >= 2 docs (pair-bearing, output-scale) may
-        # loop
-        out_a, out_b = [], []
-        if len(df):
-            df = df.drop_duplicates(["fp", "doc_id"]) \
-                .sort_values(["fp", "doc_id"], kind="mergesort")
-            fp = df["fp"].to_numpy(np.int64)
-            doc = df["doc_id"].to_numpy(np.int64)
-            starts = np.flatnonzero(
-                np.concatenate(([True], fp[1:] != fp[:-1])))
-            ends = np.concatenate((starts[1:], [len(fp)]))
-            sizes = ends - starts
-            keep = (sizes >= 2) & (sizes <= max_df)
-            for s, e in zip(starts[keep], ends[keep]):
-                d = doc[s:e]  # unique + sorted within the group
-                ia, ib = np.triu_indices(len(d), 1)
-                out_a.append(d[ia])
-                out_b.append(d[ib])
-        if not out_a:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                                 "doc_b": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"doc_a": np.concatenate(out_a),
-                             "doc_b": np.concatenate(out_b)})
+    def fp_pairs(t: pa.Table) -> pa.Table:
+        # every doc pair of each fingerprint held by at most max_df docs,
+        # enumerated by the LSH pair kernel with no loop over groups (the
+        # fp space is fingerprint-scale, mostly singletons)
+        t = fp_partial(t)
+        fp = t["fp"].to_numpy()
+        doc = t["doc_id"].to_numpy()
+        _, group, size = np.unique(fp, return_inverse=True, return_counts=True)
+        keep = size[group] <= max_df
+        fp, doc = fp[keep], doc[keep]
+        ia, ib = _bucket_pairs(fp, doc)
+        return pa.table({"doc_a": doc[ia], "doc_b": doc[ib]})
 
     pairs = sorted_group_reduce(exploded, "fp", fp_partial, fp_pairs)
     counted = grouped_sum_count(pairs, ["doc_a", "doc_b"],
@@ -1659,7 +1620,9 @@ def paragraph_dedup(sf_dir: str):
        joins them with ``". "`` (equal doc_ids are co-located whole by the
        sort contract — see functions/groupagg docstring).
     """
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    import pyarrow.compute as pc
+
+    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
 
@@ -1684,82 +1647,66 @@ def paragraph_dedup(sf_dir: str):
 
     paras = docs.map_batches(explode, batch_format="pyarrow")
 
-    _WIN_COLS = ["doc_id", "pos", "para", "digest", "removed"]
+    def counters(doc: pa.ChunkedArray, removed: pa.ChunkedArray) -> pa.Table:
+        """One ``pos=-1`` counter row per doc summing ``removed``."""
+        c = pa.table({"doc_id": doc, "removed": removed}) \
+            .group_by("doc_id", use_threads=False).aggregate([("removed", "sum")])
+        n = c.num_rows
+        return pa.table({
+            "doc_id": c["doc_id"],
+            "pos": pa.array(np.full(n, -1, dtype=np.int64)),
+            "para": pa.array([""] * n, pa.string()),
+            "digest": pc.binary_join_element_wise(
+                "\x00", pc.cast(c["doc_id"], pa.string()), ""),
+            "removed": c["removed_sum"],
+        })
 
-    def win_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "removed" not in df.columns:
-            df = df.assign(removed=np.zeros(len(df), dtype=np.int64))
-        if len(df) == 0:
-            return df[_WIN_COLS]
-        live = df[df["pos"] >= 0]
-        ctr = df[df["pos"] < 0]
-        live = live.sort_values(["digest", "doc_id", "pos"], kind="mergesort")
-        dup = live.duplicated("digest").to_numpy()
-        first = live[~dup]
-        losers = live[dup]
-        pieces = [first[_WIN_COLS]]
-        lost = pd.concat([ctr[["doc_id", "removed"]],
-                          pd.DataFrame({"doc_id": losers["doc_id"],
-                                        "removed": np.ones(len(losers),
-                                                           dtype=np.int64)})])
-        if len(lost):
-            c = lost.groupby("doc_id", sort=False)["removed"].sum().reset_index()
-            pieces.append(pd.DataFrame({
-                "doc_id": c["doc_id"].to_numpy(np.int64),
-                "pos": np.full(len(c), -1, dtype=np.int64),
-                "para": "",
-                "digest": "\x00" + c["doc_id"].astype(str),
-                "removed": c["removed"].to_numpy(np.int64),
-            }))
-        return pd.concat(pieces, ignore_index=True)[_WIN_COLS]
+    def win_partial(t: pa.Table) -> pa.Table:
+        if "removed" not in t.column_names:
+            t = t.append_column("removed", pa.array(np.zeros(len(t), dtype=np.int64)))
+        ctr = t.filter(pc.less(t["pos"], 0))
+        live = t.filter(pc.greater_equal(t["pos"], 0)).sort_by(
+            [("digest", "ascending"), ("doc_id", "ascending"), ("pos", "ascending")])
+        first = np.zeros(len(live), dtype=bool)
+        first[run_starts(live, ["digest"])] = True
+        losers = live.filter(pa.array(~first))["doc_id"]
+        lost = counters(
+            pa.chunked_array(ctr["doc_id"].chunks + losers.chunks, pa.int64()),
+            pa.chunked_array(ctr["removed"].chunks
+                             + [pa.array(np.ones(len(losers), dtype=np.int64))],
+                             pa.int64()))
+        return pa.concat_tables([live.filter(pa.array(first)).select(lost.column_names),
+                                 lost])
 
-    def win_final(df: pd.DataFrame) -> pd.DataFrame:
-        return win_partial(df)[["doc_id", "pos", "para", "removed"]]
+    def win_final(t: pa.Table) -> pa.Table:
+        return win_partial(t).drop_columns(["digest"])
 
     flagged = sorted_group_reduce(paras, "digest", win_partial, win_final)
 
-    _ASM_COLS = ["doc_id", "pos", "para", "removed"]
+    def asm_partial(t: pa.Table) -> pa.Table:
+        ctr = t.filter(pc.less(t["pos"], 0))
+        lost = counters(ctr["doc_id"], ctr["removed"]).drop_columns(["digest"])
+        return pa.concat_tables([t.filter(pc.greater_equal(t["pos"], 0)), lost])
 
-    def asm_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df[_ASM_COLS]
-        live = df[df["pos"] >= 0]
-        ctr = df[df["pos"] < 0]
-        pieces = [live[_ASM_COLS]]
-        if len(ctr):
-            c = ctr.groupby("doc_id", sort=False)["removed"].sum().reset_index()
-            pieces.append(pd.DataFrame({
-                "doc_id": c["doc_id"].to_numpy(np.int64),
-                "pos": np.full(len(c), -1, dtype=np.int64),
-                "para": "",
-                "removed": c["removed"].to_numpy(np.int64),
-            }))
-        return pd.concat(pieces, ignore_index=True)[_ASM_COLS]
-
-    def asm_final(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "doc_id": pd.Series([], dtype="int64"),
-            "n_paras": pd.Series([], dtype="int64"),
-            "n_kept": pd.Series([], dtype="int64"),
-            "n_removed": pd.Series([], dtype="int64"),
-            "kept_text": pd.Series([], dtype="object"),
+    # live rows carry removed=0, so a doc's n_removed is its removed sum
+    def asm_final(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("doc_id", "ascending"), ("pos", "ascending")])
+        live = pc.greater_equal(t["pos"], 0)
+        starts = run_starts(t, ["doc_id"])
+        doc = t["doc_id"].take(starts)
+        n_kept = np.add.reduceat(live.to_numpy(zero_copy_only=False).astype(np.int64),
+                                 starts)
+        n_removed = np.add.reduceat(t["removed"].to_numpy(), starts)
+        kept = t.filter(live).group_by("doc_id", use_threads=False) \
+            .aggregate([("para", "list")])
+        text = pc.take(pc.binary_join(kept["para_list"], ". "),
+                       pc.index_in(doc, value_set=kept["doc_id"].combine_chunks()))
+        return pa.table({
+            "doc_id": doc,
+            "n_paras": pa.array(n_kept + n_removed),
+            "n_kept": pa.array(n_kept),
+            "n_removed": pa.array(n_removed),
+            "kept_text": pc.fill_null(text, ""),
         })
-        if len(df) == 0:
-            return empty
-        df = df.sort_values(["doc_id", "pos"], kind="mergesort")
-        live = df[df["pos"] >= 0]
-        g = live.groupby("doc_id", sort=True)
-        out = pd.concat([
-            g.size().rename("n_kept"),
-            g["para"].agg(". ".join).rename("kept_text"),
-            df[df["pos"] < 0].groupby("doc_id", sort=True)["removed"]
-              .sum().rename("n_removed"),
-        ], axis=1).reset_index()
-        out["n_kept"] = out["n_kept"].fillna(0).astype(np.int64)
-        out["n_removed"] = out["n_removed"].fillna(0).astype(np.int64)
-        out["kept_text"] = out["kept_text"].fillna("")
-        out["n_paras"] = out["n_kept"] + out["n_removed"]
-        return out[["doc_id", "n_paras", "n_kept", "n_removed",
-                    "kept_text"]].sort_values("doc_id", kind="mergesort")
 
     return sorted_group_reduce(flagged, "doc_id", asm_partial, asm_final)

@@ -185,8 +185,7 @@ class MentionMatcher:
       2x.  Each family is byte-identical to its single-family output.
 
     ``lexicon`` is a plain :class:`Lexicon` (tests) or the ``ray.put``
-    handle from the pipeline's broadcast, optionally wrapped in a
-    one-element list.  The constructor only validates and stores it; the
+    handle from the pipeline's broadcast.  The constructor only validates and stores it; the
     first call resolves it (:func:`_resolve`), and pickling drops the
     resolved state, so a task ships the handle, never the lexicon.
     """
@@ -199,8 +198,6 @@ class MentionMatcher:
                 f"emit must be a non-empty subset of {{'triples', 'contexts'}}, got {emit!r}")
         self.triples = "triples" in emit
         self.contexts = "contexts" in emit
-        if isinstance(lexicon, (list, tuple)) and len(lexicon) == 1:
-            lexicon = lexicon[0]
         self.source = lexicon
         self.bucket = bucket
         self.langs = set(langs) if langs else None

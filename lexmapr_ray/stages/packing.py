@@ -110,7 +110,7 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
     import ray
     import pyarrow.compute as pc
 
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
     from lexmapr_ray.stages.textstats import _doc_token_profile
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
@@ -131,11 +131,9 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
         })
         return tb.filter(pa.array(keep))
 
-    def elect(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df
-        df = df.sort_values(["digest", "doc_id"], kind="mergesort")
-        return df.drop_duplicates("digest", keep="first")
+    def elect(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("digest", "ascending"), ("doc_id", "ascending")])
+        return t.take(run_starts(t, ["digest"]))
 
     win = sorted_group_reduce(
         ds.map_batches(survivors, batch_format="pyarrow"),
@@ -145,9 +143,6 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
     win = win.sort("doc_id").materialize()
 
     def tok_stats(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"min_doc": pd.Series([], dtype="int64"),
-                                 "total": pd.Series([], dtype="int64")})
         return pd.DataFrame({"min_doc": [int(df["doc_id"].min())],
                              "total": [int(df["n_tokens"].sum())]})
 
@@ -160,10 +155,6 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
     ))
 
     def add_seq(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "n_tokens": pd.Series([], dtype="int64"),
-                                 "seq_id": pd.Series([], dtype="int64")})
         mins, offs = ray.get(tok_ref)
         df = df.sort_values("doc_id", kind="mergesort")
         i = int(np.searchsorted(mins, int(df["doc_id"].iloc[0])))
@@ -186,9 +177,6 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
         .sort("k").materialize()
 
     def k_stats(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"min_k": pd.Series([], dtype="object"),
-                                 "n": pd.Series([], dtype="int64")})
         return pd.DataFrame({"min_k": [df["k"].min()], "n": [len(df)]})
 
     ks = keyed.map_batches(k_stats, batch_format="pandas",
@@ -200,11 +188,6 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
     ))
 
     def rank(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "n_tokens": pd.Series([], dtype="int64"),
-                                 "seq_id": pd.Series([], dtype="int64"),
-                                 "shuffle_rank": pd.Series([], dtype="int64")})
         min_ks, offs = ray.get(rank_ref)
         df = df.sort_values("k", kind="mergesort")
         i = int(np.searchsorted(min_ks, df["k"].iloc[0]))

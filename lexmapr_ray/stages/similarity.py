@@ -821,9 +821,7 @@ def embedding_quantize(sf_dir: str):
          to 0.
     Output is the per-vector quantized summary (min/max/sum) — a flat,
     driver-hashable attestation of every quantized value."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import fold_binary, sorted_group_reduce
 
     ds = _read_embeddings(sf_dir, ["vec_id", "embedding"])
 
@@ -834,13 +832,8 @@ def embedding_quantize(sf_dir: str):
             "ma": pa.array([m.tobytes()], pa.binary()),
         })
 
-    def maxabs_merge(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"g": pd.Series([], dtype="int64"),
-                                 "ma": pd.Series([], dtype="object")})
-        acc = np.frombuffer(b"".join(df["ma"]), dtype=np.float64) \
-            .reshape(len(df), -1).max(axis=0)
-        return pd.DataFrame({"g": [0], "ma": [acc.tobytes()]})
+    def maxabs_merge(t: pa.Table) -> pa.Table:
+        return fold_binary(t, "g", "ma", np.float64, np.maximum)
 
     row = sorted_group_reduce(
         ds.map_batches(maxabs_partial, batch_format="pyarrow"),
@@ -1257,10 +1250,10 @@ def cluster_top_terms(sf_dir: str, top: int = 5, num_buckets: int = 32):
     replays the same composition in SQL over the committed serial k-means
     assignment, so what the gate checks is the join + explode + grouped
     top-k orchestration."""
-    import pandas as pd
     import pyarrow.compute as pc
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_starts,
+                                                sorted_group_reduce)
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.stages.textstats import _read_documents, _token_lists
 
@@ -1281,38 +1274,23 @@ def cluster_top_terms(sf_dir: str, top: int = 5, num_buckets: int = 32):
         cl = pc.filter(pc.cast(t["cluster"], pa.int64()), keep)
         flat = pc.list_flatten(splits)
         parent = pc.list_parent_indices(splits)
-        df = pa.table({"cluster": pc.take(cl, parent),
-                       "token": flat}).to_pandas()
-        g = df.groupby(["cluster", "token"], sort=False).size() \
-            .rename("n").reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"cluster": pc.take(cl, parent), "token": flat})
 
     counts = grouped_sum_count(joined.map_batches(explode, batch_format="pyarrow"),
-                               ["cluster", "token"], {"n": "n"})
+                               ["cluster", "token"], count_alias="n")
 
-    def prune(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df
-        return df.sort_values(["cluster", "n", "token"],
-                              ascending=[True, False, True]) \
-            .groupby("cluster", sort=False).head(top)
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            out["rank"] = pd.Series([], dtype="int64")
-            return out
-        out = df.sort_values(["cluster", "n", "token"],
-                             ascending=[True, False, True]) \
-            .groupby("cluster", sort=False).head(top).reset_index(drop=True)
-        out["rank"] = out.groupby("cluster", sort=False).cumcount() + 1
-        return out.astype({"cluster": "int64", "n": "int64", "rank": "int64"})
+    def finish(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("cluster", "ascending"), ("n", "descending"),
+                       ("token", "ascending")])
+        starts = run_starts(t, ["cluster"])
+        rank = np.arange(len(t)) - np.repeat(starts, np.diff(starts, append=len(t)))
+        keep = rank < top
+        return t.filter(pa.array(keep)).append_column("rank", pa.array(rank[keep] + 1))
 
     # exact-safe: each part's per-cluster top-`top` superset contains the
     # global per-cluster top-`top`
     return sorted_group_reduce(
-        counts.map_batches(prune, batch_format="pandas", batch_size=65536),
-        "cluster", prune, finish)
+        counts, "cluster", lambda t: finish(t).drop_columns(["rank"]), finish)
 
 
 def cluster_representatives(sf_dir: str, num_buckets: int = 32):

@@ -78,9 +78,7 @@ def hll_distinct_tokens(sf_dir: str):
     of 4 KiB — the whole point of the sketch vs the exact distinct pass in
     ``source_stats`` (one row per distinct value).  Token definition is
     the engine-wide one (ASCII-ws trim + \\s+ split)."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import fold_binary, sorted_group_reduce
     from lexmapr_ray.stages.textstats import _read_documents, _token_lists
 
     ds = _read_documents(sf_dir, ["lang", "text"])
@@ -107,22 +105,14 @@ def hll_distinct_tokens(sf_dir: str):
             "regs": pa.array(out_regs, pa.binary()),
         })
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for lang, grp in df.groupby("lang", sort=False):
-            stack = np.frombuffer(b"".join(grp["regs"]), dtype=np.uint8)
-            merged = stack.reshape(-1, HLL_M).max(axis=0)
-            rows.append((lang, merged.tobytes()))
-        return pd.DataFrame(rows, columns=["lang", "regs"])
+    def merge(t: pa.Table) -> pa.Table:
+        return fold_binary(t, "lang", "regs", np.uint8, np.maximum)
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        merged = merge(df)
-        merged["approx_distinct"] = [
-            hll_estimate(np.frombuffer(r, dtype=np.uint8)) for r in merged["regs"]
-        ]
-        out = merged[["lang", "approx_distinct"]].copy()
-        out["approx_distinct"] = out["approx_distinct"].astype("int64")
-        return out.sort_values("lang")
+    def finalize(t: pa.Table) -> pa.Table:
+        merged = merge(t)
+        return pa.table({"lang": merged["lang"], "approx_distinct": pa.array(
+            [hll_estimate(np.frombuffer(r, dtype=np.uint8))
+             for r in merged["regs"].to_pylist()], pa.int64())})
 
     return sorted_group_reduce(
         ds.map_batches(sketch_partial, batch_format="pyarrow"),
@@ -182,9 +172,7 @@ def kmv_token_quantiles(sf_dir: str, k: int = KMV_K, qs=KMV_QS):
     Output per language: (lang, sample_m, p10, p25, p50, p75, p90) of the
     engine token count (``_token_counts``), nearest-rank-below rule.
     """
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
     from lexmapr_ray.stages.textstats import _read_documents, _token_counts
 
     ds = _read_documents(sf_dir, ["doc_id", "lang", "text"])
@@ -208,27 +196,27 @@ def kmv_token_quantiles(sf_dir: str, k: int = KMV_K, qs=KMV_QS):
             "vs": pa.array(out_vs, pa.binary()),
         })
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for lang, grp in df.groupby("lang", sort=False):
-            hs = np.frombuffer(b"".join(grp["hs"]), dtype=np.uint64)
-            vs = np.frombuffer(b"".join(grp["vs"]), dtype=np.int64)
-            bh, bv = _kmv_bottom_k(hs, vs, k)
-            hb, vb = _kmv_pack(bh, bv)
-            rows.append((lang, hb, vb))
-        return pd.DataFrame(rows, columns=["lang", "hs", "vs"])
+    def merge(t: pa.Table) -> pa.Table:
+        t = t.sort_by("lang")
+        bounds = np.append(run_starts(t, ["lang"]), len(t))
+        hs, vs = t["hs"].to_pylist(), t["vs"].to_pylist()
+        packed = [_kmv_pack(*_kmv_bottom_k(*_kmv_unpack(b"".join(hs[s:e]),
+                                                         b"".join(vs[s:e])), k))
+                  for s, e in zip(bounds[:-1], bounds[1:])]
+        return pa.table({"lang": t["lang"].take(bounds[:-1]),
+                         "hs": pa.array([h for h, _ in packed], pa.binary()),
+                         "vs": pa.array([v for _, v in packed], pa.binary())})
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        merged = merge(df)
-        rows = []
-        for _, r in merged.iterrows():
-            _, vs = _kmv_unpack(r["hs"], r["vs"])
-            rows.append((r["lang"], len(vs), *kmv_quantile_points(vs, qs)))
-        cols = ["lang", "sample_m"] + [f"p{q}" for q in qs]
-        out = pd.DataFrame(rows, columns=cols)
-        for c in cols[1:]:
-            out[c] = out[c].astype("int64")
-        return out.sort_values("lang")
+    def finalize(t: pa.Table) -> pa.Table:
+        merged = merge(t)
+        samples = [_kmv_unpack(h, v)[1] for h, v in
+                   zip(merged["hs"].to_pylist(), merged["vs"].to_pylist())]
+        cols = {"lang": merged["lang"],
+                "sample_m": pa.array([len(vs) for vs in samples], pa.int64())}
+        points = [kmv_quantile_points(vs, qs) for vs in samples]
+        for i, q in enumerate(qs):
+            cols[f"p{q}"] = pa.array([p[i] for p in points], pa.int64())
+        return pa.table(cols)
 
     return sorted_group_reduce(
         ds.map_batches(sketch_partial, batch_format="pyarrow"),
@@ -268,9 +256,7 @@ def cms_heavy_hitters(sf_dir: str, k: int = 20):
     driver to answer the k point queries.  Against an exact top-k pass
     the CMS trades a bounded overestimate for a shuffle that never grows
     with the vocabulary."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import fold_binary, sorted_group_reduce
     from lexmapr_ray.stages.textstats import _read_documents, _token_lists, vocab_topk
 
     ds = _read_documents(sf_dir, ["text"])
@@ -293,13 +279,8 @@ def cms_heavy_hitters(sf_dir: str, k: int = 20):
                              pa.binary()),
         })
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for row, grp in df.groupby("row", sort=True):
-            acc = np.frombuffer(b"".join(grp["regs"]), dtype=np.int64) \
-                .reshape(len(grp), CMS_W).sum(axis=0)
-            rows.append((row, acc.tobytes()))
-        return pd.DataFrame(rows, columns=["row", "regs"])
+    def merge(t: pa.Table) -> pa.Table:
+        return fold_binary(t, "row", "regs", np.int64, np.add)
 
     grid_rows = sorted_group_reduce(
         ds.map_batches(sketch_partial, batch_format="pyarrow"),

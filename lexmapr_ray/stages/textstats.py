@@ -438,8 +438,7 @@ def _doc_local_scores(ds, explode, key: str, vocab, lookup, attach, reduce, limi
     vocab_ds = vocab(tf).materialize()
     if vocab_ds.count() > limit:
         return sorted_group_reduce(attach(tf, vocab_ds), "doc_id",
-                                   lambda t: partial(_scored(t)), final,
-                                   batch_format="pyarrow")
+                                   lambda t: partial(_scored(t)), final)
     # a corpus with no tokens has a column-less vocabulary: pass 2 then
     # yields only typed 0-row blocks, which a Ray sort would strip of
     # their columns, so that result skips the sort
@@ -811,9 +810,7 @@ def source_stats(sf_dir: str):
     partials (a source may straddle digest-sorted blocks), and a final tiny
     grouped sum over sources (rows = sources x blocks, not corpus) closes
     the count.  No digest set is ever collected to the driver."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
 
     ds = _read_documents(sf_dir, ["text", "source"])
 
@@ -830,30 +827,24 @@ def source_stats(sf_dir: str):
 
     rows = ds.map_batches(to_rows, batch_format="pyarrow")
 
-    def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["source", "digest"], sort=False, as_index=False) \
-            .agg(n_docs=("n_tok", "size"), sum_tokens=("n_tok", "sum"),
-                 sum_chars=("n_chars", "sum"))
+    sums = ["n_docs", "sum_tokens", "sum_chars"]
 
-    def pair_final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["source", "digest"], sort=True, as_index=False) \
-            .agg(n_docs=("n_docs", "sum"), sum_tokens=("sum_tokens", "sum"),
-                 sum_chars=("sum_chars", "sum"))
-        return g.groupby("source", sort=True, as_index=False) \
-            .agg(n_docs=("n_docs", "sum"), n_unique_texts=("digest", "size"),
-                 sum_tokens=("sum_tokens", "sum"), sum_chars=("sum_chars", "sum"))
+    def pair_partial(t: pa.Table) -> pa.Table:
+        return t.group_by(["source", "digest"], use_threads=False).aggregate(
+            [([], "count_all"), ("n_tok", "sum"), ("n_chars", "sum")]
+        ).rename_columns(["source", "digest"] + sums)
 
-    def src_sum(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("source", sort=True, as_index=False) \
-            .agg(n_docs=("n_docs", "sum"), n_unique_texts=("n_unique_texts", "sum"),
-                 sum_tokens=("sum_tokens", "sum"), sum_chars=("sum_chars", "sum"))
-        for c in ("n_docs", "n_unique_texts", "sum_tokens", "sum_chars"):
-            out[c] = out[c].astype("int64")
-        return out
+    def pair_final(t: pa.Table) -> pa.Table:
+        g = t.group_by(["source", "digest"], use_threads=False).aggregate(
+            [(c, "sum") for c in sums]).rename_columns(["source", "digest"] + sums)
+        return g.group_by("source", use_threads=False).aggregate(
+            [(c, "sum") for c in sums] + [([], "count_all")]
+        ).rename_columns(["source"] + sums + ["n_unique_texts"])
 
     per_block = sorted_group_reduce(rows, ["source", "digest"],
                                     pair_partial, pair_final)
-    return sorted_group_reduce(per_block, "source", src_sum, src_sum)
+    return grouped_sum_count(per_block, "source", {
+        c: c for c in ("n_docs", "n_unique_texts", "sum_tokens", "sum_chars")})
 
 
 def corpus_split(sf_dir: str, test_permille: int = 50, val_permille: int = 50):
@@ -968,9 +959,7 @@ def vocab_topk(sf_dir: str, k: int = 20):
     and a per-block final sum + top-k prune leaves <= k rows per block for
     the tiny final sort.  Token definition is the engine-wide one
     (ASCII-ws trim + \\s+ split, see ``_token_lists``)."""
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.topk import global_topk
 
     ds = _read_documents(sf_dir, ["text"])
@@ -985,12 +974,9 @@ def vocab_topk(sf_dir: str, k: int = 20):
             "cnt": pc.cast(vc.field("counts"), pa.int64()),
         })
 
-    def sum_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("word", as_index=False, sort=False)["cnt"].sum()
-
-    totals = sorted_group_reduce(
+    totals = grouped_sum_count(
         ds.map_batches(count_partial, batch_format="pyarrow"),
-        "word", sum_partial, sum_partial,
+        "word", {"cnt": "cnt"},
     )
     return global_topk(totals, ["cnt", "word"], [True, False], k)
 
@@ -1144,41 +1130,32 @@ def inverted_index(sf_dir: str, min_df: int = 5):
     the per-batch combine).  ``min_df`` prunes the hapax tail AFTER the
     grouped reduce (the filter is on a post-aggregation value: df is only
     known at the end)."""
-    import pandas as pd
-
     from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
-    def pairs(t: pa.Table) -> pd.DataFrame:
+    def pairs(t: pa.Table) -> pa.Table:
         trimmed, splits = _token_lists(t["text"])
         mask = pc.not_equal(trimmed, "")
         flat = pc.list_flatten(pc.filter(splits, mask))
         doc_ids = pc.take(pc.filter(t["doc_id"], mask),
                           pc.list_parent_indices(pc.filter(splits, mask)))
-        ex = pa.table({"term": flat, "doc_id": doc_ids}).to_pandas()
-        return ex.drop_duplicates()
+        return pa.table({"term": flat, "doc_id": doc_ids}) \
+            .group_by(["term", "doc_id"], use_threads=False).aggregate([])
 
-    def partial(d: pd.DataFrame) -> pd.DataFrame:
-        return d.drop_duplicates()
+    # a document is one input row, so a (term, doc) pair never comes out
+    # of two partials: the final only orders and packs the postings
+    def finalize(t: pa.Table) -> pa.Table:
+        g = t.sort_by([("term", "ascending"), ("doc_id", "ascending")]) \
+            .group_by("term", use_threads=False).aggregate([("doc_id", "list")])
+        post = g["doc_id_list"]
+        df = pc.cast(pc.list_value_length(post), pa.int64())
+        return pa.table({
+            "term": g["term"], "df": df,
+            "postings": pc.binary_join(pc.cast(post, pa.list_(pa.string())), ","),
+        }).filter(pc.greater_equal(df, min_df)).sort_by("term")
 
-    def finalize(d: pd.DataFrame) -> pd.DataFrame:
-        if len(d) == 0:
-            return pd.DataFrame({"term": pd.Series([], dtype="object"),
-                                 "df": pd.Series([], dtype="int64"),
-                                 "postings": pd.Series([], dtype="object")})
-        d = d.sort_values(["term", "doc_id"], kind="mergesort")
-        g = d.groupby("term", sort=False).agg(
-            df=("doc_id", "size"),
-            postings=("doc_id", lambda s: ",".join(map(str, s))))
-        g = g.reset_index()
-        g["df"] = g["df"].astype("int64")
-        return g[g["df"] >= min_df]
-
-    return sorted_group_reduce(
-        ds.map_batches(pairs, batch_format="pyarrow", batch_size=65536),
-        "term", partial, finalize,
-    )
+    return sorted_group_reduce(ds, "term", pairs, finalize)
 
 
 def source_mix(sf_dir: str):

@@ -135,6 +135,29 @@ def test_triple_confidence_matches_serial(ray_session, skewed_triples):
     assert (got["n_surfaces"] > 1).any()
 
 
+def test_degree_stats_matches_serial(ray_session, skewed_triples):
+    """Per-term fan-in on the skewed fixture against a serial count over
+    the distinct (subj, pred, obj) set: each term's duplicates and its
+    hot subjects straddle the fixture's 37 blocks, and the output comes
+    back obj-ordered."""
+    from collections import defaultdict
+
+    from lexmapr_ray.pipelines.kg import degree_stats
+
+    got = degree_stats(skewed_triples).to_pandas().reset_index(drop=True)
+
+    df = skewed_triples.to_pandas()
+    n_triples, pages = defaultdict(int), defaultdict(set)
+    for s, _p, o in set(zip(df["subj"], df["pred"], df["obj"])):
+        n_triples[o] += 1
+        pages[o].add(s)
+    exp = pd.DataFrame([(o, n_triples[o], len(pages[o])) for o in sorted(n_triples)],
+                       columns=["obj", "n_triples", "n_pages"])
+    pd.testing.assert_frame_equal(got, exp.astype({"n_triples": "int64",
+                                                   "n_pages": "int64"}))
+    assert len(got) == 3 and got["n_pages"].max() == 50
+
+
 def test_per_page_consumers_survive_partition_split(ray_session):
     """Regression (same class as the sf0.1 orders_running_window find):
     dedup_triples used to sort on the full (subj, pred, obj) key, so a
@@ -541,7 +564,7 @@ def test_mention_matcher_emit_modes(tmp_path):
     })
 
     triples = MentionMatcher(lex)(pages)
-    contexts = MentionMatcher([lex], emit={"contexts"})(pages)
+    contexts = MentionMatcher(lex, emit={"contexts"})(pages)
     fused = MentionMatcher(lex, emit={"triples", "contexts"})(pages)
     assert triples.schema.equals(TRIPLES_SCHEMA, check_metadata=True)
     assert contexts.schema.equals(CONTEXTS_SCHEMA, check_metadata=True)
@@ -617,7 +640,7 @@ def test_matcher_tasks_equal_direct_calls(ray_session, tmp_path):
         assert table(got_t).equals(want_t)
         assert table(got_c).equals(want_c)
 
-    m = MentionMatcher([ref])
+    m = MentionMatcher(ref)
     assert _sorted(m(pages)).equals(want_t)
     blob = ray.cloudpickle.dumps(m)
     assert len(blob) < 4096 and b"chicken breast" not in blob

@@ -622,6 +622,37 @@ def test_sorted_reduce_survives_tiny_block_target(ray_session):
         ctx.target_max_block_size = old
 
 
+@pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
+def test_map_batches_never_sees_an_empty_batch(ray_session, fmt):
+    """Ray passes a 0-row block through ``map_batches`` unchanged without
+    calling the UDF, so the grouped reduces' partials and finals keep no
+    empty-input branch.  The UDF here fails on a 0-row batch: on an input
+    mixing empty and non-empty blocks, on the empty range partitions of a
+    sort of 3 rows over 8 blocks, and on a sort of an all-empty input.  If
+    a Ray upgrade starts calling UDFs on empty batches, this fails."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    def refuse_empty(batch):
+        assert len(batch) > 0, "map_batches called its UDF on a 0-row batch"
+        return batch
+
+    t = pa.table({"k": pa.array([3, 1, 2], pa.int64())})
+    empty = t.slice(0, 0)
+    cases = {
+        "mixed": (rd.from_arrow([empty, t, empty, t.slice(0, 1)]), 4),
+        "sparse_sort": (rd.from_arrow(t).repartition(8).sort("k"), 3),
+        "all_empty_sort": (rd.from_arrow([empty, empty]).sort("k"), 0),
+    }
+    for name, (ds, rows) in cases.items():
+        ds = ds.materialize()
+        sizes = [b.num_rows for b in ray.get(ds.to_arrow_refs())]
+        assert 0 in sizes and sum(sizes) == rows, (name, sizes)
+        out = ds.map_batches(refuse_empty, batch_format=fmt, batch_size=None)
+        assert out.count() == rows, name
+
+
 def test_join_block_fn_survives_tiny_block_target(ray_session):
     """Pins the join-side analogue of the sort co-location guarantee
     (advisor r2 medium): a per-join-key aggregate must run INSIDE the
@@ -2198,6 +2229,24 @@ def test_bfs_distances_matches_serial(ray_session, tmp_path):
     exp = sorted(dist.items())
     assert list(zip(got["node"], got["dist"])) == exp
     assert got["dist"].max() == hops          # the cap binds on this graph
+
+
+@pytest.mark.parametrize("hops", [1, 2, 4, 6])
+def test_bfs_oracle_materialized_rounds_equal_inlined(sf_dir, hops):
+    """The bfs_distances oracle materializes each round: the same rows as
+    the inlined SQL, which is still cheap enough to run at these hops."""
+    import duckdb
+
+    import __ray_entry__ as entrymod
+
+    sql = entrymod._bfs_sql(hops=hops)
+    inlined = sql.replace(" AS MATERIALIZED (", " AS (")
+    assert inlined.count(" AS (") == sql.count(" AS MATERIALIZED (") + 2 == hops + 2
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM read_parquet("
+                f"'{sf_dir}/documents.parquet')")
+    got = con.execute(sql).fetchall()
+    assert got and got == con.execute(inlined).fetchall()
 
 
 def test_score_percentile_adversarial_oracle(ray_session, tmp_path):

@@ -5,6 +5,8 @@ against ``oracle_sql()`` via DuckDB (order-insensitive, column-name-sorted),
 mirroring how the driver builds CORRECTNESS_r{N}.json.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
+
+Exits 1 when any query FAILs or ERRORs, else 0.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def main():
+def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
 
@@ -119,7 +121,8 @@ def main():
                               f"exp={exp[c].iloc[i]!r}")
     print(f"== {n_pass} pass, {n_fail} fail ==")
     ray.shutdown()
+    return 1 if n_fail else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
