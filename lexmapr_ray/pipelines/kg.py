@@ -744,27 +744,20 @@ def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
     is provably whole even past ``target_max_block_size`` (see
     dedup_triples) — C(k,2) rows for a page with k <= cap distinct terms;
     one grouped count on (obj_a, obj_b) finishes."""
-    import pandas as pd
-
     from lexmapr_ray.functions.groupagg import grouped_sum_count
 
-    def page_pairs(t: pa.Table) -> pd.DataFrame:
-        empty = pd.DataFrame({"obj_a": pd.Series([], dtype="object"),
-                              "obj_b": pd.Series([], dtype="object")})
-        if t.num_rows == 0:
-            return empty
+    def page_pairs(t: pa.Table) -> pa.Table:
         d = pa.table({"subj": pc.cast(t["subj"], pa.string()),
                       "obj": pc.cast(t["obj"], pa.string())}) \
-            .to_pandas().drop_duplicates()
+            .group_by(["subj", "obj"], use_threads=False).aggregate([])
         if max_page_terms is not None:
-            k = d.groupby("subj", sort=False)["obj"].transform("size")
-            d = d[k <= max_page_terms]
-            if len(d) == 0:
-                return empty
-        m = d.merge(d, on="subj")
-        m = m[m["obj_x"] < m["obj_y"]]
-        return m.rename(columns={"obj_x": "obj_a", "obj_y": "obj_b"}) \
-            [["obj_a", "obj_b"]]
+            k = d.group_by("subj", use_threads=False).aggregate(
+                [("obj", "count")])
+            d = d.filter(pc.is_in(d["subj"], k.filter(pc.less_equal(
+                k["obj_count"], max_page_terms))["subj"]))
+        m = d.join(d, "subj", left_suffix="_a", right_suffix="_b")
+        return m.filter(pc.less(m["obj_a"], m["obj_b"])) \
+            .select(["obj_a", "obj_b"])
 
     pairs = dedup_triples(triples_ds, block_fn=page_pairs)
     return grouped_sum_count(pairs, ["obj_a", "obj_b"], count_alias="n_pages")

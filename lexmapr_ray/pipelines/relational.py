@@ -1109,10 +1109,6 @@ def fuzzy_name_pairs(sf_dir: str):
 
     Output: (name_a, name_b), name_a < name_b, pair-sorted.
     """
-    import pandas as pd
-
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     names = _read(sf_dir, "customer", ["c_name"])
 
     def variants(t: pa.Table) -> pa.Table:
@@ -1126,19 +1122,16 @@ def fuzzy_name_pairs(sf_dir: str):
         return pa.table({"variant": pa.array(vs, pa.string()),
                          "name": pa.array(ns, pa.string())})
 
-    def pair_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"name_a": pd.Series([], dtype="object"),
-                                 "name_b": pd.Series([], dtype="object")})
-        d = df.drop_duplicates(["variant", "name"])
-        m = d.merge(d, on="variant")
-        m = m[m["name_x"] < m["name_y"]]
-        return pd.DataFrame({"name_a": m["name_x"], "name_b": m["name_y"]})
+    def pair_block(t: pa.Table) -> pa.Table:
+        d = t.group_by(["variant", "name"], use_threads=False).aggregate([])
+        m = d.join(d, "variant", left_suffix="_a", right_suffix="_b")
+        return m.filter(pc.less(m["name_a"], m["name_b"])) \
+            .select(["name_a", "name_b"])
 
     candidates = grouped_sum_count(
         names.map_batches(variants, batch_format="pyarrow")
         .sort("variant")
-        .map_batches(pair_block, batch_format="pandas", batch_size=None),
+        .map_batches(pair_block, batch_format="pyarrow", batch_size=None),
         ["name_a", "name_b"],
     )
 

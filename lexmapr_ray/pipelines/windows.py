@@ -458,17 +458,18 @@ def max_concurrent_sessions(sf_dir: str, gap_us: int = SESSION_GAP_US):
 
     Shape: sessionize to (start, end) intervals (user-sorted co-location,
     as :func:`events_sessions`), explode each interval to +1 / -1
-    boundary rows (-1 at end+1 — end-inclusive intervals), ONE global
-    sort on (ts, delta desc) so same-instant openings count before
-    closings, then the block-offset prefix-sum pattern collapsed to its
-    terminal form: each sorted block emits ONE stats row (delta sum,
-    local running max, first ts at that max), and the driver folds block
-    offsets into the global max + earliest instant.  Equal sort keys
-    co-partition (the pinned sort invariant), so ties never straddle
-    blocks; ordering among identical rows cannot change the max or its
-    first instant.  Output: one row (max_concurrent, at_ts_us).
+    boundary rows (-1 at end+1 — end-inclusive intervals), then
+    :func:`~lexmapr_ray.functions.ranks.prefix_sums` on (ts, delta desc),
+    so same-instant openings count before closings, summing ``delta``:
+    each row's running count is ``delta_before + delta``.  The answer is
+    the first row in global order with the largest running count, an
+    exact-safe top-1 on (running desc, row).  Output: one row
+    (max_concurrent, at_ts_us).
     """
     import ray.data as rd
+
+    from lexmapr_ray.functions.ranks import prefix_sums
+    from lexmapr_ray.functions.topk import global_topk
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
@@ -479,59 +480,35 @@ def max_concurrent_sessions(sf_dir: str, gap_us: int = SESSION_GAP_US):
             "ts_us": pc.cast(t["ts"], pa.int64()),
         })
 
-    def intervals(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"ts": pd.Series([], dtype="int64"),
-                                 "delta": pd.Series([], dtype="int64")})
-        df = df.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        prev = df.groupby("user_id", sort=False)["ts_us"].shift()
-        new_session = prev.isna() | (df["ts_us"] - prev > gap_us)
-        sid = new_session.astype("int64").groupby(df["user_id"]).cumsum()
-        iv = df.assign(session_id=sid) \
-            .groupby(["user_id", "session_id"], sort=False)["ts_us"] \
-            .agg(["min", "max"]).reset_index()
-        return pd.DataFrame({
-            "ts": np.concatenate([iv["min"].to_numpy(np.int64),
-                                  iv["max"].to_numpy(np.int64) + 1]),
-            "delta": np.concatenate([np.ones(len(iv), dtype=np.int64),
-                                     -np.ones(len(iv), dtype=np.int64)]),
+    def intervals(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("user_id", "ascending"), ("ts_us", "ascending"),
+                       ("event_id", "ascending")])
+        u = t["user_id"].to_numpy()
+        ts = t["ts_us"].to_numpy()
+        new_session = np.ones(len(ts), dtype=bool)
+        new_session[1:] = (u[1:] != u[:-1]) | (ts[1:] - ts[:-1] > gap_us)
+        first = np.flatnonzero(new_session)
+        last = np.append(first[1:], len(ts)) - 1
+        return pa.table({
+            "ts": np.concatenate([ts[first], ts[last] + 1]),
+            "delta": np.repeat(np.array([1, -1], dtype=np.int64), len(first)),
         })
 
-    bounds = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536) \
-        .sort("user_id") \
-        .map_batches(intervals, batch_format="pandas", batch_size=None) \
-        .sort(["ts", "delta"], descending=[False, True])
-
-    def block_stats(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"min_ts": pd.Series([], dtype="int64"),
-                                 "dsum": pd.Series([], dtype="int64"),
-                                 "lmax": pd.Series([], dtype="int64"),
-                                 "lmax_ts": pd.Series([], dtype="int64")})
-        run = df["delta"].cumsum().to_numpy(np.int64)
-        i = int(run.argmax())
-        return pd.DataFrame({"min_ts": [int(df["ts"].iloc[0])],
-                             "dsum": [int(run[-1])],
-                             "lmax": [int(run.max())],
-                             "lmax_ts": [int(df["ts"].iloc[i])]})
-
-    # to_pandas() preserves block order, and `bounds` is globally sorted by
-    # (ts, delta desc) — so the one-row-per-block stats arrive already in
-    # global order.  Do NOT re-sort on min_ts here: min_ts is not a unique
-    # block key (a block boundary can split rows tied on ts), and an
-    # unstable sort on a tied key could reorder blocks and corrupt the
-    # delta prefix-sum offsets below.
-    stats = bounds.map_batches(block_stats, batch_format="pandas",
-                               batch_size=None).to_pandas() \
-        .reset_index(drop=True)
-    if len(stats) == 0:
+    ranked, totals = prefix_sums(
+        ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
+        .sort("user_id")
+        .map_batches(intervals, batch_format="pyarrow", batch_size=None),
+        ["ts", "delta"], descending=[False, True], sums=["delta"])
+    if totals["rows"] == 0:
         return rd.from_items([{"max_concurrent": 0, "at_ts_us": 0}])
-    offsets = stats["dsum"].cumsum().shift(fill_value=0).to_numpy(np.int64)
-    global_max = int((offsets + stats["lmax"].to_numpy(np.int64)).max())
-    for off, lmax, lts in zip(offsets, stats["lmax"], stats["lmax_ts"]):
-        if int(off) + int(lmax) == global_max:
-            return rd.from_items([{"max_concurrent": global_max,
-                                   "at_ts_us": int(lts)}])
+    peak = global_topk(ranked.map_batches(lambda t: pa.table({
+        "running": pc.add(t["delta_before"], t["delta"]),
+        "row": t["row"],
+        "ts": t["ts"],
+    }), batch_format="pyarrow"), ["running", "row"], [True, False], 1) \
+        .take_all()[0]
+    return rd.from_items([{"max_concurrent": int(peak["running"]),
+                           "at_ts_us": int(peak["ts"])}])
 
 
 def event_transitions(sf_dir: str):

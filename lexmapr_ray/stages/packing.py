@@ -6,31 +6,28 @@ variant of the packing used when assembling LM training batches): documents
 are laid end-to-end in ``doc_id`` order and ``seq_id = floor(start_offset /
 budget)`` where ``start_offset`` is the total token count of all preceding
 documents.  Content-independent of engine/partitioning, so DuckDB's window
-``SUM() OVER (ORDER BY doc_id)`` is an exact oracle.
-
-Shape (the distributed prefix-sum pattern):
-
-    narrow map (doc_id, n_tokens)            text dropped before any shuffle
-      -> sort(doc_id)                        range partition, disjoint blocks
-      -> materialize (narrow table)
-      -> pass 1: per-block (min_doc_id, total_tokens)   tiny, one row/block
-      -> driver: order block stats by min_doc_id, exclusive cumsum
-      -> pass 2: per-block local cumsum + the block's broadcast offset
-
-Scale: the only driver-side state is ONE ROW PER BLOCK (a 100 TB corpus at
-128 MiB blocks is ~800k rows of two int64s — megabytes), and the
-materialized intermediate is 16 bytes/doc.  The prefix sum is exact because
-post-sort blocks partition the doc_id range disjointly and sort reduce
-outputs are never re-split (pinned in functions/groupagg.py).
+``SUM() OVER (ORDER BY doc_id)`` is an exact oracle.  The offsets come from
+:func:`lexmapr_ray.functions.ranks.prefix_sums` over the narrow
+(doc_id, n_tokens) table: text is dropped before any shuffle.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from lexmapr_ray.stages.textstats import _read_documents, _token_counts
+from lexmapr_ray.functions.ranks import prefix_sums
+from lexmapr_ray.stages.textstats import (_read_documents, _shuffle_order,
+                                          _token_counts)
+
+
+def _pack(ds, budget: int):
+    """(doc_id, n_tokens, seq_id) over a (doc_id, n_tokens) Dataset."""
+    packed, _ = prefix_sums(ds, "doc_id", sums=["n_tokens"])
+    return packed.map_batches(lambda t: pa.table({
+        "doc_id": t["doc_id"],
+        "n_tokens": t["n_tokens"],
+        "seq_id": pa.array(t["n_tokens_before"].to_numpy() // budget),
+    }), batch_format="pyarrow")
 
 
 def sequence_pack(sf_dir: str, budget: int = 512):
@@ -44,46 +41,8 @@ def sequence_pack(sf_dir: str, budget: int = 512):
             "n_tokens": pa.array(_token_counts(t["text"]), pa.int64()),
         })
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"]) \
-        .map_batches(narrow, batch_format="pyarrow") \
-        .sort("doc_id").materialize()
-
-    def block_stats(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"min_doc": pd.Series([], dtype="int64"),
-                                 "total": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"min_doc": [int(df["doc_id"].min())],
-                             "total": [int(df["n_tokens"].sum())]})
-
-    import ray
-
-    stats = ds.map_batches(block_stats, batch_format="pandas",
-                           batch_size=None).to_pandas()
-    stats = stats.sort_values("min_doc").reset_index(drop=True)
-    # broadcast the offset table as two aligned arrays (ray.put once, one
-    # copy per node) — a closure-captured dict would re-ship with every
-    # task spec, ~MBs x num_blocks of control traffic at 100 TB block counts
-    offsets_ref = ray.put((
-        stats["min_doc"].to_numpy(dtype=np.int64),
-        stats["total"].cumsum().shift(fill_value=0).to_numpy(dtype=np.int64),
-    ))
-
-    def pack(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "n_tokens": pd.Series([], dtype="int64"),
-                                 "seq_id": pd.Series([], dtype="int64")})
-        min_docs, offs = ray.get(offsets_ref)
-        df = df.sort_values("doc_id", kind="mergesort")
-        i = int(np.searchsorted(min_docs, int(df["doc_id"].iloc[0])))
-        start = int(offs[i]) + df["n_tokens"].cumsum().shift(fill_value=0)
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64").to_numpy(),
-            "n_tokens": df["n_tokens"].astype("int64").to_numpy(),
-            "seq_id": (start.to_numpy() // budget).astype("int64"),
-        })
-
-    return ds.map_batches(pack, batch_format="pandas", batch_size=None)
+    return _pack(_read_documents(sf_dir, ["doc_id", "text"])
+                 .map_batches(narrow, batch_format="pyarrow"), budget)
 
 
 def curate_pack_shuffle(sf_dir: str, budget: int = 512):
@@ -97,17 +56,15 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
     and token count come out of ONE corpus pass (``_doc_token_profile`` —
     thresholds literally ``gopher_quality_filter``'s defaults); the dedup
     election is the standard combine -> digest sort -> reduce
-    (``dedup_exact`` semantics); packing and the shuffle rank are the two
-    block-offset prefix-sum passes over the tiny surviving narrow table
-    (``sequence_pack`` / ``corpus_shuffle_order`` semantics — driver holds
-    one row per block, never per doc).  Because every sub-op's semantics
+    (``dedup_exact`` semantics); packing and the shuffle rank are
+    ``sequence_pack``'s and ``corpus_shuffle_order``'s own passes over the
+    tiny surviving narrow table.  Because every sub-op's semantics
     are published, the SQL oracle is their CTE composition and the gate is
     value-exact end-to-end — the composability guarantee a pipeline user
     cares about (filters change survivor sets change seq boundaries).
     """
     import hashlib
 
-    import ray
     import pyarrow.compute as pc
 
     from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
@@ -140,65 +97,7 @@ def curate_pack_shuffle(sf_dir: str, budget: int = 512):
         "digest", elect, elect,
     ).map_batches(lambda t: t.select(["doc_id", "n_tokens"]),
                   batch_format="pyarrow")
-    win = win.sort("doc_id").materialize()
-
-    def tok_stats(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"min_doc": [int(df["doc_id"].min())],
-                             "total": [int(df["n_tokens"].sum())]})
-
-    st = win.map_batches(tok_stats, batch_format="pandas",
-                         batch_size=None).to_pandas()
-    st = st.sort_values("min_doc").reset_index(drop=True)
-    tok_ref = ray.put((
-        st["min_doc"].to_numpy(dtype=np.int64),
-        st["total"].cumsum().shift(fill_value=0).to_numpy(dtype=np.int64),
-    ))
-
-    def add_seq(df: pd.DataFrame) -> pd.DataFrame:
-        mins, offs = ray.get(tok_ref)
-        df = df.sort_values("doc_id", kind="mergesort")
-        i = int(np.searchsorted(mins, int(df["doc_id"].iloc[0])))
-        start = int(offs[i]) + df["n_tokens"].cumsum().shift(fill_value=0)
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64").to_numpy(),
-            "n_tokens": df["n_tokens"].astype("int64").to_numpy(),
-            "seq_id": (start.to_numpy() // budget).astype("int64"),
-        })
-
-    packed = win.map_batches(add_seq, batch_format="pandas", batch_size=None)
-
-    def with_key(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        return t.append_column("k", pa.array(
-            [f"{hashlib.md5(str(d).encode()).hexdigest()}{d:020d}"
-             for d in ids], pa.string()))
-
-    keyed = packed.map_batches(with_key, batch_format="pyarrow") \
-        .sort("k").materialize()
-
-    def k_stats(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"min_k": [df["k"].min()], "n": [len(df)]})
-
-    ks = keyed.map_batches(k_stats, batch_format="pandas",
-                           batch_size=None).to_pandas()
-    ks = ks.sort_values("min_k").reset_index(drop=True)
-    rank_ref = ray.put((
-        np.array(ks["min_k"].tolist(), dtype=object),
-        ks["n"].cumsum().shift(fill_value=0).to_numpy(dtype=np.int64),
-    ))
-
-    def rank(df: pd.DataFrame) -> pd.DataFrame:
-        min_ks, offs = ray.get(rank_ref)
-        df = df.sort_values("k", kind="mergesort")
-        i = int(np.searchsorted(min_ks, df["k"].iloc[0]))
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64").to_numpy(),
-            "n_tokens": df["n_tokens"].astype("int64").to_numpy(),
-            "seq_id": df["seq_id"].astype("int64").to_numpy(),
-            "shuffle_rank": int(offs[i]) + np.arange(len(df), dtype=np.int64),
-        })
-
-    return keyed.map_batches(rank, batch_format="pandas", batch_size=None)
+    return _shuffle_order(_pack(win, budget))
 
 
 def chunk_documents(sf_dir: str, window: int = 64, overlap: int = 16):

@@ -1145,23 +1145,22 @@ def rrf_search(sf_dir: str, keyword: str = "spark", query_vec_id: int = 0,
     broadcast query embedding over ALL vectors (desc, vec_id asc).
 
     Scale shape: both global ranks come from
-    :func:`~lexmapr_ray.functions.ranks.global_dense_rank` (sort + one
-    stats row per block + broadcast offsets — never a per-row driver
-    pass); the keyword ranking is computed on matching KEYS only; the
-    fused score is one bucketed left join (sparse sliver onto the dense
-    ranking) and the final top-k is the exact-safe per-block prune.
+    :func:`~lexmapr_ray.functions.ranks.prefix_sums`; the keyword ranking
+    is computed on matching KEYS only; the fused score is one bucketed
+    left join (sparse sliver onto the dense ranking) and the final top-k
+    is the exact-safe per-block prune.
     """
     import ray
     import pyarrow.compute as pc
 
     from lexmapr_ray.functions.joins import bucketed_hash_join
-    from lexmapr_ray.functions.ranks import global_dense_rank
+    from lexmapr_ray.functions.ranks import prefix_sums
     from lexmapr_ray.functions.topk import global_topk
     from lexmapr_ray.stages.textstats import _read_documents, _token_lists
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
 
-    def kw_key(t: pa.Table) -> pa.Table:
+    def kw_count(t: pa.Table) -> pa.Table:
         _, splits = _token_lists(t["text"])
         flat = pc.list_flatten(splits)
         if isinstance(flat, pa.ChunkedArray):
@@ -1172,52 +1171,35 @@ def rrf_search(sf_dir: str, keyword: str = "spark", query_vec_id: int = 0,
         np.add.at(cnt, parent[hit], 1)
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = cnt > 0
-        return pa.table({
-            "doc_id": pa.array(ids[keep]),
-            "k": pa.array([f"{10**13 - c:014d}{d:020d}"
-                           for c, d in zip(cnt[keep], ids[keep])],
-                          pa.string()),
-        })
-
-    rank_a = global_dense_rank(
-        docs.map_batches(kw_key, batch_format="pyarrow"), rank_col="ra")
+        return pa.table({"doc_id": pa.array(ids[keep]),
+                         "n_kw": pa.array(cnt[keep])})
 
     q = _get_query_vector(sf_dir, query_vec_id)
     qn = q / np.linalg.norm(q)
     q_ref = ray.put(qn)
 
-    def sim_key(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "k": pa.array([], pa.string())})
+    def sim(t: pa.Table) -> pa.Table:
         qv = ray.get(q_ref)
         m = _batch_matrix(t)
         norms = np.linalg.norm(m, axis=1)
         norms[norms == 0] = 1.0
-        sim_bp = np.round((m @ qv) / norms * 10_000).astype(np.int64)
-        ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "doc_id": pa.array(ids),
-            "k": pa.array([f"{20_000 - s:06d}{d:020d}"
-                           for s, d in zip(sim_bp, ids)], pa.string()),
+            "doc_id": pc.cast(t["vec_id"], pa.int64()),
+            "sim_bp": pa.array(
+                np.round((m @ qv) / norms * 10_000).astype(np.int64)),
         })
 
-    rank_b = global_dense_rank(
-        _read_embeddings(sf_dir, ["vec_id", "embedding"])
-        .map_batches(sim_key, batch_format="pyarrow"), rank_col="rb")
+    def contrib(ds, by, out):
+        ranked, _ = prefix_sums(ds, [by, "doc_id"], descending=[True, False])
+        return ranked.map_batches(lambda t: pa.table({
+            "doc_id": t["doc_id"],
+            out: pa.array(10**9 // (rrf_k + t["row"].to_numpy() + 1)),
+        }), batch_format="pyarrow")
 
-    def contrib(col, out):
-        def fn(df):
-            import pandas as pd
-            return pd.DataFrame({
-                "doc_id": df["doc_id"].astype("int64"),
-                out: (10**9 // (rrf_k + df[col].astype("int64") + 1))
-                    .astype("int64"),
-            })
-        return fn
-
-    ca = rank_a.map_batches(contrib("ra", "ca"), batch_format="pandas")
-    cb = rank_b.map_batches(contrib("rb", "cb"), batch_format="pandas")
+    ca = contrib(docs.map_batches(kw_count, batch_format="pyarrow"),
+                 "n_kw", "ca")
+    cb = contrib(_read_embeddings(sf_dir, ["vec_id", "embedding"])
+                 .map_batches(sim, batch_format="pyarrow"), "sim_bp", "cb")
 
     def total(df):
         import pandas as pd

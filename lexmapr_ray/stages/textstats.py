@@ -618,49 +618,21 @@ def score_percentile(sf_dir: str):
     n = scored (non-empty) docs, degenerate n <= 1 maps to 0.
 
     Scale shape: one scoring pass (broadcast weight table), one global
-    dense rank via the shared block-offset prefix-sum helper
-    (:func:`~lexmapr_ray.functions.ranks.global_dense_rank`), a broadcast
-    scalar n, and the presentation sort.  Output: (doc_id, logit_milli,
+    rank (:func:`~lexmapr_ray.functions.ranks.prefix_sums`, which also
+    counts n), and the presentation sort.  Output: (doc_id, logit_milli,
     pct_permille), doc-sorted.
     """
-    from lexmapr_ray.functions.ranks import global_dense_rank
+    from lexmapr_ray.functions.ranks import prefix_sums
 
-    scored = _classifier_scores(sf_dir).map_batches(
+    ranked, totals = prefix_sums(_classifier_scores(sf_dir).map_batches(
         lambda t: t.select(["doc_id", "logit_milli"]),
-        batch_format="pyarrow").materialize()   # count + rank both consume
-    n = scored.count()
-    den = max(n - 1, 1)
-
-    def key(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lg = t["logit_milli"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # Integer-exact bound (documented like the collocations /
-        # split_drift int64 notes): the lexicographic key biases by 10**15,
-        # so |logit_milli| must stay below 10**15 — i.e. ~1e12 tokens per
-        # doc at the +-1000-milli-per-token weight extremes — far beyond
-        # any real document. Assert rather than silently mis-sort.
-        if len(lg) and (int(lg.min()) <= -10**15 or int(lg.max()) >= 10**15):
-            raise ValueError("score_percentile: |logit_milli| >= 1e15 "
-                             "breaks the lexicographic rank key")
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "logit_milli": pa.array(lg),
-            "k": pa.array([f"{10**15 + v:016d}{d:020d}"
-                           for v, d in zip(lg, ids)], pa.string()),
-        })
-
-    ranked = global_dense_rank(scored.map_batches(key, batch_format="pyarrow"),
-                               rank_col="rk")
-
-    def finish(df):
-        import pandas as pd
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "logit_milli": df["logit_milli"].astype("int64"),
-            "pct_permille": (1000 * df["rk"].astype("int64")) // den,
-        })
-
-    return ranked.map_batches(finish, batch_format="pandas").sort("doc_id")
+        batch_format="pyarrow"), ["logit_milli", "doc_id"])
+    den = max(totals["rows"] - 1, 1)
+    return ranked.map_batches(lambda t: pa.table({
+        "doc_id": t["doc_id"],
+        "logit_milli": t["logit_milli"],
+        "pct_permille": pa.array(1000 * t["row"].to_numpy() // den),
+    }), batch_format="pyarrow").sort("doc_id")
 
 
 def lang_token_stats(sf_dir: str):
@@ -1056,32 +1028,30 @@ def length_trim(sf_dir: str):
     return ds.map_batches(keep, batch_format="pyarrow")
 
 
+def _shuffle_order(ds):
+    """``ds`` (with an int64 ``doc_id``) plus ``shuffle_rank``, the dense
+    0-based rank in (md5(str(doc_id)), doc_id) order."""
+    from lexmapr_ray.functions.ranks import prefix_sums
+
+    def key(t: pa.Table) -> pa.Table:
+        return t.append_column("md5", pa.array(
+            [hashlib.md5(str(d).encode()).hexdigest()
+             for d in t["doc_id"].to_pylist()], pa.string()))
+
+    ranked, _ = prefix_sums(ds.map_batches(key, batch_format="pyarrow"),
+                            ["md5", "doc_id"])
+    return ranked.map_batches(
+        lambda t: t.drop_columns(["md5", "row"])
+        .append_column("shuffle_rank", t["row"]),
+        batch_format="pyarrow")
+
+
 def corpus_shuffle_order(sf_dir: str):
     """Deterministic global training-order shuffle: every document gets a
     dense rank 0..N-1 in md5(doc_id) order — the order an LM training run
     would stream the corpus in, reproducible by any engine from doc_id
-    alone (no RNG state to ship).
-
-    The distributed prefix-sum shape lives in
-    :func:`lexmapr_ray.functions.ranks.global_dense_rank` (factored from
-    this op; same shape as ``packing.sequence_pack``).  The sort key
-    embeds the zero-padded doc_id so it is unique even under an md5
-    collision."""
-    from lexmapr_ray.functions.ranks import global_dense_rank
-
-    ds = _read_documents(sf_dir, ["doc_id"])
-
-    def key(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "k": pa.array(
-                [f"{hashlib.md5(str(d).encode()).hexdigest()}{d:020d}"
-                 for d in ids], pa.string()),
-        })
-
-    return global_dense_rank(ds.map_batches(key, batch_format="pyarrow"),
-                             rank_col="shuffle_rank")
+    alone (no RNG state to ship).  doc_id breaks md5 collisions."""
+    return _shuffle_order(_read_documents(sf_dir, ["doc_id"]))
 
 
 def token_rarity(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
@@ -1462,18 +1432,16 @@ def vocab_coverage(sf_dir: str, permilles: tuple = (500, 900, 950, 990)):
     the corpus").  Output: (permille, n_types, tokens_covered),
     permille-sorted; n_types is the 1-based rank of the crossing type.
 
-    Scale shape: one combiner-first unigram reduce, then the block-offset
-    prefix-sum pattern (``functions/ranks.py`` / ``packing.sequence_pack``)
-    extended to carry BOTH a row-count and a token-sum offset per block —
-    rank and cumulative coverage in one pass, one stats row per block to
-    the driver.  Each threshold then resolves with an exact-safe top-1
-    prune over the materialized ranked vocabulary.
+    Scale shape: one combiner-first unigram reduce, then one
+    :func:`~lexmapr_ray.functions.ranks.prefix_sums` pass over the
+    vocabulary in (count desc, type) order carrying both the rank and the
+    cumulative token count.  Each threshold then resolves with an
+    exact-safe top-1 prune over the materialized ranked vocabulary.
     """
     import pandas as pd
 
-    import ray
-
     from lexmapr_ray.functions.groupagg import grouped_sum_count
+    from lexmapr_ray.functions.ranks import prefix_sums
     from lexmapr_ray.functions.topk import global_topk
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
@@ -1489,50 +1457,14 @@ def vocab_coverage(sf_dir: str, permilles: tuple = (500, 900, 950, 990)):
         return pa.table({"w": vc.field("values"),
                          "n": pc.cast(vc.field("counts"), pa.int64())})
 
-    uni = grouped_sum_count(
+    ranked, totals = prefix_sums(grouped_sum_count(
         docs.map_batches(uni_partial, batch_format="pyarrow"),
-        "w", {"n": "n"}).materialize()
-    n_total = int(uni.sum("n"))
-
-    def key(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "k": [f"{10**13 - n:014d}{w}" for w, n in zip(df["w"], df["n"])],
-            "n": df["n"].astype("int64"),
-        })
-
-    keyed = uni.map_batches(key, batch_format="pandas").sort("k").materialize()
-
-    def block_stats(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"min_k": pd.Series([], dtype="object"),
-                                 "rows": pd.Series([], dtype="int64"),
-                                 "toks": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"min_k": [df["k"].min()], "rows": [len(df)],
-                             "toks": [int(df["n"].sum())]})
-
-    stats = keyed.map_batches(block_stats, batch_format="pandas",
-                              batch_size=None).to_pandas() \
-        .sort_values("min_k").reset_index(drop=True)
-    offsets_ref = ray.put((
-        np.array(stats["min_k"].tolist(), dtype=object),
-        stats["rows"].cumsum().shift(fill_value=0).to_numpy(dtype=np.int64),
-        stats["toks"].cumsum().shift(fill_value=0).to_numpy(dtype=np.int64),
-    ))
-
-    def cumulate(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"rk": pd.Series([], dtype="int64"),
-                                 "cum": pd.Series([], dtype="int64")})
-        min_ks, row_offs, tok_offs = ray.get(offsets_ref)
-        df = df.sort_values("k", kind="mergesort")
-        i = int(np.searchsorted(min_ks, df["k"].iloc[0]))
-        return pd.DataFrame({
-            "rk": int(row_offs[i]) + 1 + np.arange(len(df), dtype=np.int64),
-            "cum": int(tok_offs[i]) + df["n"].cumsum().to_numpy(np.int64),
-        })
-
-    ranked = keyed.map_batches(cumulate, batch_format="pandas",
-                               batch_size=None).materialize()
+        "w", {"n": "n"}), ["n", "w"], descending=[True, False], sums=["n"])
+    n_total = totals["n"]
+    ranked = ranked.map_batches(lambda t: pa.table({
+        "rk": pc.add(t["row"], 1),
+        "cum": pc.add(t["n_before"], t["n"]),
+    }), batch_format="pyarrow").materialize()
 
     rows = []
     for p in permilles:
@@ -1744,67 +1676,41 @@ def weighted_sample(sf_dir: str, n: int = 100):
     oversize units).  Zero-weight docs are never selected (empty
     interval).
 
-    Scale shape: the block-offset prefix-sum pattern
-    (``functions/ranks.py`` module docstring): one doc_id sort of the
-    narrow (doc_id, weight) table, one stats row per block to the driver
-    (never per row), exclusive cumsum broadcast back, then each block
-    resolves the sample points landing in its own weight range with a
-    local cumsum + searchsorted — points are resolved fully in parallel
-    and no corpus-scale data moves after the sort.  Output:
-    (sample_idx, doc_id), sample_idx-sorted.
+    Scale shape: one :func:`~lexmapr_ray.functions.ranks.prefix_sums`
+    pass over the narrow (doc_id, weight) table gives each doc its
+    interval start and W; each batch then resolves the sample points
+    landing in its own docs' intervals with one searchsorted — points are
+    resolved fully in parallel and no corpus-scale data moves after the
+    sort.  Output: (sample_idx, doc_id), sample_idx-sorted.
     """
-    import pandas as pd
     import ray
 
-    ds = _read_documents(sf_dir, ["doc_id", "n_chars"]).map_batches(
-        lambda t: pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "w": pc.cast(t["n_chars"], pa.int64()),
-        }),
-        batch_format="pyarrow",
-    ).sort("doc_id").materialize()
+    from lexmapr_ray.functions.ranks import prefix_sums
 
-    def block_stats(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"min_id": pd.Series([], dtype="int64"),
-                                 "wsum": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"min_id": [int(df["doc_id"].iloc[0])],
-                             "wsum": [int(df["w"].sum())]})
+    ranked, totals = prefix_sums(
+        _read_documents(sf_dir, ["doc_id", "n_chars"]).map_batches(
+            lambda t: pa.table({
+                "doc_id": pc.cast(t["doc_id"], pa.int64()),
+                "w": pc.cast(t["n_chars"], pa.int64()),
+            }),
+            batch_format="pyarrow",
+        ), "doc_id", sums=["w"])
+    total_w = totals["w"]
+    # the n sample points, ascending by construction
+    points_ref = ray.put(np.array(
+        [((2 * j + 1) * total_w) // (2 * n) for j in range(n)], dtype=np.int64))
 
-    stats = ds.map_batches(block_stats, batch_format="pandas",
-                           batch_size=None).to_pandas()
-    stats = stats.sort_values("min_id").reset_index(drop=True)
-    total_w = int(stats["wsum"].sum())
-    offsets = stats["wsum"].cumsum().shift(fill_value=0).to_numpy(np.int64)
-    # the n sample points, ascending by construction; W and the per-block
-    # weight offsets are the only driver-visible state (one row per BLOCK)
-    points = np.array([((2 * j + 1) * total_w) // (2 * n) for j in range(n)],
-                      dtype=np.int64)
-    shared = ray.put((stats["min_id"].to_numpy(np.int64), offsets, points))
+    def resolve(t: pa.Table) -> pa.Table:
+        pts = ray.get(points_ref)
+        lo = t["w_before"].to_numpy()
+        # doc i wins point s iff lo[i] <= s < lo[i] + w[i]: a zero-weight
+        # doc has an empty interval.  Duplicate point VALUES (W < n
+        # corpora) are distinct sample_idx rows.
+        first = np.searchsorted(pts, lo)
+        wins = np.searchsorted(pts, lo + t["w"].to_numpy()) - first
+        doc = np.repeat(t["doc_id"].to_numpy(), wins)
+        idx = np.repeat(first - np.cumsum(wins) + wins, wins) + np.arange(len(doc))
+        return pa.table({"sample_idx": pa.array(idx, pa.int64()),
+                         "doc_id": pa.array(doc, pa.int64())})
 
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"sample_idx": pd.Series([], dtype="int64"),
-                              "doc_id": pd.Series([], dtype="int64")})
-        if len(df) == 0:
-            return empty
-        min_ids, offs, pts = ray.get(shared)
-        df = df.sort_values("doc_id", kind="mergesort")
-        b = int(np.searchsorted(min_ids, int(df["doc_id"].iloc[0])))
-        cum = int(offs[b]) + df["w"].to_numpy(np.int64).cumsum()
-        lo, hi = int(offs[b]), int(cum[-1])
-        j_sel = np.flatnonzero((pts >= lo) & (pts < hi))
-        if len(j_sel) == 0:
-            return empty
-        # doc i wins point s iff cum[i-1] <= s < cum[i]; rows with w == 0
-        # have zero-length intervals and can never be returned by the
-        # right-bisect (cum[i-1] == cum[i] excludes them).  j_sel indexes
-        # pts directly so duplicate point VALUES (W < n corpora) still get
-        # distinct sample_idx rows.
-        idx = np.searchsorted(cum, pts[j_sel], side="right")
-        return pd.DataFrame({
-            "sample_idx": j_sel.astype(np.int64),
-            "doc_id": df["doc_id"].to_numpy(np.int64)[idx],
-        })
-
-    return ds.map_batches(resolve, batch_format="pandas",
-                          batch_size=None).sort("sample_idx")
+    return ranked.map_batches(resolve, batch_format="pyarrow").sort("sample_idx")

@@ -3257,6 +3257,112 @@ def test_weighted_sample_systematic_pps(ray_session, tmp_path):
     assert (got["doc_id"] == 25).sum() >= 2  # oversize doc wins repeatedly
 
 
+@pytest.mark.parametrize("case", ["many_blocks", "sparse_partitions", "empty"])
+def test_prefix_sums_matches_serial_lexsort(ray_session, case):
+    """prefix_sums vs a serial numpy lexsort + cumsum under a 16 KiB block
+    target: ``row`` is each row's position in (a asc, b desc) order and
+    ``w_before`` the running sum of ``w`` over earlier rows.  The leading
+    key column is heavily tied, ``w`` holds zeros, and the inputs are
+    many blocks, 3 rows over 8 sort partitions, and no rows at all."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from lexmapr_ray.functions.ranks import prefix_sums
+
+    n = {"many_blocks": 20_000, "sparse_partitions": 3, "empty": 0}[case]
+    rng = np.random.RandomState(5)
+    a = rng.randint(0, 3, n).astype(np.int64)
+    b = rng.permutation(n).astype(np.int64)
+    w = rng.randint(0, 4, n).astype(np.int64)
+    ds = rd.from_arrow(pa.table({"a": a, "b": b, "w": w}))
+    ds = ds.repartition(20 if case == "many_blocks" else 8)
+
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 16 * 1024
+    try:
+        out, totals = prefix_sums(ds, ["a", "b"], descending=[False, True],
+                                  sums=["w"])
+        blocks = [t for t in ray.get(out.materialize().to_arrow_refs())
+                  if t.num_rows]
+    finally:
+        ctx.target_max_block_size = old
+
+    order = np.lexsort((-b, a))
+    assert totals == {"rows": n, "w": int(w.sum())}
+    got = {c: np.concatenate([t[c].to_numpy() for t in blocks]
+                             or [np.zeros(0, np.int64)])
+           for c in ("a", "b", "w", "row", "w_before")}
+    # blocks may arrive in any order; ``row`` places every row
+    by_row = np.argsort(got["row"])
+    got = {c: v[by_row] for c, v in got.items()}
+    assert np.array_equal(got["row"], np.arange(n))
+    assert np.array_equal(got["a"], a[order])
+    assert np.array_equal(got["b"], b[order])
+    assert np.array_equal(got["w_before"], np.cumsum(w[order]) - w[order])
+    if case == "many_blocks":
+        assert len(blocks) > 1
+
+
+def test_prefix_sums_raises_on_duplicate_block_keys(ray_session, monkeypatch):
+    """Equal keys are co-partitioned, so no two sorted blocks start with
+    the same key.  When the stats rows say otherwise, prefix_sums raises
+    instead of applying a wrong block offset."""
+    import ray.data as rd
+
+    from lexmapr_ray.functions.ranks import prefix_sums
+
+    seen = []
+    take_all = rd.Dataset.take_all
+
+    def same_first_key(self, *args, **kwargs):
+        rows = take_all(self, *args, **kwargs)
+        seen.append(len(rows))
+        return [{**r, "k0": rows[0]["k0"]} for r in rows]
+
+    monkeypatch.setattr(rd.Dataset, "take_all", same_first_key)
+    with pytest.raises(RuntimeError, match="same key"):
+        prefix_sums(rd.range(1000).repartition(8), "id")
+    assert seen[0] > 1
+
+
+PREFIX_SUM_OPS = (
+    ("lexmapr_ray.stages.packing", "sequence_pack"),
+    ("lexmapr_ray.stages.packing", "curate_pack_shuffle"),
+    ("lexmapr_ray.stages.textstats", "vocab_coverage"),
+    ("lexmapr_ray.stages.textstats", "weighted_sample"),
+    ("lexmapr_ray.stages.textstats", "score_percentile"),
+    ("lexmapr_ray.stages.textstats", "corpus_shuffle_order"),
+    ("lexmapr_ray.stages.similarity", "rrf_search"),
+    ("lexmapr_ray.pipelines.windows", "max_concurrent_sessions"),
+    ("lexmapr_ray.pipelines.relational", "fuzzy_name_pairs"),
+)
+
+
+def test_prefix_sum_plans_are_arrow_only(ray_session, sf_dir, monkeypatch):
+    """No ``map_batches`` of the prefix-sum operators or of
+    fuzzy_name_pairs asks for pandas batches."""
+    import importlib
+
+    import ray.data as rd
+
+    formats = []
+    map_batches = rd.Dataset.map_batches
+
+    def recording(self, fn, *args, batch_format="default", **kwargs):
+        formats.append(batch_format)
+        return map_batches(self, fn, *args, batch_format=batch_format, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", recording)
+    for module, name in PREFIX_SUM_OPS:
+        formats.clear()
+        op = getattr(importlib.import_module(module), name)
+        assert op(sf_dir).materialize().count() > 0, name
+        assert formats and "pandas" not in formats, (name, formats)
+
+
 def test_paragraph_dedup_adversarial_exact(ray_session, tmp_path):
     """Paragraph-dedup winner semantics on a corpus the testdata can't
     produce (its docs are single-paragraph): within-doc duplicate
