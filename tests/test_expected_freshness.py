@@ -16,11 +16,15 @@ import sys
 import pyarrow.parquet as pq
 import pytest
 
+from tests.conftest import REFERENCE_RESOURCES, requires_path
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED = os.path.join(REPO, "expected")
 SF = "/root/testdata/sf0.001"
 sys.path.insert(0, os.path.join(REPO, "tools"))
 
+# the kg expected files were computed from the reference lexicon
+needs_reference_lexicon = requires_path(REFERENCE_RESOURCES)
 MSG = "committed expected parquet is stale — rerun tools/make_kg_expected.py and tools/make_op_expected.py"
 
 
@@ -78,6 +82,7 @@ def test_op_expected_fresh(corpus):
         assert sorted(committed) == sorted(tuple(r) for r in rows), f"{name}: {MSG}"
 
 
+@needs_reference_lexicon
 def test_kg_expected_fresh(corpus):
     import make_kg_expected as kg
 
@@ -95,6 +100,7 @@ def test_kg_expected_fresh(corpus):
         sorted(kg.serial_snapshot_diff(SF)), f"kg_snapshot_diff: {MSG}"
 
 
+@needs_reference_lexicon
 def test_anchor_expected_fresh():
     import make_kg_expected as kg
 

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from lexmapr_ray.pipelines.legacy import run_samples
-from tests.conftest import REFERENCE_TESTS
+from tests.conftest import REFERENCE_TESTS, requires_path
 
 # (golden_name, input_name, full, bucket) — mirrors the reference test table.
 GOLDEN_CASES = [
@@ -47,6 +47,8 @@ GOLDEN_CASES = [
 ]
 
 
+@requires_path(os.path.join(REFERENCE_TESTS, "test_output"),
+               os.path.join(REFERENCE_TESTS, "test_input"))
 @pytest.mark.parametrize("golden,inp,full,bucket", GOLDEN_CASES,
                          ids=[c[0] for c in GOLDEN_CASES])
 def test_golden(golden, inp, full, bucket, lexicon):
@@ -59,6 +61,7 @@ def test_golden(golden, inp, full, bucket, lexicon):
     assert got == expected
 
 
+@requires_path(os.path.join(REFERENCE_TESTS, "test_ontologies", "pizza.owl"))
 def test_legacy_cli_flag_parity(tmp_path, capsys, monkeypatch):
     """Reference bin/lexmapr:36-54 flag surface on legacy-run: -v prints
     the version, -c merges an ontology config into the lexicon end-to-end

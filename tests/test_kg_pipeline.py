@@ -12,6 +12,7 @@ import pyarrow as pa
 import pytest
 
 from lexmapr_ray.stages.match import TRIPLES_SCHEMA
+from tests.conftest import REFERENCE_RESOURCES, REFERENCE_TESTS, requires_path
 
 
 def _triples_table(rows):
@@ -628,7 +629,7 @@ def test_matcher_tasks_equal_direct_calls(ray_session, tmp_path):
     ref = ray.put(lex)
 
     def table(ds):
-        return _sorted(pa.concat_tables(ray.get(ds.to_arrow_refs())))
+        return _sorted(pa.concat_tables(ray.get(ds.materialize().to_arrow_refs())))
 
     def ds():
         return rd.from_arrow(pages).repartition(3)
@@ -764,6 +765,8 @@ def test_empty_pages_input(ray_session, lexicon):
     assert out.count() == 0
 
 
+@requires_path(f"{REFERENCE_TESTS}/test_input/test_pluralization.csv",
+               f"{REFERENCE_TESTS}/test_input/zheminSamples.csv")
 def test_distributed_legacy_run_matches_serial(ray_session, lexicon):
     """Byte-identical report from the actor-pool path vs the serial path,
     on a reference corpus large enough to span multiple batches."""
@@ -873,6 +876,8 @@ def test_ancestor_rollup_diamond_dag(ray_session):
         "CHEBI_24433", "ns_chebi", "owl_thing"}
 
 
+# expected/op_anchor_phrase_terms.parquet was computed from the reference lexicon
+@requires_path(REFERENCE_RESOURCES)
 def test_anchor_entity_links_parses_html_exact(ray_session, lexicon, tmp_path):
     """Anchor-text entity linking must recover its mentions from the html
     BYTES: a tmp documents table covering every out-degree residue and a

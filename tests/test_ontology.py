@@ -18,9 +18,12 @@ from lexmapr_ray.lexkit.ontology import (
     get_config_resources,
     get_entity_id,
 )
+from tests.conftest import requires_path
 
 ONT_DIR = "/root/reference/lexmapr/tests/test_ontologies"
 CFG_DIR = "/root/reference/lexmapr/tests/test_config"
+needs_owl = requires_path(ONT_DIR)
+needs_configs = requires_path(CFG_DIR, ONT_DIR)
 
 
 def _resolve(iri: str) -> str:
@@ -42,12 +45,14 @@ def test_get_entity_id():
     assert get_entity_id("already:short") == "already:short"
 
 
+@needs_owl
 def test_fetch_ontology_no_root_spec_count():
     # test_fetch_ontology_specify_no_root: 36 specifications
     fetched = fetch_ontology(os.path.join(ONT_DIR, "bfo.owl"), OWL_THING)
     assert len(fetched["specifications"]) == 36
 
 
+@needs_owl
 def test_fetch_ontology_with_root_spec_count():
     # test_fetch_ontology_specify_with_root: 3 specifications
     fetched = fetch_ontology(
@@ -56,6 +61,7 @@ def test_fetch_ontology_with_root_spec_count():
     assert len(fetched["specifications"]) == 3
 
 
+@needs_configs
 def test_ontology_table_keys():
     table = table_for("bfo.json")
     expected_keys = ["non_standard_resource_ids", "standard_resource_labels",
@@ -66,6 +72,7 @@ def test_ontology_table_keys():
     assert sorted(expected_keys) == sorted(table.keys())
 
 
+@needs_configs
 def test_ontology_table_resource_ids():
     table = table_for("bfo_material_entity.json")
     assert table["non_standard_resource_ids"] == {
@@ -75,6 +82,7 @@ def test_ontology_table_resource_ids():
     }
 
 
+@needs_configs
 def test_ontology_table_resource_ids_with_multiple_ontologies():
     table = table_for("bfo_material_entity_and_pizza_spiciness.json")
     assert table["non_standard_resource_ids"] == {
@@ -87,6 +95,7 @@ def test_ontology_table_resource_ids_with_multiple_ontologies():
     }
 
 
+@needs_configs
 def test_ontology_table_resource_ids_with_multiple_root_entities():
     table = table_for("bfo_process_and_material_entity.json")
     assert table["non_standard_resource_ids"] == {
@@ -98,6 +107,7 @@ def test_ontology_table_resource_ids_with_multiple_root_entities():
     }
 
 
+@needs_configs
 def test_ontology_table_resource_labels():
     table = table_for("bfo_material_entity.json")
     assert table["standard_resource_labels"] == {
@@ -107,6 +117,7 @@ def test_ontology_table_resource_labels():
     }
 
 
+@needs_configs
 def test_ontology_table_resource_labels_with_multiple_ontologies():
     table = table_for("bfo_material_entity_and_pizza_spiciness.json")
     assert table["standard_resource_labels"] == {
@@ -119,6 +130,7 @@ def test_ontology_table_resource_labels_with_multiple_ontologies():
     }
 
 
+@needs_configs
 def test_ontology_table_synonyms():
     table = table_for("bfo.json")
     assert table["synonyms"] == {
@@ -134,6 +146,7 @@ def test_ontology_table_synonyms():
     }
 
 
+@needs_configs
 def test_ontology_table_varying_synonyms():
     table = table_for("bfo_varying_synonyms.json")
     assert table["synonyms"] == {
@@ -150,6 +163,7 @@ def test_ontology_table_varying_synonyms():
     }
 
 
+@needs_configs
 def test_parents_one_level_one_parent():
     table = table_for("bfo_process.json")
     assert table["parents"] == {
@@ -158,6 +172,7 @@ def test_parents_one_level_one_parent():
     }
 
 
+@needs_configs
 def test_parents_one_level_two_parents():
     table = table_for("bfo_process_and_material_entity.json")
     assert table["parents"] == {
@@ -169,6 +184,7 @@ def test_parents_one_level_two_parents():
     }
 
 
+@needs_configs
 def test_parents_multiple_levels_one_branch():
     table = table_for("bfo_realizable_entity.json")
     assert table["parents"] == {
@@ -178,6 +194,7 @@ def test_parents_multiple_levels_one_branch():
     }
 
 
+@needs_configs
 def test_parents_multiple_levels_multiple_branches():
     table = table_for("bfo_specifically_dependent_continuant.json")
     assert table["parents"] == {
@@ -190,6 +207,7 @@ def test_parents_multiple_levels_multiple_branches():
     }
 
 
+@needs_configs
 def test_multiple_parents_per_resource():
     table = table_for("bfo_duplicate_entities_specifically_dependent_continuant.json")
     expected = {
@@ -205,6 +223,7 @@ def test_multiple_parents_per_resource():
         {k: sorted(v) for k, v in actual.items()}
 
 
+@needs_configs
 def test_overlapping_parents_from_different_fetches():
     table = table_for("bfo_duplicate_entities_process_and_material_entity.json")
     assert table["parents"] == {
@@ -216,6 +235,7 @@ def test_overlapping_parents_from_different_fetches():
     }
 
 
+@needs_configs
 def test_duplicate_parents_not_repeated():
     table = table_for("bfo_process_twice.json")
     assert table["parents"] == {
@@ -224,6 +244,7 @@ def test_duplicate_parents_not_repeated():
     }
 
 
+@needs_configs
 def test_duplicate_other_parents_not_repeated():
     table = table_for("bfo_duplicate_entities_specifically_dependent_continuant_twice.json")
     expected = {
@@ -239,6 +260,7 @@ def test_duplicate_other_parents_not_repeated():
         {k: sorted(v) for k, v in actual.items()}
 
 
+@needs_configs
 def test_resource_label_permutations():
     table = table_for("bfo_material_entity.json")
     assert table["standard_resource_label_permutations"] == {
@@ -254,6 +276,7 @@ def test_resource_label_permutations():
     }
 
 
+@needs_configs
 def test_prioritisation_pizza_first():
     table = table_for("pizza_spiciness_and_pizza_two_spiciness.json")
     assert table["standard_resource_labels"] == {
@@ -263,6 +286,7 @@ def test_prioritisation_pizza_first():
     }
 
 
+@needs_configs
 def test_prioritisation_pizza_two_first():
     table = table_for("pizza_two_spiciness_and_pizza_spiciness.json")
     assert table["standard_resource_labels"] == {
@@ -272,6 +296,7 @@ def test_prioritisation_pizza_two_first():
     }
 
 
+@needs_configs
 def test_cache_roundtrip(tmp_path):
     from lexmapr_ray.lexkit.ontology import config_cache_path
 
@@ -285,6 +310,7 @@ def test_cache_roundtrip(tmp_path):
     assert t1 == t3
 
 
+@needs_configs
 def test_cache_no_basename_collision(tmp_path):
     """Two configs with the SAME basename but different content must not
     reuse each other's cached lookup table, and editing a config in place
@@ -318,6 +344,7 @@ def test_cache_no_basename_collision(tmp_path):
     assert ta2 == tb
 
 
+@needs_owl
 def test_config_fetches_through_file_uri_seam(tmp_path):
     """A config listing a ``file://`` IRI builds its lookup table through
     the resolver seam with NO custom resolve hook — the documented offline
@@ -342,6 +369,7 @@ def test_config_fetches_through_file_uri_seam(tmp_path):
         resolve_ontology_source("file:///nonexistent/x.owl")
 
 
+@needs_configs
 def test_merged_into_lexicon_matches_ontology_terms():
     """End-to-end: a lexicon extended with an ontology config matches the
     ontology's terms through the standard matcher (pipeline.py:45-54)."""
@@ -458,6 +486,7 @@ def test_owl_imports_cycle_terminates(tmp_path):
     assert "EX:0000055" in fetched["specifications"]
 
 
+@needs_owl
 def test_resolve_ontology_source_cache_seam(tmp_path):
     """The URL->cache adapter (the explicit stand-in for the reference's
     network fetcher): IRIs resolve from a pre-seeded cache dir, local
@@ -485,6 +514,7 @@ def test_resolve_ontology_source_cache_seam(tmp_path):
                                 cache_dir=str(tmp_path))
 
 
+@needs_owl
 def test_write_ontology_artifacts(tmp_path):
     """Artifact parity with ontofetch's JSON/TSV interchange emission
     (ontohelper.py:520-555): the .json carries the full
