@@ -7,19 +7,23 @@ planner makes:
   ``ray.put`` once (one copy per node) and probed inside ``map_batches``.
   No shuffle.  Use for dimension tables, key sets, vocabularies.
 - :func:`bucketed_hash_join`: both sides large.  Tag + harmonize schemas +
-  bucket by key hash, union, ONE groupby on the bucket id, and a pandas
-  merge per bucket.  This is the explicit partitioned hash join; Ray
+  bucket by key hash, union, ONE sort on the bucket id, and an Arrow
+  ``Table.join`` per bucket — inner, left, full outer, semi or anti; null
+  keys never match.  This is the explicit partitioned hash join; Ray
   2.49's built-in ``Dataset.join`` mishandles empty partitions
   ("No match ... FieldRef" from acero) and over-allocates aggregator actors,
   so we keep the portable formulation.  Skew: pick ``num_buckets`` >> cores
   so one hot key cannot dominate a worker; for pathological single-key skew,
   salt the build side (duplicate its rows per salt) before calling.
+- :func:`semi_join`: size-switched semi/anti join — a broadcast key set
+  while it is small, ``bucketed_hash_join(how="semi"|"anti")`` past the
+  limit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pandas as pd  # _stable_bucket's string hash only
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -68,9 +72,11 @@ def semi_join(left, on: str, right, right_on: str | None = None, *,
     (never the driver), and counted.  Small key sets take the broadcast
     path (one ``ray.put`` + a per-batch ``pc.is_in``); past
     ``broadcast_limit`` keys the filter switches to
-    :func:`bucketed_semi_join`, because a corpus-scale key set is itself too
-    big to ship to every worker (judge r2: the set-op queries broadcast a
-    distinct user set that is corpus-scale at 100x).
+    ``bucketed_hash_join(how="semi"|"anti")``, because a corpus-scale key
+    set is itself too big to ship to every worker (judge r2: the set-op
+    queries broadcast a distinct user set that is corpus-scale at 100x).
+    Both paths treat null keys alike: a null never matches, so semi drops
+    and anti keeps a null-key left row.
     """
     right_on = right_on or on
     keys_ds = right.map_batches(
@@ -91,8 +97,10 @@ def semi_join(left, on: str, right, right_on: str | None = None, *,
             overflow = True
             break
     if overflow:
-        return bucketed_semi_join(left, on, keys_ds, right_on,
-                                  anti=anti, num_buckets=num_buckets)
+        return bucketed_hash_join(left, keys_ds, on, right_on,
+                                  how="anti" if anti else "semi",
+                                  num_buckets=num_buckets,
+                                  right_schema=batches[0].schema)
 
     from lexmapr_ray.functions.broadcast import is_in, put_keyset
 
@@ -100,7 +108,8 @@ def semi_join(left, on: str, right, right_on: str | None = None, *,
         if anti:
             return left
         return left.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
-    keys_ref = put_keyset(pa.concat_tables(batches)[right_on].combine_chunks())
+    keys_ref = put_keyset(
+        pc.drop_null(pa.concat_tables(batches)[right_on].combine_chunks()))
 
     def _filter(t: pa.Table) -> pa.Table:
         mask = is_in(t[on], keys_ref)
@@ -111,73 +120,12 @@ def semi_join(left, on: str, right, right_on: str | None = None, *,
     return left.map_batches(_filter, batch_format="pyarrow")
 
 
-def bucketed_semi_join(left, on: str, right, right_on: str | None = None, *,
-                       anti: bool = False, num_buckets: int = 32):
-    """Distributed semi/anti join for key sets too large to broadcast.
-
-    Both sides are tagged with a key-hash bucket and unioned; ONE sort on
-    the bucket id co-locates every key's left rows and right-key rows in
-    the same block, where a vectorized ``pc.is_in`` applies the membership
-    (or anti-membership) mask.  Right-side duplicate keys are harmless —
-    membership is idempotent — so no distinct pass is needed.
-    """
-    right_on = right_on or on
-    left_schema = left.schema()
-    left_arrow = pa.schema(
-        [pa.field(n, _arrow_type_pub(n, t))
-         for n, t in zip(left_schema.names, left_schema.types)]
-    )
-    union_schema = pa.schema(
-        list(left_arrow)
-        + [pa.field("__side", pa.int8()), pa.field("__bucket", pa.int64())]
-    )
-    key_field = left_arrow.field(on)
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        n = len(t)
-        cols = [_as_type(t[f.name], f.type) for f in left_arrow]
-        cols.append(pa.array(np.zeros(n, dtype=np.int8)))
-        cols.append(pa.array(_stable_bucket(t[on], num_buckets)))
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        n = len(t)
-        key = _as_type(t[right_on], key_field.type)
-        cols = []
-        for f in left_arrow:
-            cols.append(key if f.name == on else pa.nulls(n, f.type))
-        cols.append(pa.array(np.ones(n, dtype=np.int8)))
-        cols.append(pa.array(_stable_bucket(key, num_buckets)))
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    unioned = left.map_batches(
-        tag_left, batch_format="pyarrow", batch_size=65536
-    ).union(right.map_batches(
-        tag_right, batch_format="pyarrow", batch_size=65536
-    ))
-
-    def filter_block(t: pa.Table) -> pa.Table:
-        side = t["__side"]
-        lrows = t.filter(pc.equal(side, 0))
-        rkeys = t.filter(pc.equal(side, 1))[on].combine_chunks()
-        mask = pc.is_in(lrows[on], value_set=rkeys)
-        if anti:
-            mask = pc.invert(mask)
-        return lrows.filter(mask).select(list(left_arrow.names))
-
-    # batch_size=None: the bucket sort co-locates each bucket whole in one
-    # block; a numeric batch_size could split a bucket mid-block
-    return unioned.sort("__bucket").map_batches(
-        filter_block, batch_format="pyarrow", batch_size=None
-    )
-
-
-def _as_type(col, typ: pa.DataType):
-    c = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    return c if c.type == typ else pc.cast(c, typ)
-
-
-def _arrow_type_pub(name: str, t) -> pa.DataType:
+def _arrow_type(name: str, t) -> pa.DataType:
+    """Schema type -> Arrow type.  A Dataset whose last op emitted pandas
+    blocks reports numpy dtypes here; coerce so joins chain (join-of-join).
+    numpy ``object`` is assumed to be a string column (the only object
+    dtype pandas blocks produce in this engine); anything else unmappable
+    fails HERE, naming the column, instead of deep inside a merge task."""
     if isinstance(t, pa.DataType):
         return t
     if t == np.dtype(object):
@@ -186,7 +134,8 @@ def _arrow_type_pub(name: str, t) -> pa.DataType:
         return pa.from_numpy_dtype(t)
     except (pa.ArrowNotImplementedError, TypeError):
         raise ValueError(
-            f"semi_join: column {name!r} has unmappable dtype {t!r}"
+            f"bucketed_hash_join: column {name!r} has unmappable dtype {t!r}; "
+            "cast it to an Arrow-compatible type before joining"
         ) from None
 
 
@@ -203,15 +152,22 @@ def _stable_bucket(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> np.ndar
     """Key -> bucket id, identical for both join sides.
 
     Integer keys of ANY width are cast to int64 BEFORE hashing so an int32
-    right key meets an int64 left key in the same bucket; strings hash via
+    right key meets an int64 left key in the same bucket; null keys never
+    match, so they hash as 0 rather than make the column float64 (which
+    would move keys past 2^53 to another bucket); strings hash via
     pandas' object hasher (no Arrow-exposed hash kernel)."""
     a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     if pa.types.is_integer(a.type):
-        v = pc.cast(a, pa.int64()).to_numpy(zero_copy_only=False).astype(np.uint64)
+        v = pc.fill_null(pc.cast(a, pa.int64()), 0) \
+            .to_numpy(zero_copy_only=False).astype(np.uint64)
         h = _splitmix64(v)
     else:
         h = pd.util.hash_array(a.to_numpy(zero_copy_only=False))
     return (h % np.uint64(num_buckets)).astype(np.int64)
+
+
+_JOIN_KINDS = {"inner": "inner", "left": "left outer", "outer": "full outer",
+               "semi": "left semi", "anti": "left anti"}
 
 
 def bucketed_hash_join(
@@ -228,21 +184,29 @@ def bucketed_hash_join(
 ):
     """Partitioned hash join of two Datasets (see module docstring).
 
-    Returns a Dataset with left columns then right columns (the right key
-    column is dropped when its name differs).
+    ``how`` is one of ``inner``, ``left``, ``outer`` (full outer), ``semi``
+    or ``anti``.  Returns a Dataset with left columns then right columns
+    (the right key column is dropped when its name differs); ``semi`` and
+    ``anti`` return the left columns only.  Null keys never match (SQL
+    semantics, as in Arrow and the DuckDB oracles): a null-key row is
+    dropped by ``inner``/``semi``, kept unmatched by ``left``/``outer``
+    and kept by ``anti``.  Within a block, rows come out in left-row
+    order (each left row's matches in right-row order), then the
+    unmatched right rows of an outer join.
 
-    ``block_fn`` (pandas DataFrame -> DataFrame), when given, post-processes
+    ``block_fn`` (Arrow table -> Arrow table), when given, post-processes
     each merged bucket INSIDE the map task that runs directly after the
-    bucket sort.  That placement is the only one where "every join key is
-    whole in this block" actually holds: sort reduce outputs are never
-    re-split (the pinned guarantee in functions/groupagg.py), but the merge
-    map's own OUTPUT blocks are dynamically split at
-    ``target_max_block_size``, so a groupby-on-the-join-key in a *separate*
-    downstream ``map_batches(batch_size=None)`` silently emits duplicate
-    keys with partial aggregates once a bucket outgrows the block target
-    (advisor r2, reproduced at 16 KiB targets).  Use ``block_fn`` for any
-    per-join-key reduction; its output is returned as-is per block (typed
-    via ``pa.Table.from_pandas``).
+    bucket sort.  It receives the typed join output (the columns above;
+    right columns null on unmatched rows) and may receive 0 rows.  That
+    placement is the only one where "every join key is whole in this
+    block" actually holds: sort reduce outputs are never re-split (the
+    pinned guarantee in functions/groupagg.py), but the merge map's own
+    OUTPUT blocks are dynamically split at ``target_max_block_size``, so a
+    groupby-on-the-join-key in a *separate* downstream
+    ``map_batches(batch_size=None)`` silently emits duplicate keys with
+    partial aggregates once a bucket outgrows the block target (advisor
+    r2, reproduced at 16 KiB targets).  Use ``block_fn`` for any
+    per-join-key reduction; its output is returned as-is per block.
 
     ``left_schema``/``right_schema`` (pyarrow.Schema) short-circuit the
     ``Dataset.schema()`` calls.  On a side whose lineage contains a sort
@@ -252,47 +216,33 @@ def bucketed_hash_join(
     minhash verify query's 10 s.  Pass the schema whenever the caller
     knows it.
     """
+    kind = _JOIN_KINDS.get(how)
+    if kind is None:
+        raise ValueError(f"bucketed_hash_join: how={how!r} is not one of "
+                         f"{sorted(_JOIN_KINDS)}")
     right_on = right_on or on
     if left_schema is None:
         left_schema = left.schema()
     if right_schema is None:
         right_schema = right.schema()
-    left_cols = list(left_schema.names)
-    right_cols = list(right_schema.names)
-    overlap = (set(left_cols) & set(right_cols)) - ({on} if on == right_on else set())
-    if overlap:
-        raise ValueError(f"column collision in join: {sorted(overlap)}")
-
-    def _arrow_type(name: str, t) -> pa.DataType:
-        # a Dataset whose last op emitted pandas blocks reports numpy dtypes
-        # / Python classes here; coerce so joins chain (join-of-join).
-        # numpy `object` is assumed to be a string column (the only object
-        # dtype pandas blocks produce in this engine); anything else
-        # unmappable fails HERE, naming the column, instead of erroring or
-        # silently stringifying deep inside a merge task (advisor r2).
-        if isinstance(t, pa.DataType):
-            return t
-        if t == np.dtype(object):
-            return pa.string()
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError):
-            raise ValueError(
-                f"bucketed_hash_join: column {name!r} has unmappable dtype {t!r}; "
-                "cast it to an Arrow-compatible type before joining"
-            ) from None
-
     left_arrow = pa.schema(
         [pa.field(n, _arrow_type(n, t)) for n, t in zip(left_schema.names, left_schema.types)]
     )
     right_arrow = pa.schema(
         [pa.field(n, _arrow_type(n, t)) for n, t in zip(right_schema.names, right_schema.types)]
     )
-    union_fields = list(left_arrow) + [
-        f for f in right_arrow if f.name not in left_cols
-    ]
+    left_cols = list(left_arrow.names)
+    # semi/anti only test key membership: the right side ships its key alone
+    right_value_cols = [] if how in ("semi", "anti") else \
+        [c for c in right_arrow.names if c != right_on]
+    overlap = set(left_cols) & set(right_value_cols)
+    if overlap:
+        raise ValueError(f"column collision in join: {sorted(overlap)}")
+    out_schema = pa.schema(
+        list(left_arrow) + [right_arrow.field(c) for c in right_value_cols]
+    )
     union_schema = pa.schema(
-        union_fields + [pa.field("__side", pa.int8()), pa.field("__bucket", pa.int64())]
+        list(out_schema) + [pa.field("__side", pa.int8()), pa.field("__bucket", pa.int64())]
     )
 
     # Arrow-native tagging: no pandas round-trip on the fact tables (judge
@@ -346,60 +296,35 @@ def bucketed_hash_join(
     )
     unioned = tagged_left.union(tagged_right)
 
-    right_value_cols = [c for c in right_cols if c != right_on]
-    out_schema = pa.schema(
-        list(left_arrow) + [right_arrow.field(c) for c in right_value_cols]
-    )
-
-    def _int_nullsafe_pandas(t: pa.Table) -> pd.DataFrame:
-        """Arrow -> pandas WITHOUT float64 promotion of null-bearing int
-        columns: the union block carries typed int64 nulls (the _tag fill
-        for the other side's columns), and the default conversion promotes
-        those columns to float64 — silently corrupting any int64 key past
-        2^53 (53-bit mantissa; reproduced with md5-derived 63-bit doc ids:
-        two distinct ids merged as equal after losing low bits).  Integer
-        columns convert to pandas nullable Int64/Int32/... dtypes instead;
-        null-free semantics are unchanged and from_pandas=True on the way
-        out maps pd.NA back to Arrow nulls."""
-        mapper = {
-            pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
-            pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
-            pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
-            pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
-        }
-        null_int = {f.name for f in t.schema
-                    if f.type in mapper and t[f.name].null_count > 0}
-        if not null_int:
-            return t.to_pandas()
-        return t.to_pandas(
-            types_mapper=lambda typ: mapper.get(typ),
-            # only null-bearing columns need the nullable dtype; the rest
-            # keep plain numpy dtypes so block_fns see unchanged frames
-        ) .astype({f.name: f.type.to_pandas_dtype() for f in t.schema
-                   if f.type in mapper and f.name not in null_int})
-
     def _merge_block(t: pa.Table) -> pa.Table:
-        g = _int_nullsafe_pandas(t)
-        l = g[g["__side"] == 0][left_cols]
-        r = g[g["__side"] == 1][[on] + right_value_cols]
-        m = l.merge(r, on=on, how=how)
-        if block_fn is not None:
-            return pa.Table.from_pandas(block_fn(m), preserve_index=False)
-        # emit a TYPED Arrow table: the sorted union block hands us object /
-        # NA-promoted columns, and leaving the output as pandas loses the
-        # Arrow types downstream (breaking join chaining); from_pandas=True
-        # maps NaN/pd.NA -> null so outer joins keep integer columns nullable
-        return pa.Table.from_arrays(
-            [pa.array(m[f.name], type=f.type, from_pandas=True) for f in out_schema],
-            schema=out_schema,
+        # join (key, row position) pairs only, then gather every output
+        # column from the block by position: Acero's hash join rejects
+        # list-typed payload columns, and one take per column is all the
+        # copying the merge needs
+        side = t["__side"].to_numpy()
+        lpos = np.flatnonzero(side == 0)
+        rpos = np.flatnonzero(side == 1)
+        key = t[on]
+        m = pa.table({on: key.take(lpos), "__l": lpos}).join(
+            pa.table({on: key.take(rpos), "__r": rpos}), on,
+            join_type=kind, use_threads=False,
         )
+        if how in ("semi", "anti"):
+            out = t.select(left_cols).take(np.sort(m["__l"].to_numpy()))
+        else:
+            m = m.sort_by([("__l", "ascending"), ("__r", "ascending")])
+            out = pa.Table.from_arrays(
+                [m[on] if f.name == on
+                 else t[f.name].take(m["__l" if f.name in left_cols else "__r"])
+                 for f in out_schema],
+                schema=out_schema,
+            )
+        return out if block_fn is None else block_fn(out)
 
     # sort on the bucket id co-locates every bucket (hence every key) in
-    # exactly one block, so one pandas merge per BLOCK is exact — the same
+    # exactly one block, so one Arrow join per BLOCK is exact — the same
     # sort-co-location argument as lexmapr_ray.pipelines.kg.dedup_triples,
-    # and much cheaper than groupby().map_groups.  pyarrow batch format:
-    # the pandas conversion must go through _int_nullsafe_pandas, not
-    # Ray's default (which does the float64 promotion being avoided).
+    # and much cheaper than groupby().map_groups
     return unioned.sort("__bucket").map_batches(
         _merge_block, batch_format="pyarrow", batch_size=None
     )

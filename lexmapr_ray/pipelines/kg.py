@@ -263,7 +263,7 @@ def dedup_triples(triples_ds, *, block_fn=None):
     ``groupby().aggregate`` were measured ~8x and ~2x the cost of the whole
     rest of the pipeline at 20k pages.
 
-    ``block_fn`` (Arrow table -> Arrow table | pandas DataFrame) fuses a
+    ``block_fn`` (Arrow table -> Arrow table) fuses a
     per-subject consumer pass INTO the post-sort reduce task, where the
     whole sorted range partition is in hand.  This is the ONLY placement
     where "group on subj per block" is safe for a pathologically hot
@@ -554,19 +554,16 @@ def density_filter(triples_ds, sf_dir: str, min_density_permille: int = 10):
     hash join attaches the documents-side token counts (size-switched
     semi-join semantics are not needed — both sides are page-scale,
     co-partitioned by the join's own bucketing)."""
-    import pandas as pd
-
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
-    def page_counts(t: pa.Table) -> pd.DataFrame:
-        if t.num_rows == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "n_triples": pd.Series([], dtype="int64")})
-        df = pa.table({"subj": pc.cast(t["subj"], pa.string())}).to_pandas()
-        g = df.groupby("subj", sort=False).size().reset_index(name="n_triples")
-        g["doc_id"] = g["subj"].str.removeprefix("doc://").astype("int64")
-        g["n_triples"] = g["n_triples"].astype("int64")
-        return g[["doc_id", "n_triples"]]
+    def page_counts(t: pa.Table) -> pa.Table:
+        g = pa.table({"subj": pc.cast(t["subj"], pa.string())}) \
+            .group_by("subj", use_threads=False).aggregate([("subj", "count")])
+        return pa.table({
+            "doc_id": pc.cast(pc.replace_substring_regex(
+                g["subj"], "^doc://", ""), pa.int64()),
+            "n_triples": g["subj_count"],
+        })
 
     counts = dedup_triples(triples_ds, block_fn=page_counts)
 
@@ -670,60 +667,50 @@ def negative_samples(triples_ds):
     Shape: the per-page draw runs as :func:`dedup_triples`'s fused
     ``block_fn`` — inside the post-sort reduce task where every subject is
     provably whole even past ``target_max_block_size`` (see dedup_triples)
-    — and is block-level vectorized: ONE pandas merge builds per-row
-    (position-in-page, page-size) from the per-page sorted-unique obj
-    table, md5 runs over pre-concatenated key strings, and the draw plus
-    the neg-obj gather are index arithmetic + a second merge.  The only
-    per-row Python left is the md5 call itself (not vectorizable)."""
+    — and is block-level vectorized: ONE Arrow join attaches per-row
+    (page start, position-in-page, page-size) from the per-page
+    sorted-unique obj table, and the draw plus the neg-obj gather are index
+    arithmetic + a take.  The only per-row Python left is the md5 call
+    itself (not vectorizable)."""
     import hashlib
 
-    import pandas as pd
+    from lexmapr_ray.functions.groupagg import run_starts
 
-    _NCOLS = ["subj", "pred", "obj", "neg_obj"]
-    _EMPTY = {c: pd.Series([], dtype="object") for c in _NCOLS}
+    spo = ["subj", "pred", "obj"]
 
-    def neg(t: pa.Table) -> pd.DataFrame:
-        if t.num_rows == 0:
-            return pd.DataFrame(_EMPTY)
-        rows = pd.DataFrame({
-            "subj": t["subj"].to_pandas().astype(str),
-            "pred": t["pred"].to_pandas().astype(str),
-            "obj": t["obj"].to_pandas().astype(str),
-        })
-        # per-page sorted-unique obj table with in-page position and size
-        uniq = rows[["subj", "obj"]].drop_duplicates().sort_values(
-            ["subj", "obj"], kind="mergesort").reset_index(drop=True)
-        uniq["pos"] = uniq.groupby("subj", sort=False).cumcount()
-        sizes = uniq.groupby("subj", sort=False)["obj"].size()
-        rows = rows.merge(uniq, on=["subj", "obj"], how="left")
-        rows["n"] = rows["subj"].map(sizes).to_numpy(np.int64)
-        rows = rows[rows["n"] >= 2]
-        if len(rows) == 0:
-            return pd.DataFrame(_EMPTY)
-        # key built inside the md5 loop: pandas Series '+' SILENTLY DROPS
-        # NUL chars (numpy str ufunc truncation), so the '\x00'-joined key
-        # cannot be vectorized as a string column
+    def neg(t: pa.Table) -> pa.Table:
+        rows = pa.table({c: pc.cast(t[c], pa.string()) for c in spo})
+        # per-page sorted-unique obj table with page start, in-page
+        # position and page size
+        uniq = rows.group_by(["subj", "obj"], use_threads=False).aggregate([]) \
+            .sort_by([("subj", "ascending"), ("obj", "ascending")])
+        starts = run_starts(uniq, ["subj"])
+        sizes = np.diff(starts, append=uniq.num_rows)
+        first = np.repeat(starts, sizes)
+        uniq = uniq.append_column("first", pa.array(first, pa.int64())) \
+            .append_column("pos", pa.array(np.arange(uniq.num_rows) - first,
+                                           pa.int64())) \
+            .append_column("n", pa.array(np.repeat(sizes, sizes), pa.int64()))
+        rows = rows.join(uniq, ["subj", "obj"], use_threads=False) \
+            .sort_by([(c, "ascending") for c in spo])
+        rows = rows.filter(pc.greater_equal(rows["n"], 2))
         md5 = hashlib.md5
         h = np.fromiter(
             (int.from_bytes(
                 md5(f"{s}\x00{p}\x00{o}".encode()).digest()[:4], "big")
-             for s, p, o in zip(rows["subj"].to_numpy(),
-                                rows["pred"].to_numpy(),
-                                rows["obj"].to_numpy())),
-            dtype=np.int64, count=len(rows))
-        n = rows["n"].to_numpy(np.int64)
-        idx = (rows["pos"].to_numpy(np.int64) + 1 + h % (n - 1)) % n
-        pick = pd.DataFrame({"subj": rows["subj"].to_numpy(), "pos": idx})
-        picked = pick.merge(uniq.rename(columns={"obj": "neg_obj"}),
-                            on=["subj", "pos"], how="left")
-        return pd.DataFrame({
-            "subj": rows["subj"].to_numpy(),
-            "pred": rows["pred"].to_numpy(),
-            "obj": rows["obj"].to_numpy(),
-            "neg_obj": picked["neg_obj"].to_numpy(),
-        })
+             for s, p, o in zip(*(rows[c].to_pylist() for c in spo))),
+            dtype=np.int64, count=rows.num_rows)
+        n, pos, first = (rows[c].to_numpy(zero_copy_only=False)
+                         for c in ("n", "pos", "first"))
+        idx = (pos + 1 + h % (n - 1)) % n
+        return rows.select(spo).append_column(
+            "neg_obj", uniq["obj"].take(pa.array(first + idx)))
 
     return dedup_triples(triples_ds, block_fn=neg)
+
+
+_COOC_SCHEMA = pa.schema([("obj_a", pa.string()), ("obj_b", pa.string()),
+                          ("n_pages", pa.int64())])
 
 
 def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
@@ -744,6 +731,8 @@ def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
     is provably whole even past ``target_max_block_size`` (see
     dedup_triples) — C(k,2) rows for a page with k <= cap distinct terms;
     one grouped count on (obj_a, obj_b) finishes."""
+    import ray.data as rd
+
     from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     def page_pairs(t: pa.Table) -> pa.Table:
@@ -760,7 +749,10 @@ def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
             .select(["obj_a", "obj_b"])
 
     pairs = dedup_triples(triples_ds, block_fn=page_pairs)
-    return grouped_sum_count(pairs, ["obj_a", "obj_b"], count_alias="n_pages")
+    # one typed 0-row block: when every page is over the cap, the sort
+    # leaves column-less blocks and the result would have no schema
+    return grouped_sum_count(pairs, ["obj_a", "obj_b"], count_alias="n_pages") \
+        .union(rd.from_arrow(_COOC_SCHEMA.empty_table()))
 
 
 def term_components(triples_ds, *, num_buckets: int = 32,
@@ -793,9 +785,10 @@ def term_components(triples_ds, *, num_buckets: int = 32,
         key_type=pa.string(), num_buckets=num_buckets, max_iters=max_iters,
     )
     return labels.map_batches(
-        lambda df: df.rename(columns={"node": "term",
-                                      "label": "component"}),
-        batch_format="pandas",
+        lambda t: t.rename_columns(
+            [{"node": "term", "label": "component"}.get(c, c)
+             for c in t.column_names]),
+        batch_format="pyarrow",
     ).sort("term")
 
 

@@ -169,6 +169,12 @@ def _prep_li_revenue(t: pa.Table) -> pa.Table:
     })
 
 
+def _group_sum(t: pa.Table, key: str, col: str) -> pa.Table:
+    """(key, col) with ``col`` summed per ``key`` (a join ``block_fn``)."""
+    return t.group_by(key, use_threads=False).aggregate([(col, "sum")]) \
+        .rename_columns([key, col])
+
+
 def _scalar_agg_row(agg, *, revenue_col: str = "revenue_e4",
                     count_col: str = "n_items"):
     """Finish a constant-key global-sum query: ≤1 row by construction, so
@@ -512,13 +518,8 @@ def q3_topk_revenue(sf_dir: str, num_buckets: int = 32):
     # (block_fn), the only placement where each l_orderkey is provably
     # whole; a separate downstream map_batches would see the merge output
     # re-split at target_max_block_size (advisor r2).
-    def block_sum(df):
-        # the sorted union block NaN-promotes left columns to float64 (right
-        # rows carry nulls there); cast back — e4 revenue stays < 2^53 exact
-        out = df.groupby("l_orderkey", as_index=False, sort=False)["revenue_e4"].sum()
-        out["l_orderkey"] = out["l_orderkey"].astype("int64")
-        out["revenue_e4"] = out["revenue_e4"].astype("int64")
-        return out
+    def block_sum(t: pa.Table) -> pa.Table:
+        return _group_sum(t, "l_orderkey", "revenue_e4")
 
     summed = bucketed_hash_join(li, orders_f, on="l_orderkey", right_on="o_orderkey",
                                 num_buckets=num_buckets, block_fn=block_sum)
@@ -658,8 +659,6 @@ def customer_orders_left(sf_dir: str, num_buckets: int = 32):
     """Left outer join customer -> orders with per-customer aggregates
     (exercises ``bucketed_hash_join(how='left')``, untested in round 1:
     customers with no orders survive with n_orders=0, sum_cents=0)."""
-    import pandas as pd
-
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -675,16 +674,15 @@ def customer_orders_left(sf_dir: str, num_buckets: int = 32):
     # answer — no extra shuffle.  Runs INSIDE the join's merge map
     # (block_fn) so each c_custkey is provably whole (a downstream
     # map_batches would see merge output re-split at target_max_block_size,
-    # advisor r2).  cents is int64-with-null after the left merge; count()
-    # skips nulls so unmatched customers contribute 0 orders / 0 cents
-    # (integer cents stay exact in float64, < 2^53).
-    def block_agg(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(cents=pd.to_numeric(df["cents"], errors="coerce"))
-        out = df.groupby("c_custkey", sort=True)["cents"] \
-            .agg(n_orders="count", sum_cents="sum").reset_index()
-        out["n_orders"] = out["n_orders"].astype("int64")
-        out["sum_cents"] = out["sum_cents"].astype("int64")
-        return out
+    # advisor r2).  cents is null on unmatched customers after the left
+    # join; count skips nulls and the all-null sum fills to 0, so they
+    # contribute 0 orders / 0 cents.
+    def block_agg(t: pa.Table) -> pa.Table:
+        g = t.group_by("c_custkey", use_threads=False).aggregate(
+            [("cents", "count"), ("cents", "sum")])
+        return pa.table({"c_custkey": g["c_custkey"],
+                         "n_orders": g["cents_count"],
+                         "sum_cents": pc.fill_null(g["cents_sum"], 0)})
 
     return bucketed_hash_join(cust, orders.map_batches(prep, batch_format="pyarrow"),
                               on="c_custkey", right_on="o_custkey",
@@ -1195,13 +1193,9 @@ def q10_returned_revenue(sf_dir: str, date_lo: str = "1996-01-01",
         .map_batches(prep, batch_format="pyarrow")
 
     # per-custkey PARTIALS inside the orderkey-merge block (custkeys span
-    # blocks; the grouped_sum_count below is the exact re-reduce), with
-    # the q3 int cast against the merge's NaN float promotion
-    def block_sum(df):
-        out = df.groupby("o_custkey", as_index=False, sort=False)["revenue_e4"].sum()
-        out["o_custkey"] = out["o_custkey"].astype("int64")
-        out["revenue_e4"] = out["revenue_e4"].astype("int64")
-        return out
+    # blocks; the grouped_sum_count below is the exact re-reduce)
+    def block_sum(t: pa.Table) -> pa.Table:
+        return _group_sum(t, "o_custkey", "revenue_e4")
 
     j1 = bucketed_hash_join(
         li, orders, on="l_orderkey", right_on="o_orderkey",

@@ -504,8 +504,6 @@ def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
     once because three downstream consumers would otherwise each re-run
     the corpus bigram pass.
     """
-    import pandas as pd
-
     edges = _token_edges(sf_dir, permille)
 
     deg = grouped_sum_count(
@@ -533,34 +531,30 @@ def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
         left_schema=str_schema("a", "b", "deg_u"),
         right_schema=str_schema("b", "deg_v"))
 
+    def _before(da, db, a, b):
+        # (degree, token) order: the orientation and the wedge tie-break
+        return pc.or_(pc.less(da, db), pc.and_(pc.equal(da, db), pc.less(a, b)))
+
     def orient(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        a_first = (df["deg_u"] < df["deg_v"]) | (
-            (df["deg_u"] == df["deg_v"]) & (df["a"] < df["b"]))
+        a_first = _before(t["deg_u"], t["deg_v"], t["a"], t["b"])
         return pa.table({
-            "u": pa.array(np.where(a_first, df["a"], df["b"]), pa.string()),
-            "v": pa.array(np.where(a_first, df["b"], df["a"]), pa.string()),
-            "dv": pa.array(np.where(a_first, df["deg_v"], df["deg_u"])
-                           .astype("int64")),
+            "u": pc.if_else(a_first, t["a"], t["b"]),
+            "v": pc.if_else(a_first, t["b"], t["a"]),
+            "dv": pc.if_else(a_first, t["deg_v"], t["deg_u"]),
         })
 
     oriented = with_db.map_batches(orient, batch_format="pyarrow")
 
-    def wedge_block(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {"key": "object", "u": "object", "x": "object", "y": "object"}
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=d)
-                                 for c, d in cols.items()})
-        m = df.merge(df, on="u")
-        first = (m["dv_x"] < m["dv_y"]) | (
-            (m["dv_x"] == m["dv_y"]) & (m["v_x"] < m["v_y"]))
-        m = m[first]
-        return pd.DataFrame({"key": m["v_x"] + " " + m["v_y"],
-                             "u": m["u"], "x": m["v_x"], "y": m["v_y"]})
-
+    def wedge_block(t: pa.Table) -> pa.Table:
+        m = t.join(t, "u", left_suffix="_x", right_suffix="_y",
+                   use_threads=False)
+        m = m.filter(_before(m["dv_x"], m["dv_y"], m["v_x"], m["v_y"]))
+        return pa.table({
+            "key": pc.binary_join_element_wise(m["v_x"], m["v_y"], " "),
+            "u": m["u"], "x": m["v_x"], "y": m["v_y"]})
 
     wedges = oriented.sort("u").map_batches(
-        wedge_block, batch_format="pandas", batch_size=None)
+        wedge_block, batch_format="pyarrow", batch_size=None)
     edge_keys = oriented.map_batches(
         lambda t: pa.table({"key": pc.binary_join_element_wise(
             t["u"].combine_chunks().cast(pa.string()),
@@ -581,19 +575,15 @@ def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
         "token", count_alias="triangles",
     )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                 "degree": pd.Series([], dtype="int64"),
-                                 "triangles": pd.Series([], dtype="int64"),
-                                 "clustering_mpt": pd.Series([], dtype="int64")})
-        d = df["degree"].astype("int64")
-        tr = df["triangles"].fillna(0).astype("int64")
+    def finish(t: pa.Table) -> pa.Table:
+        d = t["degree"].to_numpy(zero_copy_only=False)
+        tr = pc.fill_null(t["triangles"], 0)
         denom = d * (d - 1)
-        mpt = np.where(denom > 0, (2000 * tr) // denom.where(denom > 0, 1), 0)
-        return pd.DataFrame({"token": df["token"], "degree": d,
-                             "triangles": tr,
-                             "clustering_mpt": mpt.astype("int64")})
+        mpt = np.where(denom > 0, (2000 * tr.to_numpy(zero_copy_only=False))
+                       // np.maximum(denom, 1), 0)
+        return pa.table({"token": t["token"], "degree": t["degree"],
+                         "triangles": tr,
+                         "clustering_mpt": pa.array(mpt, pa.int64())})
 
     combined = bucketed_hash_join(
         deg, tri_counts, on="token", how="left", num_buckets=num_buckets,
@@ -668,8 +658,6 @@ def link_prediction(sf_dir: str, permille: int = 100, min_common: int = 2,
     join against the existing edge keys (space-joined, collision-free),
     and the exact-safe pruned top-k.
     """
-    import pandas as pd
-
     from lexmapr_ray.functions.joins import semi_join
     from lexmapr_ray.functions.topk import global_topk
 
@@ -684,21 +672,17 @@ def link_prediction(sf_dir: str, permille: int = 100, min_common: int = 2,
         }),
         batch_format="pyarrow")
 
-    def pair_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"x": pd.Series([], dtype="object"),
-                                 "y": pd.Series([], dtype="object")})
+    def pair_block(t: pa.Table) -> pa.Table:
         if max_degree is not None:
             # whole-u co-location (direct post-sort map) makes the
-            # transform the node's TRUE degree, so the cap is exact
-            deg = df.groupby("u", sort=False)["v"].transform("size")
-            df = df[deg <= max_degree]
-            if len(df) == 0:
-                return pd.DataFrame({"x": pd.Series([], dtype="object"),
-                                     "y": pd.Series([], dtype="object")})
-        m = df.merge(df, on="u")
-        m = m[m["v_x"] < m["v_y"]]
-        return pd.DataFrame({"x": m["v_x"], "y": m["v_y"]})
+            # count the node's TRUE degree, so the cap is exact
+            k = t.group_by("u", use_threads=False).aggregate([("v", "count")])
+            t = t.filter(pc.is_in(t["u"], k.filter(pc.less_equal(
+                k["v_count"], max_degree))["u"]))
+        m = t.join(t, "u", left_suffix="_x", right_suffix="_y",
+                   use_threads=False)
+        m = m.filter(pc.less(m["v_x"], m["v_y"]))
+        return pa.table({"x": m["v_x"], "y": m["v_y"]})
 
     def keep_and_key(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(t["common_neighbors"],
@@ -708,7 +692,7 @@ def link_prediction(sf_dir: str, permille: int = 100, min_common: int = 2,
             t["y"].combine_chunks().cast(pa.string()), " "))
 
     cn = grouped_sum_count(
-        adj.sort("u").map_batches(pair_block, batch_format="pandas",
+        adj.sort("u").map_batches(pair_block, batch_format="pyarrow",
                                   batch_size=None),
         ["x", "y"], count_alias="common_neighbors",
     ).map_batches(keep_and_key, batch_format="pyarrow")
@@ -949,18 +933,17 @@ def random_walks(sf_dir: str, steps: int = 4, num_buckets: int = 32):
     nothing reaches the driver.  Output: (walk_id, step, node) for steps
     0..``steps``, (walk_id, step)-sorted.
     """
-    import pandas as pd
+    from lexmapr_ray.functions.groupagg import run_starts
 
     edges = doc_links(sf_dir)
     deg = grouped_sum_count(edges, "src", count_alias="deg")
 
-    def rank_in_src(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype="int64")
-                                 for c in ["src", "dst", "deg", "idx"]})
-        df = df.sort_values(["src", "dst"], kind="mergesort")
-        df["idx"] = df.groupby("src", sort=False).cumcount().astype("int64")
-        return df[["src", "dst", "deg", "idx"]].astype("int64")
+    def rank_in_src(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("src", "ascending"), ("dst", "ascending")])
+        starts = run_starts(t, ["src"])
+        idx = np.arange(t.num_rows) - np.repeat(
+            starts, np.diff(starts, append=t.num_rows))
+        return t.append_column("idx", pa.array(idx, pa.int64()))
 
     edges_idx = bucketed_hash_join(
         edges, deg, on="src", num_buckets=num_buckets,
@@ -1181,12 +1164,15 @@ def redirect_resolve(sf_dir: str, rounds: int = 4, num_buckets: int = 32):
     def rename(t: pa.Table) -> pa.Table:
         return t.rename_columns(["jnode", "jptr", "jhops"])
 
-    def compose(df):
-        done = (df["ptr"] % 3) == 0
-        df["hops"] = np.where(done, df["hops"], df["hops"] + df["jhops"])
-        df["ptr"] = np.where(done, df["ptr"], df["jptr"])
-        # empty buckets arrive as float64 frames; pin the state dtype
-        return df[["node", "ptr", "hops"]].astype("int64")
+    def compose(t: pa.Table) -> pa.Table:
+        ptr, hops = (t[c].to_numpy(zero_copy_only=False) for c in ("ptr", "hops"))
+        done = ptr % 3 == 0
+        return pa.table({
+            "node": t["node"],
+            "ptr": np.where(done, ptr, t["jptr"].to_numpy(zero_copy_only=False)),
+            "hops": np.where(done, hops,
+                             hops + t["jhops"].to_numpy(zero_copy_only=False)),
+        })
 
     j_schema = pa.schema([("jnode", i64), ("jptr", i64), ("jhops", i64)])
     for _ in range(rounds):

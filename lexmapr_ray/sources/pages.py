@@ -292,7 +292,7 @@ def crawl_diff(sf_dir: str, num_buckets: int = 32):
     """
     import hashlib
 
-    import pandas as pd
+    import pyarrow.compute as pc
     import ray.data as rd
 
     from lexmapr_ray.functions.joins import bucketed_hash_join
@@ -318,15 +318,12 @@ def crawl_diff(sf_dir: str, num_buckets: int = 32):
     old = snapshot(5, "dg_old", lambda d: 0)
     new = snapshot(7, "dg_new", lambda d: d % 3)
 
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"url": pd.Series([], dtype="object"),
-                                 "status": pd.Series([], dtype="object")})
-        o, n = df["dg_old"], df["dg_new"]
-        status = np.where(o.isna(), "added",
-                          np.where(n.isna(), "removed",
-                                   np.where(o != n, "changed", "unchanged")))
-        return pd.DataFrame({"url": df["url"], "status": status})
+    def classify(t: pa.Table) -> pa.Table:
+        o, n = t["dg_old"], t["dg_new"]
+        status = pc.if_else(pc.is_null(o), "added", pc.if_else(
+            pc.is_null(n), "removed",
+            pc.if_else(pc.equal(o, n), "unchanged", "changed")))
+        return pa.table({"url": t["url"], "status": status})
 
     snap_schema = lambda c: pa.schema([("url", pa.string()),
                                        (c, pa.string())])

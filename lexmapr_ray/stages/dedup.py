@@ -1359,15 +1359,11 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
                       num_buckets=num_buckets) \
         .map_batches(normalize, batch_format="pyarrow")
 
-    def trim_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "text_trimmed": pd.Series([], dtype="object"),
-                                 "n_removed": pd.Series([], dtype="int64")})
-        _, splits = _token_lists(pa.array(df["text"], pa.string()))
+    def trim_block(t: pa.Table) -> pa.Table:
+        _, splits = _token_lists(t["text"])
         toks = splits.to_pylist()
         out_text, out_rm = [], []
-        for tok, hit_str in zip(toks, df["hits"]):
+        for tok, hit_str in zip(toks, t["hits"].to_pylist()):
             starts = np.array([int(x) for x in hit_str.split(",")],
                               dtype=np.int64)
             d = np.zeros(len(tok) + 1, dtype=np.int64)
@@ -1377,10 +1373,10 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
             out_text.append(" ".join(
                 w for w, c in zip(tok, covered) if not c))
             out_rm.append(int(covered.sum()))
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64").to_numpy(),
-            "text_trimmed": out_text,
-            "n_removed": pd.Series(out_rm, dtype="int64"),
+        return pa.table({
+            "doc_id": t["doc_id"],
+            "text_trimmed": pa.array(out_text, pa.string()),
+            "n_removed": pa.array(out_rm, pa.int64()),
         })
 
     affected = semi_join(docs, "doc_id", packed, "doc_id",

@@ -1201,13 +1201,9 @@ def rrf_search(sf_dir: str, keyword: str = "spark", query_vec_id: int = 0,
     cb = contrib(_read_embeddings(sf_dir, ["vec_id", "embedding"])
                  .map_batches(sim, batch_format="pyarrow"), "sim_bp", "cb")
 
-    def total(df):
-        import pandas as pd
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "rrf_score": (df["cb"].astype("int64")
-                          + df["ca"].fillna(0).astype("int64")),
-        })
+    def total(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"],
+                         "rrf_score": pc.add(t["cb"], pc.fill_null(t["ca"], 0))})
 
     fused = bucketed_hash_join(
         cb, ca, on="doc_id", how="left", num_buckets=num_buckets,

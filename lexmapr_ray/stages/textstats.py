@@ -1529,17 +1529,15 @@ def source_vocab_overlap(sf_dir: str):
                           batch_format="pyarrow"),
         "source", count_alias="n").take_all()}
 
-    def pair_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"source_a": pd.Series([], dtype="object"),
-                                 "source_b": pd.Series([], dtype="object")})
-        m = df.merge(df, on="w")
-        m = m[m["source_x"] < m["source_y"]]
-        return pd.DataFrame({"source_a": m["source_x"],
-                             "source_b": m["source_y"]})
+    def pair_block(t: pa.Table) -> pa.Table:
+        d = t.select(["w", "source"])
+        m = d.join(d, "w", left_suffix="_a", right_suffix="_b",
+                   use_threads=False)
+        return m.filter(pc.less(m["source_a"], m["source_b"])) \
+            .select(["source_a", "source_b"])
 
     common = grouped_sum_count(
-        vocab.sort("w").map_batches(pair_block, batch_format="pandas",
+        vocab.sort("w").map_batches(pair_block, batch_format="pyarrow",
                                     batch_size=None),
         ["source_a", "source_b"], count_alias="n_common").take_all()
 

@@ -662,6 +662,7 @@ def test_join_block_fn_survives_tiny_block_target(ray_session):
     emits duplicate keys with partial sums (reproduced: 1687 duplicate
     keys at a 16 KiB target).  If Ray ever starts splitting sort reduce
     outputs too, this fails loudly instead of q3 silently double-counting."""
+    import pyarrow as pa
     import ray.data as rd
     from ray.data import DataContext
 
@@ -679,8 +680,9 @@ def test_join_block_fn_survives_tiny_block_target(ray_session):
         right = rd.from_items([{"k": j, "w": j * 10} for j in range(nkeys)],
                               override_num_blocks=4)
 
-        def block_sum(df):
-            return df.groupby("k", as_index=False, sort=False)["v"].sum()
+        def block_sum(t: pa.Table) -> pa.Table:
+            return t.group_by("k", use_threads=False).aggregate(
+                [("v", "sum")]).rename_columns(["k", "v"])
 
         out = bucketed_hash_join(left, right, on="k", num_buckets=8,
                                  block_fn=block_sum).to_pandas()
@@ -3468,6 +3470,60 @@ def test_scalar_agg_queries_emit_zero_row_when_filter_matches_nothing(
     assert len(got) == 1
     assert int(got["revenue_e4"].iloc[0]) == 0
     assert int(got["n_items"].iloc[0]) == 0
+
+
+@pytest.mark.parametrize("empty_side", [None, "left", "right"])
+def test_join_kinds_match_arrow_join(ray_session, empty_side):
+    """Every ``how`` of bucketed_hash_join equals ONE in-process
+    ``pa.Table.join`` of the same tables: duplicate keys on both sides,
+    keys on one side only, null payloads, null keys (never matched),
+    int64 keys past 2^53 and a renamed ``right_on``; ``block_fn`` receives
+    an Arrow table.  Rows compare order-insensitively."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from lexmapr_ray.functions.joins import _stable_bucket, bucketed_hash_join
+
+    big = (1 << 62) + 12345
+    # a null in the batch must not move a key past 2^53 to another bucket
+    assert _stable_bucket(pa.array([big, None]), 32)[0] == \
+        _stable_bucket(pa.array([big]), 32)[0]
+    left = pa.table({
+        "k": pa.array([1, 2, 2, 3, big, big + 1, None, 7], pa.int64()),
+        "lv": pa.array(["a", "b", "c", "d", "e", "f", "g", None])})
+    right = pa.table({
+        "rk": pa.array([2, 2, 4, big + 1, None, 5, big], pa.int64()),
+        "rv": pa.array([10, None, 40, 50, 60, 70, 80], pa.int64())})
+    if empty_side == "left":
+        left = left.slice(0, 0)
+    elif empty_side == "right":
+        right = right.slice(0, 0)
+    kinds = {"inner": "inner", "left": "left outer", "outer": "full outer",
+             "semi": "left semi", "anti": "left anti"}
+
+    def arrow_only(t):
+        if not isinstance(t, pa.Table):
+            raise TypeError(f"block_fn got {type(t).__name__}")
+        return t
+
+    def rows(t: pa.Table) -> pa.Table:
+        return t.sort_by([(c, "ascending") for c in t.column_names])
+
+    for how, kind in kinds.items():
+        want = left.join(right.rename_columns(["k", "rv"]), "k",
+                         join_type=kind, use_threads=False)
+        got = bucketed_hash_join(
+            rd.from_arrow([left.slice(0, 4), left.slice(4)]),
+            rd.from_arrow(right), on="k", right_on="rk", how=how,
+            num_buckets=4, block_fn=arrow_only,
+            left_schema=left.schema, right_schema=right.schema,
+        ).materialize()
+        got = pa.concat_tables(ray.get(got.to_arrow_refs()),
+                               promote_options="default")
+        assert got.column_names == want.column_names, (how, got.schema)
+        assert rows(got).equals(rows(want.cast(got.schema))), \
+            (how, got.to_pydict(), want.to_pydict())
 
 
 def test_join_preserves_int64_keys_past_float53(ray_session):
