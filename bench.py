@@ -388,15 +388,11 @@ def main():
         # next to its uniform twin:
         #   * kg_entities (extract -> canonicalize) over a corpus whose hot
         #     surface form appears in ~85% of pages (hot_prob=0.5/sentence)
-        #     vs the standard 0.25 corpus.  Exactness cross-check: the
-        #     auto-combine and raw two-stage shapes must hash identically
-        #     on the hot corpus (serial-oracle exactness at small scale is
-        #     tests/test_skew_stress.py's job).
+        #     vs the standard 0.25 corpus (serial-oracle exactness at small
+        #     scale is tests/test_skew_stress.py's job).
         #   * host_near_dup over sf0.1 documents with ONE host owning 50%
         #     of all docs (docs_per_host = n/2) vs the default 16-doc
         #     hosts.
-        import pandas as pd
-
         _init_ray(NUM_CPUS)
         import ray
         import ray.data as rd
@@ -412,12 +408,11 @@ def main():
         out = {"metric": "skew_stress", "unit": "sec",
                "num_cpus": NUM_CPUS, "pages": skew_pages}
 
-        def entities(corpus, **kw):
+        def entities(corpus):
             return canonicalize_mentions(
                 extract_triples(rd.read_parquet(corpus), ref,
-                                concurrency=pool, batch_size=512), **kw)
+                                concurrency=pool, batch_size=512))
 
-        hashes = {}
         for tag, hot in (("uniform", 0.25), ("hot50", 0.5)):
             corpus = _corpus_dir(skew_pages, hot_prob=hot)
             # warm pilot (actor cold start, parquet footers) — untimed
@@ -428,22 +423,11 @@ def main():
             df = entities(corpus).to_pandas()
             out[f"kg_entities_{tag}_sec"] = round(time.time() - t0, 2)
             out[f"kg_entities_{tag}_rows"] = len(df)
-            hashes[tag] = int(pd.util.hash_pandas_object(
-                df.sort_values("mention").reset_index(drop=True)).sum())
             if tag == "hot50":
                 # the hot phrase matches via its component surface
                 # ("breast"); report the top key's corpus share
                 out["hot_share_pct"] = int(
                     100 * df["n_mentions"].max() / df["n_mentions"].sum())
-        # exactness cross-check under a different reduction shape: the raw
-        # two-stage pipeline (no extra combine round) must agree on the
-        # hot corpus bit-for-bit
-        raw = entities(_corpus_dir(skew_pages, hot_prob=0.5),
-                       extra_combine=False).to_pandas()
-        raw_hash = int(pd.util.hash_pandas_object(
-            raw.sort_values("mention").reset_index(drop=True)).sum())
-        out["hot50_combine_shapes_agree"] = bool(raw_hash == hashes["hot50"])
-
         docs = f"{SF_DIR}/documents.parquet"
         n_docs = rd.read_parquet(docs).count()
         for tag, dph in (("uniform", 16), ("hot50", max(n_docs // 2, 1))):

@@ -17,9 +17,10 @@ engine therefore standardizes on ONE shape for every grouped reduction:
 Both sides run on Arrow tables.  ``grouped_sum_count`` covers the
 Sum/Count family (every SQL-oracled query in this repo) with Arrow hash
 aggregation; pass ``partial_fn``/``final_fn`` to :func:`sorted_group_reduce`
-for custom reductions (argmax, pair generation, ...).  :func:`run_starts`
-and :func:`fold_binary` are the two kernels those reductions share:
-keep-first/argmax over a key-sorted table, and the element-wise merge of
+for custom reductions (argmax, pair generation, ...).  :func:`run_starts`,
+:func:`run_spread` and :func:`fold_binary` are the kernels those
+reductions share: keep-first/argmax over a key-sorted table, a per-key
+value broadcast back to the key's rows, and the element-wise merge of
 fixed-width register/bitmap rows.
 
 Why the co-location invariant is safe under dynamic block splitting
@@ -118,6 +119,14 @@ def run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
         head[1:] |= pc.not_equal(c.slice(1), c.slice(0, max(n - 1, 0))) \
             .to_numpy(zero_copy_only=False)
     return np.flatnonzero(head)
+
+
+def run_spread(values: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """One value per run (``starts`` from :func:`run_starts` over ``n``
+    rows) repeated over that run's rows: ``run_spread(starts, starts, n)``
+    is each row's run start, so ``np.arange(n) - run_spread(starts,
+    starts, n)`` is its position within its key."""
+    return np.repeat(values, np.diff(starts, append=n))
 
 
 def fold_binary(t: pa.Table, key: str, col: str, dtype, ufunc) -> pa.Table:

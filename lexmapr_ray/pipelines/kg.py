@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from lexmapr_ray.functions.groupagg import run_starts
+from lexmapr_ray.functions.typed import with_schema
 from lexmapr_ray.stages.match import (CONTEXTS_SCHEMA, TRIPLES_SCHEMA,
                                       MentionMatcher, extract_text_stage)
 
@@ -111,46 +113,6 @@ def _partial_mention_counts(batch: pa.Table) -> pa.Table:
     return out.rename_columns(["mention", "obj", "obj_label", "n"])
 
 
-def _reduce_canonical_block(df):
-    """Per-block reduce after the mention-sorted shuffle: sum the partial
-    counts, then take the per-mention argmax (count desc, obj asc) — all
-    vectorized pandas, zero per-group Python calls."""
-    import pandas as pd
-
-    if len(df) == 0:
-        return pd.DataFrame(
-            {
-                "mention": pd.Series([], dtype="object"),
-                "canonical_obj": pd.Series([], dtype="object"),
-                "canonical_label": pd.Series([], dtype="object"),
-                "n_mentions": pd.Series([], dtype="int64"),
-                "n_distinct_obj": pd.Series([], dtype="int64"),
-            }
-        )
-    summed = (
-        df.groupby(["mention", "obj", "obj_label"], sort=False)["n"]
-        .sum()
-        .reset_index()
-    )
-    summed = summed.sort_values(
-        ["mention", "n", "obj"], ascending=[True, False, True], kind="mergesort"
-    )
-    totals = summed.groupby("mention", sort=False)["n"].agg(["sum", "size"])
-    top = summed.drop_duplicates("mention", keep="first").set_index("mention")
-    out = top.join(totals)
-    out = out.reset_index().rename(
-        columns={
-            "obj": "canonical_obj",
-            "obj_label": "canonical_label",
-            "sum": "n_mentions",
-            "size": "n_distinct_obj",
-        }
-    )[["mention", "canonical_obj", "canonical_label", "n_mentions", "n_distinct_obj"]]
-    out["n_mentions"] = out["n_mentions"].astype("int64")
-    out["n_distinct_obj"] = out["n_distinct_obj"].astype("int64")
-    return out
-
-
 def _sum_partial_counts(t: pa.Table) -> pa.Table:
     """Re-combine bundled partial (mention, obj, obj_label, n) rows —
     associative, so any number of applications before the shuffle is exact.
@@ -160,7 +122,29 @@ def _sum_partial_counts(t: pa.Table) -> pa.Table:
     return out.rename_columns(["mention", "obj", "obj_label", "n"])
 
 
-def canonicalize_mentions(triples_ds, *, extra_combine: bool | None = None):
+ENTITIES_SCHEMA = pa.schema([("mention", pa.string()),
+                             ("canonical_obj", pa.string()),
+                             ("canonical_label", pa.string()),
+                             ("n_mentions", pa.int64()),
+                             ("n_distinct_obj", pa.int64())])
+
+
+def _reduce_canonical_block(t: pa.Table) -> pa.Table:
+    """Per-block reduce after the mention-sorted shuffle: sum the partial
+    counts, then take the per-mention argmax (count desc, obj asc) as the
+    first row of each mention's run — Arrow kernels, zero per-group
+    Python calls."""
+    t = _sum_partial_counts(t).sort_by(
+        [("mention", "ascending"), ("n", "descending"), ("obj", "ascending")])
+    starts = run_starts(t, ["mention"])
+    top = t.take(starts)
+    return pa.table([top["mention"], top["obj"], top["obj_label"],
+                     np.add.reduceat(t["n"].to_numpy(), starts),
+                     np.diff(starts, append=t.num_rows)],
+                    schema=ENTITIES_SCHEMA)
+
+
+def canonicalize_mentions(triples_ds):
     """Entity canonicalization: normalized surface form -> canonical term
     (most frequent ontology id for that surface form; ties -> lexicographic
     smallest id).
@@ -173,20 +157,18 @@ def canonicalize_mentions(triples_ds, *, extra_combine: bool | None = None):
         not corpus size;
       * Ray's sort assigns every row with equal key to exactly one output
         partition (boundary assignment is a pure function of the key), so a
-        per-block pandas reduce is exact — and ~100x cheaper than
+        per-block Arrow reduce is exact — and ~100x cheaper than
         ``groupby().map_groups`` (one Python call per group) or
         ``groupby().aggregate`` (AggregateFn overhead per block dominates);
       * at 10^12 documents the per-key partial count (= n_batches) itself
-        grows unbounded; ``extra_combine`` inserts a further barrier-free
-        combine round — bundles of 262144 partial rows are re-summed
+        grows unbounded, so a further barrier-free combine round always
+        runs: bundles of 262144 partial rows are re-summed
         (``_sum_partial_counts``, associative), shrinking any key's partial
         population by the bundling factor.  One round per ~3 orders of
         magnitude of batch count keeps every key's partials block-sized.
-        The guard is ON by default (``None`` -> True): it is streaming
-        (no barrier), exact at any application count, and measured
-        cost-free at bench scale (sf0.1 warm: 4.45 s off vs 4.49 s on —
-        inside run-to-run noise), so there is nothing to size-switch;
-        pass False only to benchmark the raw two-stage shape.
+        It is streaming (no barrier), exact at any application count, and
+        measured cost-free at bench scale (sf0.1 warm: 4.45 s without vs
+        4.49 s with — inside run-to-run noise).
     ``map_batches(batch_size=None)`` is required: a numeric batch_size would
     re-split sorted blocks mid-key and break key locality.
     """
@@ -197,14 +179,10 @@ def canonicalize_mentions(triples_ds, *, extra_combine: bool | None = None):
     # op would add a pipeline barrier for the same effect
     partials = triples_ds.map_batches(
         _partial_mention_counts, batch_format="pyarrow", batch_size=65536
-    )
-    if extra_combine is None or extra_combine:
-        partials = partials.map_batches(
-            _sum_partial_counts, batch_format="pyarrow", batch_size=262144
-        )
-    return partials.sort("mention").map_batches(
-        _reduce_canonical_block, batch_format="pandas", batch_size=None
-    )
+    ).map_batches(_sum_partial_counts, batch_format="pyarrow", batch_size=262144)
+    return with_schema(partials.sort("mention").map_batches(
+        _reduce_canonical_block, batch_format="pyarrow", batch_size=None
+    ), ENTITIES_SCHEMA)
 
 
 def _block_dedup_sorted(t: pa.Table) -> pa.Table:
@@ -731,8 +709,6 @@ def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
     is provably whole even past ``target_max_block_size`` (see
     dedup_triples) — C(k,2) rows for a page with k <= cap distinct terms;
     one grouped count on (obj_a, obj_b) finishes."""
-    import ray.data as rd
-
     from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     def page_pairs(t: pa.Table) -> pa.Table:
@@ -749,10 +725,9 @@ def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
             .select(["obj_a", "obj_b"])
 
     pairs = dedup_triples(triples_ds, block_fn=page_pairs)
-    # one typed 0-row block: when every page is over the cap, the sort
-    # leaves column-less blocks and the result would have no schema
-    return grouped_sum_count(pairs, ["obj_a", "obj_b"], count_alias="n_pages") \
-        .union(rd.from_arrow(_COOC_SCHEMA.empty_table()))
+    # typed even when every page is over the cap and no pair is left
+    return with_schema(grouped_sum_count(pairs, ["obj_a", "obj_b"],
+                                         count_alias="n_pages"), _COOC_SCHEMA)
 
 
 def term_components(triples_ds, *, num_buckets: int = 32,

@@ -18,7 +18,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from lexmapr_ray.functions.groupagg import grouped_sum_count
+from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_spread,
+                                            run_starts)
+from lexmapr_ray.functions.typed import int64_schema, with_schema
 
 
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -724,42 +726,45 @@ def part_brand_revenue(sf_dir: str):
 # Windowed ranking / set operations
 # ---------------------------------------------------------------------------
 
+TOP_ORDERS_SCHEMA = int64_schema("o_custkey", "o_orderkey", "total_cents", "rank")
+
+
 def top_orders_per_customer(sf_dir: str, k: int = 3):
     """Top-k orders per customer by value (ROW_NUMBER-per-partition
-    semantics): customer-key sort co-locates each partition, then a
-    vectorized per-block groupby head — no per-group Python, no window
-    buffer."""
-    import pandas as pd
-
+    semantics): customer-key sort co-locates each partition, then one
+    sort per block and each row's position in its customer's run — no
+    per-group Python, no window buffer."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
-            "o_custkey": t["o_custkey"],
-            "o_orderkey": t["o_orderkey"],
+            "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
+            "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
             "total_cents": _cents(t["o_totalprice"]),
         })
 
-    def topk_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            out["rank"] = pd.Series([], dtype="int64")
-            return out
-        df = df.sort_values(
-            ["o_custkey", "total_cents", "o_orderkey"],
-            ascending=[True, False, True], kind="mergesort",
-        )
-        df = df.assign(rank=df.groupby("o_custkey", sort=False).cumcount() + 1)
-        return df[df["rank"] <= k]
+    def topk_block(t: pa.Table) -> pa.Table:
+        # the final drops the combiner's rank and ranks again
+        t = t.select(TOP_ORDERS_SCHEMA.names[:3]).sort_by(
+            [("o_custkey", "ascending"), ("total_cents", "descending"),
+             ("o_orderkey", "ascending")])
+        starts = run_starts(t, ["o_custkey"])
+        rank = np.arange(1, t.num_rows + 1) - run_spread(starts, starts, t.num_rows)
+        keep = rank <= k
+        return t.filter(keep).append_column("rank", pa.array(rank[keep]))
 
     # combiner: per-batch top-k is a superset of the global per-key top-k,
     # so applying the same reduce before AND after the shuffle is exact
     # while shrinking the exchanged rows to <= k per (key, batch)
     prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
-    pruned = prepped.map_batches(topk_block, batch_format="pandas", batch_size=65536)
-    return pruned.sort("o_custkey").map_batches(
-        topk_block, batch_format="pandas", batch_size=None
-    )
+    pruned = prepped.map_batches(topk_block, batch_format="pyarrow", batch_size=65536)
+    return with_schema(pruned.sort("o_custkey").map_batches(
+        topk_block, batch_format="pyarrow", batch_size=None
+    ), TOP_ORDERS_SCHEMA)
+
+
+RUNNING_WINDOW_SCHEMA = int64_schema("o_custkey", "o_orderkey", "running_cents",
+                                     "gap_days")
 
 
 def orders_running_window(sf_dir: str):
@@ -769,9 +774,10 @@ def orders_running_window(sf_dir: str):
     each customer's first order).
 
     Scale shape: one customer-key range sort co-locates each partition,
-    then ONE vectorized per-block pass computes both windows (pandas
-    grouped cumsum + shift — no per-group Python, no window buffer, no
-    second shuffle).  Unlike grouped reductions, window outputs are
+    then ONE vectorized per-block pass computes both windows (a cumsum
+    less each customer's sum before its run, and a one-row shift reset
+    at run starts — no per-group Python, no window buffer, no second
+    shuffle).  Unlike grouped reductions, window outputs are
     per-row, so there is no combiner to push pre-shuffle: the sort moves
     exactly the projected columns once, which is the lower bound for any
     order-dependent window.
@@ -782,42 +788,29 @@ def orders_running_window(sf_dir: str):
     (the SQL oracle applies the identical integer arithmetic rather than
     an engine-defined DATE_DIFF).
     """
-    import pandas as pd
-
     ds = _read(sf_dir, "orders",
                ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
-            "o_custkey": t["o_custkey"],
-            "o_orderkey": t["o_orderkey"],
+            "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
+            "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
             "date_us": pc.cast(t["o_orderdate"], pa.int64()),
             "total_cents": _cents(t["o_totalprice"]),
         })
 
-    def window_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "o_custkey": pd.Series([], dtype="int64"),
-                "o_orderkey": pd.Series([], dtype="int64"),
-                "running_cents": pd.Series([], dtype="int64"),
-                "gap_days": pd.Series([], dtype="int64"),
-            })
-        df = df.sort_values(["o_custkey", "date_us", "o_orderkey"],
-                            kind="mergesort")
-        g = df.groupby("o_custkey", sort=False)
-        run = g["total_cents"].cumsum().to_numpy(dtype="int64")
-        prev = g["date_us"].shift(1)
-        cur = df["date_us"].to_numpy(dtype="int64")
-        first = prev.isna().to_numpy()
-        gap = (cur - prev.fillna(0).to_numpy(dtype="int64")) // 86_400_000_000
-        gap[first] = -1
-        return pd.DataFrame({
-            "o_custkey": df["o_custkey"].to_numpy(dtype="int64"),
-            "o_orderkey": df["o_orderkey"].to_numpy(dtype="int64"),
-            "running_cents": run,
-            "gap_days": gap,
-        })
+    def window_block(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(c, "ascending") for c in ("o_custkey", "date_us", "o_orderkey")])
+        starts = run_starts(t, ["o_custkey"])
+        v = t["total_cents"].to_numpy()
+        run = np.cumsum(v)
+        run -= run_spread(run[starts] - v[starts], starts, len(v))
+        date = t["date_us"].to_numpy()
+        gap = np.empty_like(date)
+        gap[1:] = (date[1:] - date[:-1]) // DAY_US
+        gap[starts] = -1
+        return pa.table([t["o_custkey"], t["o_orderkey"], run, gap],
+                        schema=RUNNING_WINDOW_SCHEMA)
 
     prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
     # Sort on the PARTITION KEY ALONE: the range partitioner splits on the
@@ -827,8 +820,9 @@ def orders_running_window(sf_dir: str):
     # gate sweep: a -1 gap_days inside a split customer).  With the key
     # alone, equal keys are provably co-partitioned (functions/groupagg
     # contract) and window_block's in-block mergesort restores date order.
-    return prepped.sort("o_custkey").map_batches(
-        window_block, batch_format="pandas", batch_size=None)
+    return with_schema(prepped.sort("o_custkey").map_batches(
+        window_block, batch_format="pyarrow", batch_size=None),
+        RUNNING_WINDOW_SCHEMA)
 
 
 def _distinct_keys(sf_dir: str, table: str, col: str, out: str):
@@ -999,6 +993,8 @@ def customer_event_activity(sf_dir: str, num_buckets: int = 32):
 
 
 DAY_US = 86_400_000_000
+DAU_SCHEMA = int64_schema("day", "dau")
+COHORTS_SCHEMA = int64_schema("cohort_day", "day_offset", "n_users")
 
 
 def events_daily_active(sf_dir: str):
@@ -1011,8 +1007,6 @@ def events_daily_active(sf_dir: str):
     disjoint partials; a final tiny grouped sum (rows = days x blocks)
     closes the count.  No user set is ever collected or broadcast — the
     same exact-distinct shape as ``source_stats``."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -1022,21 +1016,22 @@ def events_daily_active(sf_dir: str):
             "user_id": pc.cast(t["user_id"], pa.int64()),
         })
 
-    def local_dedupe(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["day", "user_id"])
+    def local_dedupe(t: pa.Table) -> pa.Table:
+        return t.group_by(["day", "user_id"], use_threads=False).aggregate([])
 
-    def block_partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.drop_duplicates(["day", "user_id"])
-        out = d.groupby("day", as_index=False, sort=False).size()
-        return pd.DataFrame({"day": out["day"].astype("int64"),
-                             "dau_part": out["size"].astype("int64")})
+    def block_partial(t: pa.Table) -> pa.Table:
+        d = t.take(run_starts(t, ["day", "user_id"]))
+        days = run_starts(d, ["day"])
+        return pa.table({"day": d["day"].take(days),
+                         "dau_part": np.diff(days, append=d.num_rows)})
 
     deduped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536) \
-        .map_batches(local_dedupe, batch_format="pandas", batch_size=65536)
+        .map_batches(local_dedupe, batch_format="pyarrow", batch_size=65536)
     partials = deduped.sort(["day", "user_id"]).map_batches(
-        block_partial, batch_format="pandas", batch_size=None)
-    return grouped_sum_count(partials, "day", {"dau": "dau_part"},
-                             count_alias="_nb").drop_columns(["_nb"])
+        block_partial, batch_format="pyarrow", batch_size=None)
+    return with_schema(grouped_sum_count(partials, "day", {"dau": "dau_part"},
+                                         count_alias="_nb").drop_columns(["_nb"]),
+                       DAU_SCHEMA)
 
 
 def events_retention_cohorts(sf_dir: str):
@@ -1051,8 +1046,6 @@ def events_retention_cohorts(sf_dir: str):
     offset) activity vectorized — after it, rows are globally unique per
     (cohort, offset, user), so the closing grouped count is exact with no
     distinct machinery."""
-    import pandas as pd
-
     ds = _read(sf_dir, "events", ["ts", "user_id", "event_type"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -1063,29 +1056,25 @@ def events_retention_cohorts(sf_dir: str):
             "is_signup": pc.cast(pc.equal(t["event_type"], "signup"), pa.int64()),
         })
 
-    def cohort_block(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "cohort_day": pd.Series([], dtype="int64"),
-            "day_offset": pd.Series([], dtype="int64"),
-        })
-        if len(df) == 0:
-            return empty
-        sig = df[df["is_signup"] == 1].groupby("user_id")["day"].min()
-        if len(sig) == 0:
-            return empty
-        d = df.merge(sig.rename("cohort_day"), on="user_id", how="inner")
-        d = d[d["day"] >= d["cohort_day"]]
-        d = d.drop_duplicates(["user_id", "day"])
-        return pd.DataFrame({
-            "cohort_day": d["cohort_day"].astype("int64"),
-            "day_offset": (d["day"] - d["cohort_day"]).astype("int64"),
-        })
+    def cohort_block(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("user_id", "ascending"), ("day", "ascending")])
+        starts = run_starts(t, ["user_id"])
+        day = t["day"].to_numpy()
+        # each user's first signup day, on each of its rows (never: none)
+        never = np.iinfo(np.int64).max
+        cohort = run_spread(np.minimum.reduceat(
+            np.where(t["is_signup"].to_numpy() == 1, day, never), starts),
+            starts, len(day))
+        first = run_starts(t, ["user_id", "day"])     # one row per active day
+        first = first[day[first] >= cohort[first]]
+        return pa.table({"cohort_day": cohort[first],
+                         "day_offset": day[first] - cohort[first]})
 
     rows = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536) \
         .sort("user_id") \
-        .map_batches(cohort_block, batch_format="pandas", batch_size=None)
-    return grouped_sum_count(rows, ["cohort_day", "day_offset"], {},
-                             count_alias="n_users")
+        .map_batches(cohort_block, batch_format="pyarrow", batch_size=None)
+    return with_schema(grouped_sum_count(rows, ["cohort_day", "day_offset"], {},
+                                         count_alias="n_users"), COHORTS_SCHEMA)
 
 
 def fuzzy_name_pairs(sf_dir: str):

@@ -1,11 +1,12 @@
 """Windowed / temporal operators Ray Data has no primitive for.
 
-All three follow the engine's standard wide-op shape (see
-``functions/groupagg.py``): co-locate the partition key via ``sort``, then a
-fully vectorized per-block pandas reduce.  Sessionization and the as-of
-join sort on the ENTITY key alone (a composite (key, time) sort could split
-one entity across range partitions); time ordering is re-established
-vectorized inside the block.
+All follow the engine's standard wide-op shape (see
+``functions/groupagg.py``): co-locate the partition key via ``sort``, then
+one vectorized Arrow/numpy pass per block over its key-sorted runs
+(``run_starts`` + ``np.*.reduceat``, prefix sums, run offsets).
+Sessionization and the as-of join sort on the ENTITY key alone (a
+composite (key, time) sort could split one entity across range
+partitions); time ordering is re-established inside the block.
 
 Partitioning assumption (judge r1 asked for the note): one entity's full
 history must fit in a single block.  For web-scale event data that holds
@@ -20,17 +21,54 @@ oracles in ``__ray_entry__`` compare bit-exactly.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from lexmapr_ray.functions.groupagg import run_spread, run_starts
+from lexmapr_ray.functions.typed import int64_schema, with_schema
+
 SESSION_GAP_US = 30 * 60 * 1_000_000
+
+SESSIONS_SCHEMA = int64_schema("user_id", "session_id", "session_start_us",
+                               "n_events", "sum_value_cents")
+LAST_ORDER_SCHEMA = int64_schema("event_id", "user_id", "ts_us",
+                                 "last_order_key", "last_order_cents")
+PURCHASE_CONTEXT_SCHEMA = int64_schema("event_id", "n_prior", "sum_prior_cents")
+FUNNEL_SCHEMA = int64_schema("n_view", "n_view_click", "n_funnel")
+TRANSITIONS_SCHEMA = pa.schema([("from_type", pa.string()),
+                                ("to_type", pa.string()),
+                                ("n", pa.int64()), ("p_permille", pa.int64())])
 
 
 def _read(sf_dir: str, table: str, columns=None):
     from lexmapr_ray.sources.tables import sized_read_parquet
 
     return sized_read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+def _sorted(t: pa.Table, *cols: str) -> pa.Table:
+    return t.sort_by([(c, "ascending") for c in cols])
+
+
+def _gap_sessions(t: pa.Table, keys: list[str], start: str, end: str,
+                  gap_us: int):
+    """The gap-session rule of every sessionizing operator here.
+
+    Over ``t`` sorted on ``keys`` then ``start``, a session opens at a row
+    where the key changes or ``start`` is more than ``gap_us`` past the
+    previous row's ``end``.  Returns ``(first, number)``: the offset of
+    each session's first row, and the session's 1-based number within its
+    key."""
+    key_first = run_starts(t, keys)
+    s, e = t[start].to_numpy(), t[end].to_numpy()
+    head = np.zeros(t.num_rows, dtype=bool)
+    head[key_first] = True
+    head[1:] |= s[1:] - e[:-1] > gap_us
+    first = np.flatnonzero(head)
+    key_session = np.searchsorted(first, key_first)
+    number = np.arange(len(first)) \
+        - run_spread(key_session, key_session, len(first)) + 1
+    return first, number
 
 
 # ---------------------------------------------------------------------------
@@ -51,39 +89,20 @@ def events_sessions(sf_dir: str, gap_us: int = SESSION_GAP_US):
             "cents": pc.cast(pc.round(pc.multiply(t["value"], 100)), pa.int64()),
         })
 
-    def sessionize(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "session_id": pd.Series([], dtype="int64"),
-                "session_start_us": pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-                "sum_value_cents": pd.Series([], dtype="int64"),
-            })
-        df = df.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        prev = df.groupby("user_id", sort=False)["ts_us"].shift()
-        new_session = prev.isna() | (df["ts_us"] - prev > gap_us)
-        df = df.assign(
-            session_id=new_session.astype("int64").groupby(df["user_id"]).cumsum()
-        )
-        out = (
-            df.groupby(["user_id", "session_id"], sort=True)
-            .agg(
-                session_start_us=("ts_us", "min"),
-                n_events=("event_id", "size"),
-                sum_value_cents=("cents", "sum"),
-            )
-            .reset_index()
-        )
-        for c in out.columns:
-            out[c] = out[c].astype("int64")
-        return out
+    def sessionize(t: pa.Table) -> pa.Table:
+        t = _sorted(t, "user_id", "ts_us", "event_id")
+        first, number = _gap_sessions(t, ["user_id"], "ts_us", "ts_us", gap_us)
+        return pa.table([
+            t["user_id"].take(first), number, t["ts_us"].take(first),
+            np.diff(first, append=t.num_rows),
+            np.add.reduceat(t["cents"].to_numpy(), first),
+        ], schema=SESSIONS_SCHEMA)
 
     prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
     # sort on user_id ONLY: each user's events land in exactly one block
-    return prepped.sort("user_id").map_batches(
-        sessionize, batch_format="pandas", batch_size=None
-    )
+    return with_schema(prepped.sort("user_id").map_batches(
+        sessionize, batch_format="pyarrow", batch_size=None
+    ), SESSIONS_SCHEMA)
 
 
 def events_sessions_two_level(sf_dir: str, gap_us: int = SESSION_GAP_US,
@@ -118,66 +137,36 @@ def events_sessions_two_level(sf_dir: str, gap_us: int = SESSION_GAP_US,
             "cents": pc.cast(pc.round(pc.multiply(t["value"], 100)), pa.int64()),
         })
 
-    def sessionize_slice(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "start_us": pd.Series([], dtype="int64"),
-                "end_us": pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-                "cents": pd.Series([], dtype="int64"),
-            })
-        df = df.sort_values(["user_id", "slice_id", "ts_us", "event_id"],
-                            kind="mergesort")
-        grp = df.groupby(["user_id", "slice_id"], sort=False)
-        prev = grp["ts_us"].shift()
-        new_s = prev.isna() | (df["ts_us"] - prev > gap_us)
-        sid = new_s.astype("int64").groupby(
-            [df["user_id"], df["slice_id"]]).cumsum()
-        out = (
-            df.assign(__sid=sid)
-            .groupby(["user_id", "slice_id", "__sid"], sort=False)
-            .agg(start_us=("ts_us", "min"), end_us=("ts_us", "max"),
-                 n_events=("event_id", "size"), cents=("cents", "sum"))
-            .reset_index()[["user_id", "start_us", "end_us", "n_events", "cents"]]
-        )
-        for c in out.columns:
-            out[c] = out[c].astype("int64")
-        return out
+    def sessionize_slice(t: pa.Table) -> pa.Table:
+        t = _sorted(t, "user_id", "slice_id", "ts_us", "event_id")
+        first, _ = _gap_sessions(t, ["user_id", "slice_id"], "ts_us", "ts_us",
+                                 gap_us)
+        ts = t["ts_us"].to_numpy()
+        return pa.table({
+            "user_id": t["user_id"].take(first),
+            "start_us": ts[first],
+            "end_us": ts[np.append(first[1:], len(ts)) - 1],
+            "n_events": np.diff(first, append=len(ts)),
+            "cents": np.add.reduceat(t["cents"].to_numpy(), first),
+        })
 
-    def merge_user(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "session_id": pd.Series([], dtype="int64"),
-                "session_start_us": pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-                "sum_value_cents": pd.Series([], dtype="int64"),
-            })
-        df = df.sort_values(["user_id", "start_us"], kind="mergesort")
-        prev_end = df.groupby("user_id", sort=False)["end_us"].shift()
-        new_s = prev_end.isna() | (df["start_us"] - prev_end > gap_us)
-        df = df.assign(
-            session_id=new_s.astype("int64").groupby(df["user_id"]).cumsum()
-        )
-        out = (
-            df.groupby(["user_id", "session_id"], sort=True)
-            .agg(session_start_us=("start_us", "min"),
-                 n_events=("n_events", "sum"),
-                 sum_value_cents=("cents", "sum"))
-            .reset_index()
-        )
-        for c in out.columns:
-            out[c] = out[c].astype("int64")
-        return out
+    def merge_user(t: pa.Table) -> pa.Table:
+        t = _sorted(t, "user_id", "start_us")
+        first, number = _gap_sessions(t, ["user_id"], "start_us", "end_us",
+                                      gap_us)
+        return pa.table([
+            t["user_id"].take(first), number, t["start_us"].take(first),
+            np.add.reduceat(t["n_events"].to_numpy(), first),
+            np.add.reduceat(t["cents"].to_numpy(), first),
+        ], schema=SESSIONS_SCHEMA)
 
     prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
     l1 = prepped.sort(["user_id", "slice_id"]).map_batches(
-        sessionize_slice, batch_format="pandas", batch_size=None
+        sessionize_slice, batch_format="pyarrow", batch_size=None
     )
-    return l1.sort("user_id").map_batches(
-        merge_user, batch_format="pandas", batch_size=None
-    )
+    return with_schema(l1.sort("user_id").map_batches(
+        merge_user, batch_format="pyarrow", batch_size=None
+    ), SESSIONS_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -225,89 +214,57 @@ def events_last_order(sf_dir: str):
     deterministic and identical to the SQL oracle's.
 
     Shape: tag + union both sides -> sort on the entity key (co-locates a
-    customer's events AND orders in one block) -> per-block vectorized
-    ``pandas.merge_asof``."""
-    import ray
-
+    customer's events AND orders in one block) -> per block, one sort on
+    (customer, time) and a running "last order row so far" index."""
     events = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
 
-    # typed sentinels (-1) instead of nulls: keeps every column null-free so
-    # downstream pandas dtype stays int64 (nullable ints degrade to float64
-    # and lose exactness in the oracle comparison)
+    def tagged(side: int, **cols) -> pa.Table:
+        """One side of the union: its own ``cols`` as int64, -1 in the
+        other side's columns, and ``side`` (0 events, 1 orders)."""
+        n = len(next(iter(cols.values())))
+        neg1 = pa.array(np.full(n, -1, dtype=np.int64))
+        return pa.table({c: pc.cast(cols.get(c, neg1), pa.int64()) for c in
+                         ("user_id", "t_us", "event_id", "o_orderkey", "o_cents")}
+                        | {"side": pa.array(np.full(n, side, dtype=np.int64))})
+
     def prep_events(t: pa.Table) -> pa.Table:
-        n = len(t)
-        neg1 = pa.array([-1] * n, pa.int64())
-        return pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "t_us": pc.cast(t["ts"], pa.int64()),
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "o_orderkey": neg1,
-            "o_cents": neg1,
-            "side": pa.array([0] * n, pa.int64()),
-        })
+        return tagged(0, user_id=t["user_id"], t_us=t["ts"], event_id=t["event_id"])
 
     def prep_orders(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "user_id": t["o_custkey"].to_pandas().astype("int64"),
-            "t_us": t["o_orderdate"].cast(pa.int64()).to_pandas(),
-            "o_orderkey": t["o_orderkey"].to_pandas().astype("int64"),
-            "o_cents": (t["o_totalprice"].to_pandas() * 100).round().astype("int64"),
-        })
+        o = tagged(1, user_id=t["o_custkey"], t_us=t["o_orderdate"],
+                   o_orderkey=t["o_orderkey"],
+                   o_cents=pc.round(pc.multiply(t["o_totalprice"], 100)))
         # batch-local reduce to one order per (customer, date), max orderkey
-        # wins (associative: repeated below per block after the shuffle)
-        df = df.sort_values(["user_id", "t_us", "o_orderkey"]).drop_duplicates(
-            ["user_id", "t_us"], keep="last"
-        )
-        # scalar assignment — a pd.Series here would ALIGN on the index
-        # left ragged by drop_duplicates and silently null out every row
-        # whose label exceeds len(df)
-        df["event_id"] = -1
-        df["side"] = 1
-        return pa.Table.from_pandas(
-            df[["user_id", "t_us", "event_id", "o_orderkey", "o_cents", "side"]],
-            preserve_index=False,
-        ).cast(pa.schema([
-            ("user_id", pa.int64()), ("t_us", pa.int64()), ("event_id", pa.int64()),
-            ("o_orderkey", pa.int64()), ("o_cents", pa.int64()), ("side", pa.int64()),
-        ]))
+        # wins (associative: asof_block's sort repeats it after the shuffle)
+        o = o.sort_by([("user_id", "ascending"), ("t_us", "ascending"),
+                       ("o_orderkey", "descending")])
+        return o.take(run_starts(o, ["user_id", "t_us"]))
 
     ev = events.map_batches(prep_events, batch_format="pyarrow", batch_size=65536)
     od = orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=65536)
     unioned = ev.union(od)
 
-    def asof_block(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "event_id": pd.Series([], dtype="int64"),
-            "user_id": pd.Series([], dtype="int64"),
-            "ts_us": pd.Series([], dtype="int64"),
-            "last_order_key": pd.Series([], dtype="int64"),
-            "last_order_cents": pd.Series([], dtype="int64"),
-        })
-        if len(df) == 0:
-            return empty
-        e = df[df["side"] == 0][["user_id", "t_us", "event_id"]].sort_values("t_us", kind="mergesort")
-        o = df[df["side"] == 1][["user_id", "t_us", "o_orderkey", "o_cents"]]
-        # cross-batch dedupe of the per-(customer,date) reduce
-        o = o.sort_values(["t_us", "user_id", "o_orderkey"], kind="mergesort").drop_duplicates(
-            ["user_id", "t_us"], keep="last"
-        ).sort_values("t_us", kind="mergesort")
-        if len(e) == 0 or len(o) == 0:
-            return empty
-        m = pd.merge_asof(e, o, on="t_us", by="user_id", direction="backward")
-        m = m.dropna(subset=["o_orderkey"])
-        out = pd.DataFrame({
-            "event_id": m["event_id"].astype("int64"),
-            "user_id": m["user_id"].astype("int64"),
-            "ts_us": m["t_us"].astype("int64"),
-            "last_order_key": m["o_orderkey"].astype("int64"),
-            "last_order_cents": m["o_cents"].astype("int64"),
-        })
-        return out.sort_values("event_id", kind="mergesort")
+    def asof_block(t: pa.Table) -> pa.Table:
+        # at one instant, orders sort ahead of events (the match is
+        # inclusive) and the date's largest orderkey last, so each event's
+        # match is the last order row before it, if that row is its user's
+        t = t.sort_by([("user_id", "ascending"), ("t_us", "ascending"),
+                       ("side", "descending"), ("o_orderkey", "ascending")])
+        user = t["user_id"].to_numpy()
+        is_order = t["side"].to_numpy() == 1
+        last = np.maximum.accumulate(
+            np.where(is_order, np.arange(t.num_rows), -1))
+        hit = ~is_order & (last >= 0) & (user[last] == user)
+        e, o = np.flatnonzero(hit), last[hit]
+        return pa.table([t["event_id"].take(e), t["user_id"].take(e),
+                         t["t_us"].take(e), t["o_orderkey"].take(o),
+                         t["o_cents"].take(o)],
+                        schema=LAST_ORDER_SCHEMA).sort_by("event_id")
 
-    return unioned.sort("user_id").map_batches(
-        asof_block, batch_format="pandas", batch_size=None
-    )
+    return with_schema(unioned.sort("user_id").map_batches(
+        asof_block, batch_format="pyarrow", batch_size=None
+    ), LAST_ORDER_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +284,12 @@ def events_purchase_context(sf_dir: str, window_us: int = DAY_US):
     same table, so nothing is read twice), sort on the entity key alone
     (co-locates a user's full history in one block, the module-level
     partitioning assumption), then a per-block O(n log n) vectorized
-    reduce: per-user exclusive prefix sums over the time-sorted history +
-    two ``pandas.merge_asof`` probes give each anchor the inclusive index
-    range of its window — no per-row Python, no all-pairs expansion, and
-    the join never materializes the (anchor x context) pairs (counts and
-    sums come from prefix-sum differences).
+    reduce: each anchor adds two probe rows, its window start and its own
+    instant, to the block's events; one sort on (user, ts, probes first)
+    and running event counts and value sums give each probe the events
+    strictly before it, and the window is the difference of the two — no
+    per-row Python, no all-pairs expansion, and the join never
+    materializes the (anchor x context) pairs.
     """
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
@@ -344,59 +302,29 @@ def events_purchase_context(sf_dir: str, window_us: int = DAY_US):
             "is_anchor": pc.cast(pc.equal(t["event_type"], "purchase"), pa.int64()),
         })
 
-    def context_block(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "event_id": pd.Series([], dtype="int64"),
-            "n_prior": pd.Series([], dtype="int64"),
-            "sum_prior_cents": pd.Series([], dtype="int64"),
-        })
-        if len(df) == 0:
-            return empty
-        # full history, time-sorted; stable sort keeps equal-ts order
-        # deterministic (cum ranges only ever span ts strictly inside the
-        # window, so equal-ts ordering cannot change the answer)
-        e = df.sort_values(["user_id", "ts_us"], kind="mergesort").reset_index(drop=True)
-        grp = e.groupby("user_id", sort=False)
-        e["cum"] = grp.cumcount().astype("int64")
-        e["presum"] = (grp["cents"].cumsum() - e["cents"]).astype("int64")
-        hist = e[["user_id", "ts_us", "cum", "presum", "cents"]].sort_values(
-            "ts_us", kind="mergesort")
-        p = e[e["is_anchor"] == 1][["event_id", "user_id", "ts_us"]].copy()
-        if len(p) == 0 or len(hist) == 0:
-            return empty
-        p["t0"] = p["ts_us"] - window_us
-        # first history index with ts >= t0 (window start, inclusive)
-        lo = pd.merge_asof(
-            p.sort_values("t0", kind="mergesort"),
-            hist.rename(columns={"ts_us": "h_ts"}),
-            left_on="t0", right_on="h_ts", by="user_id",
-            direction="forward", allow_exact_matches=True,
-        )
-        # last history index with ts < anchor ts (window end, exclusive)
-        hi = pd.merge_asof(
-            p.sort_values("ts_us", kind="mergesort"),
-            hist.rename(columns={"ts_us": "h_ts"}),
-            left_on="ts_us", right_on="h_ts", by="user_id",
-            direction="backward", allow_exact_matches=False,
-        )
-        lo = lo.set_index("event_id")
-        hi = hi.set_index("event_id")
-        c1 = lo["cum"].reindex(hi.index)
-        ok = c1.notna() & hi["cum"].notna() & (hi["cum"] >= c1)
-        n = pd.Series(0, index=hi.index, dtype="int64")
-        s = pd.Series(0, index=hi.index, dtype="int64")
-        n[ok] = (hi["cum"][ok] - c1[ok] + 1).astype("int64")
-        s[ok] = (hi["presum"][ok] + hi["cents"][ok]
-                 - lo["presum"].reindex(hi.index)[ok]).astype("int64")
-        return pd.DataFrame({
-            "event_id": hi.index.astype("int64"),
-            "n_prior": n.values,
-            "sum_prior_cents": s.values,
-        }).sort_values("event_id", kind="mergesort")
+    def context_block(t: pa.Table) -> pa.Table:
+        a = t.filter(pc.equal(t["is_anchor"], 1))
+        n, k = t.num_rows, a.num_rows
+        a_user, a_ts = a["user_id"].to_numpy(), a["ts_us"].to_numpy()
+        user = np.concatenate([t["user_id"].to_numpy(), a_user, a_user])
+        ts = np.concatenate([t["ts_us"].to_numpy(), a_ts - window_us, a_ts])
+        is_event = np.zeros(n + 2 * k, dtype=np.int64)
+        is_event[:n] = 1
+        cents = np.zeros(n + 2 * k, dtype=np.int64)
+        cents[:n] = t["cents"].to_numpy()
+        order = np.lexsort((is_event, ts, user))
+        seen, total = np.empty_like(is_event), np.empty_like(cents)
+        seen[order] = np.cumsum(is_event[order])
+        total[order] = np.cumsum(cents[order])
+        lo, hi = slice(n, n + k), slice(n + k, None)
+        return pa.table([a["event_id"], seen[hi] - seen[lo], total[hi] - total[lo]],
+                        schema=PURCHASE_CONTEXT_SCHEMA).sort_by("event_id")
 
-    return ds.map_batches(prep, batch_format="pyarrow", batch_size=65536).sort(
+    return with_schema(ds.map_batches(
+        prep, batch_format="pyarrow", batch_size=65536).sort(
         "user_id"
-    ).map_batches(context_block, batch_format="pandas", batch_size=None)
+    ).map_batches(context_block, batch_format="pyarrow", batch_size=None),
+        PURCHASE_CONTEXT_SCHEMA)
 
 
 def events_funnel(sf_dir: str):
@@ -406,7 +334,10 @@ def events_funnel(sf_dir: str):
     conversion funnel (sequence semantics SQL needs three correlated
     self-joins for; here it is one entity-key sort + a vectorized block
     reduce over co-located user histories, then a one-row global sum)."""
+    import ray.data as rd
+
     ds = _read(sf_dir, "events", ["ts", "user_id", "event_type"])
+    never = np.iinfo(np.int64).max
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -415,40 +346,39 @@ def events_funnel(sf_dir: str):
             "event_type": t["event_type"],
         })
 
-    def funnel_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                "n_view": pd.Series([], dtype="int64"),
-                "n_view_click": pd.Series([], dtype="int64"),
-                "n_funnel": pd.Series([], dtype="int64"),
-            })
-        v = df[df["event_type"] == "view"].groupby("user_id")["ts_us"].min()
-        c = df[df["event_type"] == "click"].merge(
-            v.rename("v_ts"), on="user_id", how="inner")
-        c = c[c["ts_us"] > c["v_ts"]].groupby("user_id")["ts_us"].min()
-        p = df[df["event_type"] == "purchase"].merge(
-            c.rename("c_ts"), on="user_id", how="inner")
-        p = p[p["ts_us"] > p["c_ts"]].groupby("user_id")["ts_us"].min()
-        return pd.DataFrame({
-            "n_view": [int(len(v))], "n_view_click": [int(len(c))],
-            "n_funnel": [int(len(p))],
-        })
+    def funnel_block(t: pa.Table) -> pa.Table:
+        t = _sorted(t, "user_id", "ts_us")
+        starts = run_starts(t, ["user_id"])
+        ts = t["ts_us"].to_numpy()
+
+        def first(kind: str, after: np.ndarray) -> np.ndarray:
+            """Per user: the first ``kind`` instant after ``after`` (per
+            user), or ``never``."""
+            hit = pc.fill_null(pc.equal(t["event_type"], kind), False) \
+                .to_numpy(zero_copy_only=False)
+            hit &= ts > run_spread(after, starts, len(ts))
+            return np.minimum.reduceat(np.where(hit, ts, never), starts)
+
+        view = first("view", np.full(len(starts), np.iinfo(np.int64).min))
+        click = first("click", view)
+        buy = first("purchase", click)
+        return pa.table([[int(np.count_nonzero(x < never))]
+                         for x in (view, click, buy)], schema=FUNNEL_SCHEMA)
 
     partials = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536) \
         .sort("user_id") \
-        .map_batches(funnel_block, batch_format="pandas", batch_size=None)
+        .map_batches(funnel_block, batch_format="pyarrow", batch_size=None)
 
-    def total(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "n_view": [int(df["n_view"].sum())],
-            "n_view_click": [int(df["n_view_click"].sum())],
-            "n_funnel": [int(df["n_funnel"].sum())],
-        })
+    def total(t: pa.Table) -> pa.Table:
+        return pa.table([[pc.sum(t[c])] for c in FUNNEL_SCHEMA.names],
+                        schema=FUNNEL_SCHEMA)
 
     # one row per block -> a single tiny final reduce (repartition(1) moves
-    # block-count rows, not data)
-    return partials.repartition(1).map_batches(
-        total, batch_format="pandas", batch_size=None)
+    # block-count rows, not data); the all-zero partial keeps the answer a
+    # (0, 0, 0) row when no block has a row
+    zero = rd.from_arrow(pa.table([[0]] * 3, schema=FUNNEL_SCHEMA))
+    return partials.union(zero).repartition(1).map_batches(
+        total, batch_format="pyarrow", batch_size=None)
 
 
 def max_concurrent_sessions(sf_dir: str, gap_us: int = SESSION_GAP_US):
@@ -481,13 +411,9 @@ def max_concurrent_sessions(sf_dir: str, gap_us: int = SESSION_GAP_US):
         })
 
     def intervals(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("user_id", "ascending"), ("ts_us", "ascending"),
-                       ("event_id", "ascending")])
-        u = t["user_id"].to_numpy()
+        t = _sorted(t, "user_id", "ts_us", "event_id")
+        first, _ = _gap_sessions(t, ["user_id"], "ts_us", "ts_us", gap_us)
         ts = t["ts_us"].to_numpy()
-        new_session = np.ones(len(ts), dtype=bool)
-        new_session[1:] = (u[1:] != u[:-1]) | (ts[1:] - ts[:-1] > gap_us)
-        first = np.flatnonzero(new_session)
         last = np.append(first[1:], len(ts)) - 1
         return pa.table({
             "ts": np.concatenate([ts[first], ts[last] + 1]),
@@ -522,10 +448,12 @@ def event_transitions(sf_dir: str):
     Shape: one user sort co-locates each history; per-block shifted-pair
     explode (vectorized, first event of each user dropped); one grouped
     count; the from-type marginals are an |event_types|-row constant
-    table folded driver-side.  Output: (from_type, to_type, n,
+    table folded driver-side in Arrow.  Output: (from_type, to_type, n,
     p_permille), pair-sorted.
     """
     import ray.data as rd
+
+    from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
@@ -537,29 +465,24 @@ def event_transitions(sf_dir: str):
             "event_type": t["event_type"],
         })
 
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"from_type": pd.Series([], dtype="object"),
-                                 "to_type": pd.Series([], dtype="object")})
-        df = df.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        prev_user = df["user_id"].shift()
-        prev_type = df["event_type"].shift()
-        keep = prev_user == df["user_id"]
-        return pd.DataFrame({"from_type": prev_type[keep],
-                             "to_type": df["event_type"][keep]})
+    def pairs(t: pa.Table) -> pa.Table:
+        t = _sorted(t, "user_id", "ts_us", "event_id")
+        n = t.num_rows
+        same = pc.equal(t["user_id"].slice(1), t["user_id"].slice(0, n - 1))
+        return pa.table({"from_type": t["event_type"].slice(0, n - 1).filter(same),
+                         "to_type": t["event_type"].slice(1).filter(same)})
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
-    counts = grouped_sum_count(
+    counts = pa.Table.from_pylist(grouped_sum_count(
         ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
         .sort("user_id")
-        .map_batches(pairs, batch_format="pandas", batch_size=None),
+        .map_batches(pairs, batch_format="pyarrow", batch_size=None),
         ["from_type", "to_type"], count_alias="n",
-    ).to_pandas()   # |event_types|^2 rows — domain-bounded
+    ).take_all(), schema=TRANSITIONS_SCHEMA.remove(3))  # |event_types|^2 rows
 
-    totals = counts.groupby("from_type")["n"].sum()
-    counts["p_permille"] = (1000 * counts["n"]) \
-        // counts["from_type"].map(totals).astype("int64")
-    out = counts.sort_values(["from_type", "to_type"]).reset_index(drop=True) \
-        .astype({"n": "int64", "p_permille": "int64"})
-    return rd.from_pandas(out)
+    totals = counts.group_by("from_type").aggregate([("n", "sum")])
+    out = counts.join(totals, "from_type").sort_by(
+        [("from_type", "ascending"), ("to_type", "ascending")])
+    return rd.from_arrow(pa.table(
+        [out["from_type"], out["to_type"], out["n"],
+         pc.divide(pc.multiply(out["n"], 1000), out["n_sum"])],
+        schema=TRANSITIONS_SCHEMA))

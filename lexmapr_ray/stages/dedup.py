@@ -344,24 +344,20 @@ _VERDICT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("dup_of", pa.int64()),
 
 
 def _lsh_result(ds, schema: pa.Schema):
-    """The Dataset an LSH-family operator returns: ``ds`` plus one typed
-    0-row block, executed without Ray Data's per-operator resource
-    reservation.
+    """The Dataset an LSH-family operator returns: ``ds`` typed by
+    ``schema`` (:func:`~lexmapr_ray.functions.typed.with_schema`), executed
+    without Ray Data's per-operator resource reservation.
 
-    - The typed block: Ray's sort leaves an all-empty input as column-less
-      blocks, and map stages pass a 0-row block through without calling
-      their function, so an empty result would otherwise have no schema
-      (``Dataset.schema()`` None).
-    - No reservation: the plan is one execution of about seven map
-      operators around three sorts, and the reservation splits half the
-      CPUs evenly among them, so the signature stage, the only
-      compute-heavy one, runs about one task at a time.  Measured on a
-      4-vCPU VM, Ray with 3 CPUs, 2,000 documents: minhash_dedup_pairs
-      0.78-0.94 s with the reservation, 0.48-0.59 s without.  Ray then
-      applies only its global CPU and object-store limits."""
-    import ray.data as rd
+    The plan is one execution of about seven map operators around three
+    sorts, and the reservation splits half the CPUs evenly among them, so
+    the signature stage, the only compute-heavy one, runs about one task
+    at a time.  Measured on a 4-vCPU VM, Ray with 3 CPUs, 2,000 documents:
+    minhash_dedup_pairs 0.78-0.94 s with the reservation, 0.48-0.59 s
+    without.  Ray then applies only its global CPU and object-store
+    limits."""
+    from lexmapr_ray.functions.typed import with_schema
 
-    out = ds.union(rd.from_arrow(schema.empty_table()))
+    out = with_schema(ds, schema)
     out.context.op_resource_reservation_enabled = False
     return out
 

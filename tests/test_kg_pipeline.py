@@ -807,7 +807,7 @@ def test_canonicalize_extra_combine_round_exact(ray_session, skewed_triples):
     """The 10^12-doc guard (judge r2 item 9): with the partial table inflated
     to many tiny blocks, the barrier-free re-combine round must change
     NOTHING about the answer while actually merging partials (asserted by
-    comparing against the single-round plan row-for-row)."""
+    comparing against the uninflated input row-for-row)."""
     import pandas as pd
 
     from lexmapr_ray.pipelines.kg import canonicalize_mentions
@@ -817,7 +817,7 @@ def test_canonicalize_extra_combine_round_exact(ray_session, skewed_triples):
     # repartition(97) fragments the triples so the first combiner emits ~97
     # partial blocks — the regime the extra round exists for
     inflated = skewed_triples.repartition(97)
-    got = canonicalize_mentions(inflated, extra_combine=True) \
+    got = canonicalize_mentions(inflated) \
         .to_pandas().sort_values("mention").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, base)
 

@@ -4,8 +4,8 @@ distributions, not just coded (VERDICT r3 #4).
 Two deterministic skew shapes:
   * a corpus where the hot surface form appears in ~85% of pages
     (``hot_prob=0.5`` per sentence — sources/pages.py) driven through the
-    full extract -> match -> canonicalize chain with the auto
-    ``extra_combine`` round, inflated block counts, and a serial
+    full extract -> match -> canonicalize chain with its extra combine
+    round, inflated block counts, and a serial
     match_sample oracle;
   * a documents table where ONE host owns 50% of all docs
     (``docs_per_host = n/2``) driven through ``host_near_dup``'s
@@ -31,7 +31,7 @@ sys.path.insert(0, os.path.join(
 
 def test_hot_mention_canonicalize_exact_under_skew(ray_session, lexicon):
     """hot_prob=0.5 corpus, 97 tiny blocks (every mention's partial count
-    spread over many batches), auto extra_combine: canonicalization must
+    spread over many batches), extra combine round: canonicalization must
     equal the serial match_sample oracle exactly."""
     from lexmapr_ray.pipelines.kg import (broadcast_lexicon,
                                           canonicalize_mentions,

@@ -3563,3 +3563,18 @@ def test_join_preserves_int64_keys_past_float53(ray_session):
     ).to_pandas().sort_values("k").reset_index(drop=True)
     assert list(outer["k"]) == sorted(ids)
     assert outer["val"].notna().sum() == 1
+
+
+def test_pandas_batch_sites_ratchet():
+    """The engine's ``batch_format="pandas"`` sites only go down (one batch
+    format, Arrow, is the aim), and the window operators import no pandas
+    at all.  Lower the bound as sites move to Arrow."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexmapr_ray"
+    sites = sum(p.read_text().count('batch_format="pandas"')
+                for p in pkg.rglob("*.py"))
+    assert sites <= 22, sites
+    windows = (pkg / "pipelines" / "windows.py").read_text()
+    assert not re.search(r"^\s*(import|from)\s+pandas\b", windows, re.M)

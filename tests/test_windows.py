@@ -141,3 +141,177 @@ def test_events_analytics_match_duckdb(ray_session, sf_dir, con, name, fn_name):
     assert len(got) == len(exp)
     for c in got.columns:
         assert (got[c].astype(str).values == exp[c].astype(str).values).all(), c
+
+
+# ---------------------------------------------------------------------------
+# Adversarial oracles on hand-built tables
+# ---------------------------------------------------------------------------
+
+_BASE_US = 1_700_000_000_000_000
+_MIN_US = 60_000_000
+_DAY_US = 86_400_000_000
+
+
+def _write_tables(tmp_path, events=(), orders=()):
+    """Write ``events`` rows (event_id, ts_us, user_id, event_type, value)
+    and ``orders`` rows (o_orderkey, o_custkey, o_totalprice, date_us) as
+    full-schema parquet tables in ``tmp_path``; return a DuckDB connection
+    with one view per table."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    ev = list(zip(*events)) or [[]] * 5
+    pq.write_table(pa.table({
+        "event_id": pa.array(ev[0], pa.int64()),
+        "ts": pa.array(ev[1], pa.timestamp("us")),
+        "user_id": pa.array(ev[2], pa.int64()),
+        "event_type": pa.array(ev[3], pa.string()),
+        "value": pa.array(ev[4], pa.float64()),
+        "props": pa.array([""] * len(ev[0]), pa.string()),
+    }), str(tmp_path / "events.parquet"))
+    od = list(zip(*orders)) or [[]] * 4
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array(od[0], pa.int64()),
+        "o_custkey": pa.array(od[1], pa.int64()),
+        "o_orderstatus": pa.array(["O"] * len(od[0]), pa.string()),
+        "o_totalprice": pa.array(od[2], pa.float64()),
+        "o_orderdate": pa.array(od[3], pa.timestamp("us")),
+        "o_orderpriority": pa.array(["1-URGENT"] * len(od[0]), pa.string()),
+    }), str(tmp_path / "orders.parquet"), row_group_size=8192)
+    c = duckdb.connect()
+    for t in ("events", "orders"):
+        c.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                  f"read_parquet('{tmp_path}/{t}.parquet')")
+    return c
+
+
+def _assert_oracle(got, con, name):
+    exp = _norm(con.execute(_oracle(name)).fetchdf())
+    got = _norm(got.to_pandas())
+    assert list(got.columns) == list(exp.columns)
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+    return got
+
+
+def test_events_last_order_adversarial_oracle(ray_session, tmp_path):
+    """As-of join edges: an order at the event's exact instant matches
+    (inclusive); two orders of one customer on one date, more than one
+    65536-row combiner batch apart, resolve to the larger orderkey; an
+    event before the customer's first order and an orders-only customer
+    give no row."""
+    from lexmapr_ray.pipelines.windows import events_last_order
+
+    d0 = _BASE_US - _BASE_US % _DAY_US
+    filler = [(1_000 + i, 10_000 + i % 5_000, 1.0, d0 + (i % 30) * _DAY_US)
+              for i in range(140_000)]
+    orders = [(7, 1, 10.25, d0 + _DAY_US)] + filler + [
+        (9, 1, 99.99, d0 + _DAY_US),     # same customer and date, later batch
+        (5, 2, 3.50, d0),                # u2's order at its event's instant
+        (4, 3, 1.00, d0 + 5 * _DAY_US),  # u3 orders only after its event
+        (6, 4, 8.00, d0),                # orders-only customer
+    ]
+    events = [
+        (1, d0 + _DAY_US, 1, "view", 1.0),           # exact date, max key 9
+        (2, d0 + _DAY_US + 3 * _MIN_US, 1, "view", 1.0),
+        (3, d0 + _DAY_US - 1, 1, "view", 1.0),       # before u1's first order
+        (4, d0, 2, "click", 1.0),                    # inclusive instant
+        (5, d0 + 2 * _DAY_US, 3, "view", 1.0),       # before u3's first order
+    ]
+    con = _write_tables(tmp_path, events, orders)
+    got = _assert_oracle(events_last_order(str(tmp_path)), con,
+                         "events_last_order")
+    assert got.set_index("event_id")["last_order_key"].to_dict() == \
+        {1: 9, 2: 9, 4: 5}
+
+
+def test_events_purchase_context_adversarial_oracle(ray_session, tmp_path):
+    """Interval-join edges: an event at exactly ``ts - window_us`` is in the
+    window (inclusive), events at the anchor's own instant are not, and
+    back-to-back anchors each count the other only when strictly earlier."""
+    from lexmapr_ray.pipelines.windows import DAY_US, events_purchase_context
+
+    t = _BASE_US
+    events = [
+        (1, t - DAY_US, 1, "view", 1.00),          # window start: counted
+        (2, t - DAY_US - 1, 1, "view", 100.0),     # just outside
+        (3, t, 1, "view", 7.00),                   # anchor's own instant
+        (4, t, 1, "purchase", 2.00),               # anchor
+        (5, t, 1, "purchase", 3.00),               # same-instant anchor
+        (6, t + 1, 1, "purchase", 4.00),           # back-to-back anchor
+        (7, t + 2 * _MIN_US, 2, "purchase", 5.0),  # no history at all
+        (8, t - 5 * _MIN_US, 3, "click", 0.25),    # other user's history
+        (9, t - 4 * _MIN_US, 3, "purchase", 0.5),
+    ]
+    con = _write_tables(tmp_path, events)
+    got = _assert_oracle(events_purchase_context(str(tmp_path)), con,
+                         "events_purchase_context")
+    g = got.set_index("event_id")
+    assert g["n_prior"].to_dict() == {4: 1, 5: 1, 6: 3, 7: 0, 9: 1}
+    # event 1 is one microsecond outside anchor 6's window
+    assert g.loc[6, "sum_prior_cents"] == 700 + 200 + 300
+
+
+def test_top_orders_per_customer_tie_oracle(ray_session, tmp_path):
+    """Equal ``total_cents`` (one pair only after rounding to cents) rank
+    by orderkey ascending, in file order opposite to the tie-break."""
+    from lexmapr_ray.pipelines.relational import top_orders_per_customer
+
+    orders = [(40, 1, 10.00, _BASE_US), (30, 1, 10.001, _BASE_US),
+              (20, 1, 9.999, _BASE_US), (10, 1, 5.00, _BASE_US),
+              (50, 1, 12.00, _BASE_US), (60, 2, 1.00, _BASE_US)]
+    con = _write_tables(tmp_path, orders=orders)
+    got = _assert_oracle(top_orders_per_customer(str(tmp_path)), con,
+                         "top_orders_per_customer")
+    assert got[got.o_custkey == 1].sort_values("rank")["o_orderkey"] \
+        .tolist() == [50, 20, 30]
+
+
+def test_orders_running_window_same_date_oracle(ray_session, tmp_path):
+    """Two orders of one customer on one date order by orderkey: the
+    running total grows in that order and the second one's gap is 0."""
+    from lexmapr_ray.pipelines.relational import orders_running_window
+
+    d = _BASE_US - _BASE_US % _DAY_US
+    orders = [(9, 1, 2.00, d + _DAY_US), (8, 1, 1.00, d + _DAY_US),
+              (7, 1, 4.00, d), (3, 2, 1.50, d + 3 * _DAY_US)]
+    con = _write_tables(tmp_path, orders=orders)
+    got = _assert_oracle(orders_running_window(str(tmp_path)), con,
+                         "orders_running_window").set_index("o_orderkey")
+    assert got["running_cents"].to_dict() == {7: 400, 8: 500, 9: 700, 3: 150}
+    assert got["gap_days"].to_dict() == {7: -1, 8: 1, 9: 0, 3: -1}
+
+
+_TYPED_QUERIES = [
+    "events_sessions", "events_sessions_2l", "events_last_order",
+    "events_purchase_context", "events_funnel", "max_concurrent_sessions",
+    "event_transitions", "top_orders_per_customer", "orders_running_window",
+    "events_daily_active", "events_retention_cohorts", "kg_entities",
+]
+
+
+@pytest.fixture(scope="module")
+def empty_sf_dir(sf_dir, tmp_path_factory):
+    """A copy of ``sf_dir``'s events, orders and documents with every row
+    dropped (the schema and its types kept)."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("sf_empty")
+    for t in ("events", "orders", "documents"):
+        pq.write_table(pq.read_table(f"{sf_dir}/{t}.parquet").slice(0, 0),
+                       str(d / f"{t}.parquet"))
+    return str(d)
+
+
+@pytest.mark.parametrize("name", _TYPED_QUERIES)
+def test_empty_input_keeps_schema(ray_session, sf_dir, empty_sf_dir, name):
+    """Each per-entity operator declares its output schema: on all-0-row
+    inputs it returns that schema, the one it has on sf0.001, instead of a
+    column-less result."""
+    import __ray_entry__ as entry
+
+    q = entry.queries()[name]
+    want = q(sf_dir).materialize().schema()
+    got = q(empty_sf_dir).materialize().schema()
+    assert got is not None, "column-less result"
+    assert list(got.names) == list(want.names)
+    assert list(got.types) == list(want.types)
