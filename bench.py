@@ -344,7 +344,21 @@ def _envelope_leg(nprocs: int, pages: int, corpus: str) -> float:
     return time.time() - t0
 
 
+def _use_lexicon() -> None:
+    """Point ``LEXMAPR_RESOURCES`` at the lexicon this run matches with
+    (inherited by Ray workers and ``--scaling`` children), falling back on
+    the test lexicon when neither the variable nor the reference tree is
+    there, and name it and its fingerprint on stderr."""
+    from lexmapr_ray.lexkit.lexicon import _resource_fingerprint, resource_dir
+
+    lex = resource_dir(fallback=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "tests", "data", "lexicon"))
+    os.environ["LEXMAPR_RESOURCES"] = lex
+    print(f"lexicon: {lex} (fingerprint {_resource_fingerprint(lex)})", file=sys.stderr)
+
+
 def main():
+    _use_lexicon()
     if "--envelope" in sys.argv:
         # The single-box hardware envelope for the N vs 4N protocol: the
         # SAME matcher compute the engine distributes, run as plain

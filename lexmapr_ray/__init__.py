@@ -1,6 +1,7 @@
 """lexmapr_ray: Ray-Data-native LexMapr-equivalent engine."""
 
 import logging
+import sys
 
 # Surfaced by `legacy-run -v/--version` (reference bin/lexmapr:48-49
 # prints `lexmapr <__version__>` the same way; ours is this engine's own
@@ -30,8 +31,14 @@ logging.getLogger(
 
 
 def _configure_data_context() -> None:
-    """Engine-wide Ray Data context defaults, applied at import so every
-    entry point (driver-owned sessions included) gets them.
+    """Engine-wide Ray Data context defaults.
+
+    Called by the Ray-facing ``functions``, ``stages``, ``sources`` and
+    ``state`` package ``__init__``s and ``pipelines/ingest.py``, and by
+    this package's import once ``ray.data`` is loaded; ``lexkit``, the
+    serial ``legacy-run`` and the CLI never import Ray.  Ray copies the
+    current context into each new Dataset, so a Dataset created before
+    any Ray-facing engine import keeps Ray's own (pull-based) sort.
 
     ``use_push_based_shuffle = True``: the default simple-shuffle sort
     stalls pathologically on this engine's post-combiner sorts once the
@@ -55,4 +62,5 @@ def _configure_data_context() -> None:
         ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
 
-_configure_data_context()
+if "ray.data" in sys.modules:
+    _configure_data_context()

@@ -413,3 +413,10 @@ def make_classifier(lexicon: Lexicon):
         return classify_sample(sample, matched_components, lexicon.table, lexicon.table)
 
     return classify
+
+
+def with_classifier(lexicon: Lexicon, bucket: bool):
+    """The ``(lexicon, classify_fn)`` pair the matcher cascade runs with:
+    ``classify_fn`` is :func:`make_classifier`'s when ``bucket``, else
+    None."""
+    return lexicon, make_classifier(lexicon) if bucket else None

@@ -9,8 +9,9 @@ their rarest token) that let the matcher build only the candidate chunks that
 can match and skip provably-failing permutation probes without changing
 semantics.
 
-Resource CSVs are read from ``LEXMAPR_RESOURCES`` (default: the reference's
-``predefined_resources`` directory).  The built lexicon is cached to a pickle
+Resource CSVs are read from the directory :func:`resource_dir` names at
+call time: ``LEXMAPR_RESOURCES``, else the reference's
+``predefined_resources`` directory.  The built lexicon is cached to a pickle
 keyed by the resource files' identity; at cluster scale it is built once and
 shipped to the matcher's worker processes via ``ray.put``.
 """
@@ -28,9 +29,7 @@ from itertools import chain, combinations, groupby, permutations, product
 
 from lexmapr_ray.lexkit.textproc import punctuation_treatment, word_tokenize
 
-DEFAULT_RESOURCE_DIR = os.environ.get(
-    "LEXMAPR_RESOURCES", "/root/reference/lexmapr/predefined_resources"
-)
+REFERENCE_RESOURCE_DIR = "/root/reference/lexmapr/predefined_resources"
 _CACHE_DIR = os.environ.get("LEXMAPR_CACHE_DIR", "/tmp/lexmapr_ray_cache")
 
 
@@ -356,6 +355,28 @@ def _realizations(ms: tuple, positions: dict[str, list[int]]) -> list[tuple[int,
     return [tuple(sorted(chain.from_iterable(pick))) for pick in product(*parts)]
 
 
+def resource_dir(fallback: str | None = None) -> str:
+    """The lexicon resource directory, looked up at call time:
+    ``LEXMAPR_RESOURCES`` when set, else the reference's tree when
+    present, else *fallback* (the engine passes none; tools pass
+    ``tests/data/lexicon``).  Raises ``FileNotFoundError`` when none is
+    a directory, or when ``LEXMAPR_RESOURCES`` names a missing one: a
+    stated setting is never silently replaced."""
+    env = os.environ.get("LEXMAPR_RESOURCES")
+    if env:
+        if os.path.isdir(env):
+            return env
+        raise FileNotFoundError(f"LEXMAPR_RESOURCES={env!r} is not a directory")
+    for d in (REFERENCE_RESOURCE_DIR, fallback):
+        if d and os.path.isdir(d):
+            return d
+    raise FileNotFoundError(
+        f"no lexicon resources: {REFERENCE_RESOURCE_DIR} is absent"
+        + (f", and so is {fallback}" if fallback else "")
+        + "; set LEXMAPR_RESOURCES to a lexicon directory, such as the "
+        "small hand-written tests/data/lexicon")
+
+
 def _resource_fingerprint(resource_dir: str) -> str:
     parts = [resource_dir]
     try:
@@ -368,7 +389,7 @@ def _resource_fingerprint(resource_dir: str) -> str:
 
 
 def build_lexicon(
-    resource_dir: str = DEFAULT_RESOURCE_DIR,
+    resources: str | None = None,
     *,
     classification: bool = True,
     use_cache: bool = True,
@@ -378,12 +399,14 @@ def build_lexicon(
 
     Driver-side, runs once; the result is what gets ``ray.put`` into the
     object store and read once by each matcher worker process.
+    ``resources`` defaults to :func:`resource_dir`.
     """
+    resources = resources or resource_dir()
     cache_path = None
     if use_cache:
         os.makedirs(_CACHE_DIR, exist_ok=True)
         # _v4: chunk_blocks added to the pickled index
-        key = _resource_fingerprint(resource_dir) + (
+        key = _resource_fingerprint(resources) + (
             ("_cls" if classification else "") + ("_gold" if golden_overlay else "") + "_v4"
         )
         cache_path = os.path.join(_CACHE_DIR, f"lexicon_{key}.pkl")
@@ -395,15 +418,15 @@ def build_lexicon(
                 pass
 
     table = create_lookup_table_skeleton()
-    table = add_predefined_resources(table, resource_dir)
+    table = add_predefined_resources(table, resources)
     if classification:
-        table = add_classification_resources(table, resource_dir)
+        table = add_classification_resources(table, resources)
     if golden_overlay:
         from lexmapr_ray.lexkit.golden_overlay import apply_golden_overlay
 
         table = apply_golden_overlay(table)
 
-    sci_path = os.path.join(resource_dir, "foodon_ncbi_synonyms.csv")
+    sci_path = os.path.join(resources, "foodon_ncbi_synonyms.csv")
     scientific_names = read_resource_csv(sci_path) if os.path.exists(sci_path) else {}
 
     lex = Lexicon(table=table, scientific_names=scientific_names).build_indexes()

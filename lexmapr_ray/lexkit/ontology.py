@@ -399,19 +399,30 @@ def add_fetched_ontology_to_lookup_table(lookup_table: dict, fetched_ontology: d
     return lookup_table
 
 
-def config_cache_path(config_path: str, cache_dir: str) -> str:
+def config_cache_path(config_path: str, cache_dir: str, resolve=None) -> str:
     """Cache file for a config's merged lookup table.  Keyed by basename
-    PLUS an md5 of (absolute path, file content): the reference keys by
+    PLUS an md5 of (absolute path, file content, and the ``(size,
+    mtime_ns)`` of each listed ontology's local file, as ``resolve`` and
+    :func:`resolve_ontology_source` find it): the reference keys by
     basename alone (pipeline_resources.py:95-101), but in a shared cache
     dir two different configs named ``onto.json`` would silently reuse
-    each other's table, and editing a config would never invalidate it
-    (review r5) — the content fingerprint closes both holes."""
+    each other's table, and editing a config or an OWL file in place
+    would never invalidate it (review r5) — the fingerprint closes these
+    holes.  Files reached through ``owl:imports`` are not part of it."""
     import hashlib
 
+    resolve = resolve or (lambda iri: iri)
     with open(config_path, "rb") as f:
         raw = f.read()
-    fp = hashlib.md5(
-        os.path.abspath(config_path).encode() + b"\0" + raw).hexdigest()[:12]
+    h = hashlib.md5(os.path.abspath(config_path).encode() + b"\0" + raw)
+    for json_object in json.loads(raw):
+        for ontology_iri in json_object:
+            try:
+                st = os.stat(resolve_ontology_source(resolve(ontology_iri)))
+                h.update(f"\0{st.st_size}:{st.st_mtime_ns}".encode())
+            except OSError:  # the fetch below reports the missing file
+                h.update(b"\0missing")
+    fp = h.hexdigest()[:12]
     config_name = os.path.splitext(os.path.basename(config_path))[0]
     return os.path.join(cache_dir, f"lookup_{config_name}_{fp}.json")
 
@@ -434,7 +445,7 @@ def get_config_resources(
     cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        cache_path = config_cache_path(config_path, cache_dir)
+        cache_path = config_cache_path(config_path, cache_dir, resolve)
         if os.path.exists(cache_path) and not no_cache:
             with open(cache_path) as f:
                 return json.load(f)

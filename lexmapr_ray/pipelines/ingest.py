@@ -39,6 +39,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from lexmapr_ray import _configure_data_context
+
+# this module's engine imports are all deferred, so apply the Ray Data
+# defaults here, as the Ray-facing packages do
+_configure_data_context()
+
 DOCS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("url", pa.string()),
                          ("text", pa.string()), ("lang", pa.string())])
 

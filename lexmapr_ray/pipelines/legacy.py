@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import os
 
+from lexmapr_ray.lexkit.classify import with_classifier
 from lexmapr_ray.lexkit.lexicon import Lexicon, build_lexicon
 from lexmapr_ray.lexkit.matcher import match_sample
 
@@ -109,11 +110,34 @@ def run_samples(
     full: bool = True,
     bucket: bool = False,
 ) -> str:
-    """Run the matcher over a legacy sample file; return the report TSV."""
+    """Run the matcher over a legacy sample file; return the report TSV.
+    Plain Python throughout: the serial run loads neither Ray nor Arrow."""
     if lexicon is None:
         lexicon = build_lexicon(classification=bucket)
-    rows = SampleMatcher(lexicon, bucket)(_sample_table(input_path)).to_pylist()
+    lexicon, classify_fn = with_classifier(lexicon, bucket)
+    rows = [dict(zip(_REPORT_KEYS, _report_fields(sample, lexicon, classify_fn)),
+                 sample_id=sample_id, sample=sample)
+            for sample_id, sample in iter_sample_rows(input_path)]
     return _format_report_rows(rows, full=full, bucket=bucket)
+
+
+# the serialized per-sample report fields, in _report_fields' order
+_REPORT_KEYS = ("cleaned", "sc_name", "components", "macro", "micro", "conversions",
+               "lexmapr_hier", "lexmapr_final", "ifsac_final", "ifsac_labels")
+_NO_CLASSIFICATION = {"lexmapr_hierarchy_buckets": [], "lexmapr_final_buckets": [],
+                      "ifsac_final_buckets": [], "ifsac_final_labels": []}
+
+
+def _report_fields(sample: str, lexicon: Lexicon, classify_fn) -> tuple[str, ...]:
+    """One sample's report fields (:data:`_REPORT_KEYS`), serialized as the
+    reference writes them."""
+    r = match_sample(sample, lexicon, bucket=classify_fn is not None,
+                     classify_fn=classify_fn)
+    c = r.classification or _NO_CLASSIFICATION
+    return (r.cleaned_sample, r.scientific_name_sample, str(r.matched_components),
+            r.macro_status, str(r.micro_status), str(r.conversions),
+            str(c["lexmapr_hierarchy_buckets"]), str(c["lexmapr_final_buckets"]),
+            str(c["ifsac_final_buckets"]), str(c["ifsac_final_labels"]))
 
 
 def _format_report_rows(rows: list[dict], *, full: bool, bucket: bool) -> str:
@@ -142,8 +166,8 @@ def _format_report_rows(rows: list[dict], *, full: bool, bucket: bool) -> str:
 
 
 class SampleMatcher:
-    """Ray Data task stage for the legacy surface: sample rows in, fully
-    serialized per-sample report fields out (everything the TSV needs).
+    """Ray Data task stage for the distributed legacy run: sample rows in,
+    the rows plus their serialized report fields (:data:`_REPORT_KEYS`) out.
 
     ``lexicon`` is a plain :class:`Lexicon` or its ``ray.put`` handle.
     The first call resolves it, with its classifier when ``bucket``,
@@ -166,35 +190,11 @@ class SampleMatcher:
             from lexmapr_ray.stages.match import _resolve
 
             self._resolved = _resolve(self.source, self.bucket)
-        lexicon, classify_fn = self._resolved
-        idxs = batch["idx"].to_pylist()
-        ids = batch["sample_id"].to_pylist()
-        samples = batch["sample"].to_pylist()
-        cols = {k: [] for k in (
-            "cleaned", "sc_name", "components", "macro", "micro", "conversions",
-            "lexmapr_hier", "lexmapr_final", "ifsac_final", "ifsac_labels")}
-        for s in samples:
-            r = match_sample(s, lexicon, bucket=classify_fn is not None,
-                             classify_fn=classify_fn)
-            cols["cleaned"].append(r.cleaned_sample)
-            cols["sc_name"].append(r.scientific_name_sample)
-            cols["components"].append(str(r.matched_components))
-            cols["macro"].append(r.macro_status)
-            cols["micro"].append(str(r.micro_status))
-            cols["conversions"].append(str(r.conversions))
-            c = r.classification or {
-                "lexmapr_hierarchy_buckets": [], "lexmapr_final_buckets": [],
-                "ifsac_final_buckets": [], "ifsac_final_labels": [],
-            }
-            cols["lexmapr_hier"].append(str(c["lexmapr_hierarchy_buckets"]))
-            cols["lexmapr_final"].append(str(c["lexmapr_final_buckets"]))
-            cols["ifsac_final"].append(str(c["ifsac_final_buckets"]))
-            cols["ifsac_labels"].append(str(c["ifsac_final_labels"]))
-        arrays = {"idx": pa.array(idxs, pa.int64()),
-                  "sample_id": pa.array(ids, pa.string()),
-                  "sample": pa.array(samples, pa.string())}
-        arrays.update({k: pa.array(v, pa.string()) for k, v in cols.items()})
-        return pa.table(arrays)
+        fields = [_report_fields(s, *self._resolved) for s in batch["sample"].to_pylist()]
+        out = batch.select(["idx", "sample_id", "sample"])
+        for k, col in zip(_REPORT_KEYS, list(zip(*fields)) or [()] * len(_REPORT_KEYS)):
+            out = out.append_column(k, pa.array(col, pa.string()))
+        return out
 
 
 def run_samples_distributed(

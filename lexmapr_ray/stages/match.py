@@ -19,6 +19,7 @@ from collections import OrderedDict
 import pyarrow as pa
 
 from lexmapr_ray.functions.broadcast import lru_get
+from lexmapr_ray.lexkit.classify import with_classifier
 from lexmapr_ray.lexkit.lexicon import Lexicon
 from lexmapr_ray.lexkit.matcher import match_sample
 from lexmapr_ray.sources.pages import extract_text
@@ -141,14 +142,6 @@ def extract_text_stage(batch: pa.Table) -> pa.Table:
 _RESOLVED: OrderedDict = OrderedDict()
 
 
-def _with_classifier(lexicon: Lexicon, bucket: bool):
-    if not bucket:
-        return lexicon, None
-    from lexmapr_ray.lexkit.classify import make_classifier
-
-    return lexicon, make_classifier(lexicon)
-
-
 def _resolve(source, bucket: bool):
     """``source`` (a :class:`Lexicon` or its ``ray.put`` ref) -> the
     ``(lexicon, classify_fn)`` pair the cascade runs with.  A ref is
@@ -156,11 +149,11 @@ def _resolve(source, bucket: bool):
     ``make_classifier`` when ``bucket``) run once per worker, not per
     batch or per pipeline call."""
     if isinstance(source, Lexicon):
-        return _with_classifier(source, bucket)
+        return with_classifier(source, bucket)
     import ray
 
     return lru_get(_RESOLVED, (source.hex(), bucket),
-                   lambda: _with_classifier(ray.get(source), bucket), 1)
+                   lambda: with_classifier(ray.get(source), bucket), 1)
 
 
 class MentionMatcher:

@@ -6,9 +6,9 @@ for it via the ``ray_session`` fixture); the lexicon is likewise built once.
 Lexicon choice: ``LEXMAPR_RESOURCES`` if set, else the reference's
 ``predefined_resources`` tree if present, else the small hand-written test
 lexicon in ``tests/data/lexicon``.  The variable is set here, at conftest
-import, so that ``build_lexicon()``'s default, ``__ray_entry__`` queries, the
-CLI and Ray worker processes (which inherit the driver's environment at
-``ray.init``) all read the same set.  Tests that compare against the
+import, so that ``build_lexicon()``'s default (``resource_dir()``),
+``__ray_entry__`` queries, the CLI and Ray worker processes (which inherit
+the driver's environment at ``ray.init``) all read the same set.  Tests that compare against the
 reference's own files skip, naming the missing path, where those are absent.
 """
 
@@ -38,16 +38,16 @@ def requires_path(*paths: str):
 
 
 def _lexicon_line() -> str:
-    from lexmapr_ray.lexkit.lexicon import DEFAULT_RESOURCE_DIR, _resource_fingerprint
+    from lexmapr_ray.lexkit.lexicon import _resource_fingerprint, resource_dir
 
-    if DEFAULT_RESOURCE_DIR == TEST_LEXICON:
+    d = resource_dir()
+    if d == TEST_LEXICON:
         source = "test lexicon"
     elif "LEXMAPR_RESOURCES" in os.environ:
         source = "LEXMAPR_RESOURCES"
     else:
         source = "reference"
-    return (f"lexicon: {source} {DEFAULT_RESOURCE_DIR} "
-            f"(fingerprint {_resource_fingerprint(DEFAULT_RESOURCE_DIR)})")
+    return f"lexicon: {source} {d} (fingerprint {_resource_fingerprint(d)})"
 
 
 def pytest_report_header(config):

@@ -302,7 +302,7 @@ def test_cache_roundtrip(tmp_path):
 
     cfg = os.path.join(CFG_DIR, "bfo_material_entity.json")
     t1 = get_config_resources(cfg, cache_dir=str(tmp_path), resolve=_resolve)
-    assert os.path.exists(config_cache_path(cfg, str(tmp_path)))
+    assert os.path.exists(config_cache_path(cfg, str(tmp_path), _resolve))
     assert os.path.exists(tmp_path / "bfo.json")  # fetched-ontology cache
     t2 = get_config_resources(cfg, cache_dir=str(tmp_path), resolve=_resolve)
     assert t1 == t2
@@ -332,12 +332,12 @@ def test_cache_no_basename_collision(tmp_path):
     tb = get_config_resources(str(b_dir / "onto.json"),
                               cache_dir=str(cache), resolve=_resolve)
     assert ta != tb  # distinct ontologies, distinct cache entries
-    assert config_cache_path(str(a_dir / "onto.json"), str(cache)) != \
-        config_cache_path(str(b_dir / "onto.json"), str(cache))
+    assert config_cache_path(str(a_dir / "onto.json"), str(cache), _resolve) != \
+        config_cache_path(str(b_dir / "onto.json"), str(cache), _resolve)
     # in-place edit -> new fingerprint -> cache miss, fresh build
-    before = config_cache_path(str(a_dir / "onto.json"), str(cache))
+    before = config_cache_path(str(a_dir / "onto.json"), str(cache), _resolve)
     shutil.copy(b_dir / "onto.json", a_dir / "onto.json")
-    after = config_cache_path(str(a_dir / "onto.json"), str(cache))
+    after = config_cache_path(str(a_dir / "onto.json"), str(cache), _resolve)
     assert before != after
     ta2 = get_config_resources(str(a_dir / "onto.json"),
                                cache_dir=str(cache), resolve=_resolve)
@@ -556,3 +556,38 @@ def test_write_ontology_artifacts(tmp_path):
     assert by_id["BFO:0000002"]["label"] == "continuant"
     # the mirrored reference quirk: synonym TSV columns are empty
     assert all(r[f] == "" for r in rows for f in ONTOFETCH_SYNONYM_FIELDS)
+
+
+_TWO_CLASS_OWL = """<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#">
+  <owl:Class rdf:about="http://purl.example.org/obo/EX_0000001">
+    <rdfs:label>root thing</rdfs:label>
+  </owl:Class>
+  <owl:Class rdf:about="http://purl.example.org/obo/EX_0000002">
+    <rdfs:label>leaf thing</rdfs:label>
+    <rdfs:subClassOf rdf:resource="http://purl.example.org/obo/EX_0000001"/>
+  </owl:Class>
+</rdf:RDF>
+"""
+
+
+def test_cache_follows_owl_edit_in_place(tmp_path):
+    """Editing a listed ontology file in place must invalidate the cached
+    lookup table: the fingerprint folds in each resolved OWL file's size
+    and mtime, not only the config JSON."""
+    import json
+
+    owl = tmp_path / "two.owl"
+    owl.write_text(_TWO_CLASS_OWL)
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps([{f"file://{owl}": "http://purl.example.org/obo/EX_0000001"}]))
+    cache = str(tmp_path / "cache")
+
+    labels = get_config_resources(str(cfg), cache_dir=cache)["standard_resource_labels"]
+    assert labels["leaf thing"] == "ex_0000002"
+    owl.write_text(_TWO_CLASS_OWL.replace("leaf thing", "renamed leaf"))
+    labels = get_config_resources(str(cfg), cache_dir=cache)["standard_resource_labels"]
+    assert labels.get("renamed leaf") == "ex_0000002"
+    assert "leaf thing" not in labels

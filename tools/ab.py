@@ -6,8 +6,11 @@ Run from the root of a checkout.  ``<rev>`` is exported with ``git archive``
 into a temporary directory (the repository itself is not touched); then
 ``kgbench/run.py --trace 0`` runs on both trees in interleaved pairs, the
 revision first on odd pairs, pair i with seed i.  Prints each pair's
-end-to-end metrics, then per metric the median change/base ratio and the
-number of pairs in which the change was better.  ``ray stop --force`` runs
+end-to-end metrics, then per metric the median change/base ratio, the
+interquartile range of the pair ratios, the number of pairs in which the
+change was better and the exact two-sided sign-test p-value of that count
+(ties dropped): a ratio whose IQR straddles 1 or whose p is large is not
+resolved by this many pairs.  ``ray stop --force`` runs
 after every run; the exit code is non-zero if a run failed or a check did
 not pass, or if a ``raylet`` or ``kgbench/run.py`` process is left at the end.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -49,6 +53,16 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
         sys.stderr.write(proc.stderr[-2000:])
         return None
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def sign_test_p(better: int, worse: int) -> float:
+    """Exact two-sided sign-test p-value of *better* against *worse* pairs
+    under the null that either is equally likely."""
+    n = better + worse
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(better, worse) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
 
 
 def leftovers() -> list[str]:
@@ -100,17 +114,23 @@ def main(argv=None) -> int:
         subprocess.run(["ray", "stop", "--force"], capture_output=True)
 
     if pairs:
-        print(f"median change/base over {len(pairs)} pairs (better = count of pairs "
-              "in which the change was better):")
+        print(f"median change/base over {len(pairs)} pairs (ratio IQR = quartiles of "
+              "the pair ratios; better = count of pairs in which the change was "
+              "better; p = exact two-sided sign test):")
         for m in metrics:
             name = m["name"]
             ratios = [p["change"][name] / p["base"][name] for p in pairs if p["base"][name]]
             sign = 1 if m["better"] == "higher" else -1
-            better = sum(sign * (p["change"][name] - p["base"][name]) > 0 for p in pairs)
+            diffs = [sign * (p["change"][name] - p["base"][name]) for p in pairs]
+            better = sum(d > 0 for d in diffs)
+            worse = sum(d < 0 for d in diffs)
             base_q = statistics.quantiles([p["base"][name] for p in pairs], n=4) \
                 if len(pairs) > 1 else [float("nan")] * 3
-            print(f"  {name:<12} ratio {statistics.median(ratios):.3f}  "
-                  f"better {better}/{len(pairs)}  "
+            ratio_q = statistics.quantiles(ratios, n=4) \
+                if len(ratios) > 1 else [float("nan")] * 3
+            print(f"  {name:<12} ratio {statistics.median(ratios):.3f} "
+                  f"[{ratio_q[0]:.3f}, {ratio_q[2]:.3f}]  "
+                  f"better {better}/{len(pairs)} p={sign_test_p(better, worse):.3g}  "
                   f"base median {statistics.median(p['base'][name] for p in pairs):.4g} "
                   f"IQR {base_q[2] - base_q[0]:.4g}  "
                   f"change median {statistics.median(p['change'][name] for p in pairs):.4g}")

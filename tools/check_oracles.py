@@ -6,6 +6,10 @@ mirroring how the driver builds CORRECTNESS_r{N}.json.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 
+The kg queries match with ``LEXMAPR_RESOURCES``, else the reference's
+lexicon tree, else the small ``tests/data/lexicon``; the first line of
+output names the one in use and its fingerprint.
+
 Exits 1 when any query FAILs or ERRORs, else 0.
 """
 
@@ -15,7 +19,8 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import duckdb
 import pandas as pd
@@ -55,6 +60,13 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
+
+    # the kg queries' lexicon, set before ray.init so workers inherit it
+    from lexmapr_ray.lexkit.lexicon import _resource_fingerprint, resource_dir
+
+    lex = resource_dir(fallback=os.path.join(ROOT, "tests", "data", "lexicon"))
+    os.environ["LEXMAPR_RESOURCES"] = lex
+    print(f"lexicon: {lex} (fingerprint {_resource_fingerprint(lex)})")
 
     import ray
 
