@@ -1,33 +1,11 @@
 """lexmapr_ray: Ray-Data-native LexMapr-equivalent engine."""
 
-import logging
 import sys
 
 # Surfaced by `legacy-run -v/--version` (reference bin/lexmapr:48-49
 # prints `lexmapr <__version__>` the same way; ours is this engine's own
 # version, not the reference's 0.7.3)
 __version__ = "0.5.0"
-
-
-class _DropSchemaHashNoise(logging.Filter):
-    """Ray Data's schema-dedup fast path hashes block schemas and logs a
-    WARNING when one is unhashable — which is ALWAYS true for
-    PandasBlockSchema (it holds numpy dtype lists), so every pandas-block
-    stage emits the line once per task: pure noise that buries real
-    warnings.  The code path it guards is a harmless early-exit
-    optimization (ray/data/_internal/arrow_ops/transform_pyarrow.py:175-181
-    falls through to the full unify).  Drop exactly that message, nothing
-    else."""
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        return not record.getMessage().startswith(
-            "Failed to hash the schemas (for deduplication)"
-        )
-
-
-logging.getLogger(
-    "ray.data._internal.arrow_ops.transform_pyarrow"
-).addFilter(_DropSchemaHashNoise())
 
 
 def _configure_data_context() -> None:

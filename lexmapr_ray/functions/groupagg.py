@@ -21,7 +21,9 @@ for custom reductions (argmax, pair generation, ...).  :func:`run_starts`,
 :func:`run_spread` and :func:`fold_binary` are the kernels those
 reductions share: keep-first/argmax over a key-sorted table, a per-key
 value broadcast back to the key's rows, and the element-wise merge of
-fixed-width register/bitmap rows.
+fixed-width register/bitmap rows.  ``functions/topk.py::key_topk`` builds
+the per-key top-k (argmax is its k=1) on the first two; it serves as both
+the partial and the final of a per-key top-k reduce.
 
 Why the co-location invariant is safe under dynamic block splitting
 (advisor r2 raised it): Ray 2.49's sort reduce task merges its range's

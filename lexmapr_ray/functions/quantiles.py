@@ -27,7 +27,7 @@ used in this repo.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 # (output column, q numerator, q denominator)
 DEFAULT_QS = (("p25", 1, 4), ("p50", 1, 2), ("p75", 3, 4), ("p95", 19, 20))
@@ -37,35 +37,28 @@ def grouped_exact_quantiles(ds, key: str, value_col: str, qs=DEFAULT_QS):
     """Exact per-*key* quantiles of integer column *value_col*.
 
     Output: one row per key — (key, p25, p50, p75, p95) int64, sorted by
-    key.  The rank walk loops over keys in Python: by the time it runs the
-    data is one histogram row per (key, value), and the loop count is the
-    number of DISTINCT KEYS in the block (languages, event types, ...),
-    not rows.
+    key.  The rank walk is one ``searchsorted`` over the block's running
+    count: by the time it runs the data is one histogram row per (key,
+    value), sorted, so each key's ranks offset by the count before its run
+    land inside its run.
     """
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
+    from lexmapr_ray.functions.groupagg import grouped_sum_count, run_starts
 
     hist = grouped_sum_count(ds, [key, value_col], count_alias="__n")
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series([], dtype=df[key].dtype if len(df) else "object")}
-        cols.update({name: pd.Series([], dtype="int64") for name, _, _ in qs})
-        if len(df) == 0:
-            return pd.DataFrame(cols)
-        df = df.sort_values([key, value_col], kind="mergesort")
-        out = {key: [], **{name: [] for name, _, _ in qs}}
-        for k, g in df.groupby(key, sort=True):
-            vals = g[value_col].to_numpy()
-            cum = g["__n"].to_numpy().cumsum()
-            n = int(cum[-1])
-            out[key].append(k)
-            for name, num, den in qs:
-                rank = -(-num * n // den)  # ceil(q*n), exact integer math
-                out[name].append(int(vals[np.searchsorted(cum, rank, side="left")]))
-        res = pd.DataFrame(out)
-        for name, _, _ in qs:
-            res[name] = res[name].astype("int64")
-        return res
+    def finalize(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(key, "ascending"), (value_col, "ascending")])
+        vals = t[value_col].to_numpy().astype(np.int64)
+        cum = np.cumsum(t["__n"].to_numpy())
+        starts = run_starts(t, [key])
+        before = np.concatenate([[0], cum])[starts]  # count ahead of each run
+        n = np.append(cum[starts[1:] - 1], cum[-1]) - before
+        cols = {key: t[key].take(starts)}
+        for name, num, den in qs:
+            rank = -(-num * n // den)  # ceil(q*n), exact integer math
+            cols[name] = pa.array(vals[np.searchsorted(cum, before + rank, side="left")])
+        return pa.table(cols)
 
     # second sort is over the tiny histogram; post-sort each key's rows are
     # provably whole in one block (functions/groupagg.py invariant)
-    return hist.sort(key).map_batches(finalize, batch_format="pandas", batch_size=None)
+    return hist.sort(key).map_batches(finalize, batch_format="pyarrow", batch_size=None)

@@ -8,18 +8,47 @@ the same exact-safe prune already proven in ``top_orders_per_customer`` /
 top-k's (a row beaten by k rows inside its own block is beaten by k rows
 globally), so a per-block Arrow prune before the sort is lossless while
 shrinking the shuffle input to <= k rows per block.
+
+:func:`key_topk` is the per-key form of the same prune: the first k rows of
+every key, the combine and the final of a ``sorted_group_reduce``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from lexmapr_ray.functions.groupagg import run_spread, run_starts
 
 
 def _sort_keys(keys: list[str], descending: list[bool]):
     return [
         (c, "descending" if d else "ascending") for c, d in zip(keys, descending)
     ]
+
+
+def key_topk(t: pa.Table, by, order, k: int, rank: str | None = None) -> pa.Table:
+    """The first ``k`` rows of each ``by`` key of ``t`` under ``order``.
+
+    ``by`` is a column name or a list of them; ``order`` is a list of
+    ``(column, "ascending" | "descending")`` that ranks the rows within a
+    key.  The result is sorted by ``by`` then ``order``.  With ``rank``, a
+    column of that name holds each row's 1-based position in its key.
+
+    Keeping a key's first k rows of any subset of its rows keeps every row
+    of its top k, so the same call is exact as a per-block combine before
+    the key sort and as the final after it."""
+    by = [by] if isinstance(by, str) else list(by)
+    t = t.sort_by([(c, "ascending") for c in by] + list(order))
+    n = t.num_rows
+    starts = run_starts(t, by)
+    pos = np.arange(n) - run_spread(starts, starts, n)
+    keep = pos < k
+    out = t.filter(pa.array(keep))
+    if rank is not None:
+        out = out.append_column(rank, pa.array(pos[keep] + 1))
+    return out
 
 
 def topk_prune(ds, keys: list[str], descending: list[bool], k: int, *,

@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 
 from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_spread,
                                             run_starts)
+from lexmapr_ray.functions.topk import key_topk
 from lexmapr_ray.functions.typed import int64_schema, with_schema
 
 
@@ -745,13 +746,9 @@ def top_orders_per_customer(sf_dir: str, k: int = 3):
 
     def topk_block(t: pa.Table) -> pa.Table:
         # the final drops the combiner's rank and ranks again
-        t = t.select(TOP_ORDERS_SCHEMA.names[:3]).sort_by(
-            [("o_custkey", "ascending"), ("total_cents", "descending"),
-             ("o_orderkey", "ascending")])
-        starts = run_starts(t, ["o_custkey"])
-        rank = np.arange(1, t.num_rows + 1) - run_spread(starts, starts, t.num_rows)
-        keep = rank <= k
-        return t.filter(keep).append_column("rank", pa.array(rank[keep]))
+        return key_topk(t.select(TOP_ORDERS_SCHEMA.names[:3]), "o_custkey",
+                        [("total_cents", "descending"), ("o_orderkey", "ascending")],
+                        k, rank="rank")
 
     # combiner: per-batch top-k is a superset of the global per-key top-k,
     # so applying the same reduce before AND after the shuffle is exact

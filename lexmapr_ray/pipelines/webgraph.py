@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 
 from lexmapr_ray.functions.groupagg import grouped_sum_count
 from lexmapr_ray.functions.joins import bucketed_hash_join, semi_join
+from lexmapr_ray.functions.typed import int64_schema, with_schema
 
 # fixed-point PageRank constants (mirrored literally in the SQL oracles)
 R0 = 1_000_000          # initial rank per node, micro-units
@@ -392,24 +393,17 @@ def _token_edges(sf_dir: str, permille: int):
         flat = pc.list_flatten(splits)
         if isinstance(flat, pa.ChunkedArray):
             flat = flat.combine_chunks()
-        n = len(flat)
-        empty = pa.table({"a": pa.array([], pa.string()),
-                          "b": pa.array([], pa.string()),
-                          "n": pa.array([], pa.int64())})
-        if n < 2:
-            return empty
+        n = max(len(flat) - 1, 0)
         parent = pc.list_parent_indices(splits).to_numpy(zero_copy_only=False)
-        valid = parent[: n - 1] == parent[1:]
-        x = flat.slice(0, n - 1).filter(pa.array(valid))
-        y = flat.slice(1, n - 1).filter(pa.array(valid))
+        valid = pa.array(parent[:n] == parent[1:])
+        x = flat.slice(0, n).filter(valid)
+        y = flat.slice(1, n).filter(valid)
         lo = pc.min_element_wise(x, y)
         hi = pc.max_element_wise(x, y)
         keep = pc.invert(pc.equal(lo, hi))  # no self-loops; '' bigrams never
-        df = pa.table({"a": lo.filter(keep), "b": hi.filter(keep)}).to_pandas()
-        if len(df) == 0:
-            return empty
-        g = df.groupby(["a", "b"], sort=False).size().rename("n").reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"a": lo.filter(keep), "b": hi.filter(keep)}) \
+            .group_by(["a", "b"], use_threads=False) \
+            .aggregate([([], "count_all")]).rename_columns(["a", "b", "n"])
 
     counts = grouped_sum_count(
         docs.map_batches(bigram_partial, batch_format="pyarrow"),
@@ -716,6 +710,10 @@ def link_prediction(sf_dir: str, permille: int = 100, min_common: int = 2,
                                          ("common_neighbors", pa.int64())]))
 
 
+DEGREE_HISTOGRAM_SCHEMA = pa.schema([("direction", pa.string()),
+                                     ("degree", pa.int64()), ("n_nodes", pa.int64())])
+
+
 def degree_histogram(sf_dir: str):
     """Degree distribution of the link graph: for each direction, how
     many nodes have each in/out-degree (including the in-degree-0 row
@@ -729,7 +727,6 @@ def degree_histogram(sf_dir: str):
     in-links) is driver-side constant state.  Output: (direction,
     degree, n_nodes), direction-then-degree sorted.
     """
-    import pandas as pd
     import ray.data as rd
 
     n_docs = _read_docs(sf_dir, ["doc_id"]).count()
@@ -741,8 +738,8 @@ def degree_histogram(sf_dir: str):
                               batch_format="pyarrow"),
             col, count_alias="deg")
         return grouped_sum_count(
-            per_node.map_batches(lambda df: df[["deg"]],
-                                 batch_format="pandas"),
+            per_node.map_batches(lambda t: t.select(["deg"]),
+                                 batch_format="pyarrow"),
             "deg", count_alias="n_nodes").take_all()
 
     rows = []
@@ -754,15 +751,16 @@ def degree_histogram(sf_dir: str):
                          "n_nodes": n_docs - covered})
         rows.extend({"direction": direction, "degree": int(r["deg"]),
                      "n_nodes": int(r["n_nodes"])} for r in h)
-    out = pd.DataFrame(rows).sort_values(["direction", "degree"]) \
-        .reset_index(drop=True).astype({"degree": "int64",
-                                        "n_nodes": "int64"})
-    return rd.from_pandas(out)
+    rows.sort(key=lambda r: (r["direction"], r["degree"]))
+    return rd.from_arrow(pa.Table.from_pylist(rows, schema=DEGREE_HISTOGRAM_SCHEMA))
 
 
 # ---------------------------------------------------------------------------
 # Community detection, feature propagation, and walk sampling
 # ---------------------------------------------------------------------------
+
+
+LABELS_SCHEMA = int64_schema("node", "lbl")
 
 
 def label_propagation(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
@@ -786,7 +784,8 @@ def label_propagation(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
          exact-safe grouped-argmax pattern of cluster_representatives)
     Output: (node, lbl) after ``iters`` rounds, node-sorted.
     """
-    import pandas as pd
+    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.topk import key_topk
 
     rev = edges.map_batches(
         lambda t: pa.table({"src": pc.cast(t["dst"], pa.int64()),
@@ -798,28 +797,20 @@ def label_propagation(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
         batch_format="pyarrow")
     sym = fwd.union(rev).materialize()  # all rounds re-scan the adjacency
     sym_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-    lbl_schema = pa.schema([("node", pa.int64()), ("lbl", pa.int64())])
 
     labels = nodes.map_batches(
         lambda t: pa.table({"node": pc.cast(t["node"], pa.int64()),
                             "lbl": pc.cast(t["node"], pa.int64())}),
         batch_format="pyarrow").materialize()
 
-    def best(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "lbl": pd.Series([], dtype="int64"),
-                                 "c": pd.Series([], dtype="int64")})
-        out = df.sort_values(["node", "c", "lbl"],
-                             ascending=[True, False, True]) \
-            .drop_duplicates("node")
-        return out[["node", "lbl", "c"]].astype("int64")
+    def best(t: pa.Table) -> pa.Table:
+        return key_topk(t, "node", [("c", "descending"), ("lbl", "ascending")], 1)
 
     for _ in range(iters):
         contrib = bucketed_hash_join(
             sym, labels, on="src", right_on="node",
             num_buckets=num_buckets,
-            left_schema=sym_schema, right_schema=lbl_schema,
+            left_schema=sym_schema, right_schema=LABELS_SCHEMA,
         ).map_batches(
             lambda t: pa.table({
                 "node": pc.cast(t["dst"], pa.int64()),
@@ -835,16 +826,13 @@ def label_propagation(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
             batch_format="pyarrow")
         counts = grouped_sum_count(contrib.union(zeros), ["node", "lbl"],
                                    {"c": "c"})
-        labels = counts.map_batches(best, batch_format="pandas",
-                                    batch_size=65536) \
-            .sort("node") \
-            .map_batches(best, batch_format="pandas", batch_size=None) \
+        labels = sorted_group_reduce(counts, "node", best, best) \
             .map_batches(
                 lambda t: pa.table({"node": pc.cast(t["node"], pa.int64()),
                                     "lbl": pc.cast(t["lbl"], pa.int64())}),
                 batch_format="pyarrow").materialize()
 
-    return labels.sort("node")
+    return with_schema(labels.sort("node"), LABELS_SCHEMA)
 
 
 def label_propagation_docs(sf_dir: str, iters: int = 2,

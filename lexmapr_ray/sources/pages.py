@@ -151,9 +151,9 @@ def pages_from_documents(sf_dir: str, batch_size: int = 512):
     Reads only the needed columns; html is rendered from text with the
     invertible template, so the extraction invariant holds here too.
     """
-    import ray.data as rd
+    from lexmapr_ray.sources.tables import read_parquet
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
 
     def to_pages(batch: pa.Table) -> pa.Table:
         doc_ids = batch["doc_id"].to_pylist()
@@ -185,9 +185,9 @@ def snapshot_pages(sf_dir: str, which: str, batch_size: int = 512):
     snapshots."""
     if which not in ("a", "b"):
         raise ValueError(f"snapshot_pages: which must be 'a' or 'b', got {which!r}")
-    import ray.data as rd
+    from lexmapr_ray.sources.tables import read_parquet
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "lang"])
 
     def to_snapshot(batch: pa.Table) -> pa.Table:
@@ -224,9 +224,9 @@ def multi_capture_pages(sf_dir: str, batch_size: int = 512):
     Capture ``i`` carries ``text + ' v{i}'`` so captures differ and the
     winner is observable.  Pure function of the documents table, so the
     SQL oracle regenerates the identical capture set."""
-    import ray.data as rd
+    from lexmapr_ray.sources.tables import read_parquet
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
         urls, tss, chars = [], [], []
@@ -293,12 +293,12 @@ def crawl_diff(sf_dir: str, num_buckets: int = 32):
     import hashlib
 
     import pyarrow.compute as pc
-    import ray.data as rd
+    from lexmapr_ray.sources.tables import read_parquet
 
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
     def snapshot(mod: int, col: str, version):
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
+        ds = read_parquet(f"{sf_dir}/documents.parquet",
                              columns=["doc_id", "text"])
 
         def snap(batch: pa.Table) -> pa.Table:
@@ -386,9 +386,9 @@ def raw_url_captures(sf_dir: str, batch_size: int = 2048):
     Common-Crawl situation :func:`url_canonicalize` exists for.  Pure
     function of the documents table so the SQL oracle regenerates the
     identical capture set (the crawl_diff convention)."""
-    import ray.data as rd
+    from lexmapr_ray.sources.tables import read_parquet
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     def explode(batch: pa.Table) -> pa.Table:
         urls = []
@@ -445,11 +445,11 @@ def linked_pages_from_documents(sf_dir: str, batch_size: int = 512):
     anchor-text entity-linking op rests on this).  The anchors sit between
     ``</p>`` and ``</body>``, so :func:`extract_text`'s byte-identical
     invariant is untouched."""
-    import ray.data as rd
+    from lexmapr_ray.sources.tables import read_parquet
 
-    n_docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
+    n_docs = read_parquet(f"{sf_dir}/documents.parquet",
                              columns=["doc_id"]).count()
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
 
     def to_pages(batch: pa.Table) -> pa.Table:

@@ -22,7 +22,6 @@ non-overlapping within each word (the textbook scan).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -150,12 +149,12 @@ def bpe_train(sf_dir: str, n_merges: int = 30, min_freq: int = 2,
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
-    def word_counts(t: pa.Table) -> pd.DataFrame:
+    def word_counts(t: pa.Table) -> pa.Table:
         trimmed, splits = _token_lists(t["text"])
         mask = pc.not_equal(trimmed, "")
-        flat = pc.list_flatten(pc.filter(splits, mask))
-        d = pd.DataFrame({"word": flat.to_numpy(zero_copy_only=False)})
-        return d.groupby("word", sort=False).size().reset_index(name="freq")
+        vc = pc.list_flatten(pc.filter(splits, mask)).value_counts()
+        return pa.table({"word": vc.field("values"),
+                         "freq": pc.cast(vc.field("counts"), pa.int64())})
 
     vocab_ds = grouped_sum_count(
         ds.map_batches(word_counts, batch_format="pyarrow", batch_size=65536),
@@ -172,37 +171,35 @@ def bpe_train(sf_dir: str, n_merges: int = 30, min_freq: int = 2,
                                     [r["freq"] for r in rows], n_merges)
         return ray.data.from_arrow(_merges_table(merges))
 
-    def symbolize(d: pd.DataFrame) -> pd.DataFrame:
-        d = d[d["freq"] >= min_freq]
-        if len(d) == 0:
-            return pd.DataFrame({"syms": pd.Series([], dtype=object),
-                                 "freq": pd.Series([], dtype="int64")})
-        return pd.DataFrame({
-            "syms": [list(w) + [END_OF_WORD] for w in d["word"]],
-            "freq": d["freq"].to_numpy(dtype="int64"),
+    syms_type = pa.list_(pa.string())
+
+    def symbolize(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.greater_equal(t["freq"], min_freq))
+        return pa.table({
+            "syms": pa.array([list(w) + [END_OF_WORD] for w in t["word"].to_pylist()],
+                             syms_type),
+            "freq": t["freq"],
         })
 
-    vocab = vocab_ds.map_batches(symbolize, batch_format="pandas",
+    vocab = vocab_ds.map_batches(symbolize, batch_format="pyarrow",
                                  batch_size=65536).materialize()
 
     merges = []
     for rank in range(n_merges):
-        def pair_counts(d: pd.DataFrame) -> pd.DataFrame:
+        def pair_counts(t: pa.Table) -> pa.Table:
             acc: dict = {}
-            for syms, f in zip(d["syms"], d["freq"]):
+            for syms, f in zip(t["syms"].to_pylist(), t["freq"].to_pylist()):
                 for i in range(len(syms) - 1):
                     key = (syms[i], syms[i + 1])
-                    acc[key] = acc.get(key, 0) + int(f)
-            if not acc:
-                return pd.DataFrame({"left": pd.Series([], dtype=object),
-                                     "right": pd.Series([], dtype=object),
-                                     "cnt": pd.Series([], dtype="int64")})
-            lefts, rights = zip(*acc.keys())
-            return pd.DataFrame({"left": list(lefts), "right": list(rights),
-                                 "cnt": np.fromiter(acc.values(), dtype=np.int64)})
+                    acc[key] = acc.get(key, 0) + f
+            return pa.table({
+                "left": pa.array([k_[0] for k_ in acc], pa.string()),
+                "right": pa.array([k_[1] for k_ in acc], pa.string()),
+                "cnt": pa.array(list(acc.values()), pa.int64()),
+            })
 
         pairs = grouped_sum_count(
-            vocab.map_batches(pair_counts, batch_format="pandas",
+            vocab.map_batches(pair_counts, batch_format="pyarrow",
                               batch_size=65536),
             ["left", "right"], sum_cols={"cnt": "cnt"},
         )
@@ -214,15 +211,14 @@ def bpe_train(sf_dir: str, n_merges: int = 30, min_freq: int = 2,
         merged = left + right
         merges.append((rank, left, right, merged, cnt))
 
-        def apply_merge(d: pd.DataFrame, _l=left, _r=right, _m=merged) -> pd.DataFrame:
-            if len(d) == 0:
-                return d
-            return pd.DataFrame({
-                "syms": [_merge_word(s, _l, _r, _m) for s in d["syms"]],
-                "freq": d["freq"].to_numpy(dtype="int64"),
+        def apply_merge(t: pa.Table, _l=left, _r=right, _m=merged) -> pa.Table:
+            return pa.table({
+                "syms": pa.array([_merge_word(s_, _l, _r, _m)
+                                  for s_ in t["syms"].to_pylist()], syms_type),
+                "freq": t["freq"],
             })
 
-        vocab = vocab.map_batches(apply_merge, batch_format="pandas",
+        vocab = vocab.map_batches(apply_merge, batch_format="pyarrow",
                                   batch_size=65536).materialize()
 
     return ray.data.from_arrow(_merges_table(merges))

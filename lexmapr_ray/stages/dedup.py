@@ -18,7 +18,6 @@ import hashlib
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -1164,7 +1163,9 @@ def _index_dedup_verdicts(banded, docs, threshold: float,
     banded rows (the real ingest topology, pipelines/ingest.py, where
     'existing' means 'row came from the persisted index', no arithmetic
     gate exists)."""
+    from lexmapr_ray.functions.groupagg import sorted_group_reduce
     from lexmapr_ray.functions.joins import bucketed_hash_join
+    from lexmapr_ray.functions.topk import key_topk
     from lexmapr_ray.stages.textstats import md5_permille
 
     def tag(t: pa.Table) -> pa.Table:
@@ -1204,17 +1205,11 @@ def _index_dedup_verdicts(banded, docs, threshold: float,
     # one verdict per new doc: max jaccard, tie-break min existing id —
     # associative, so the per-batch prune + post-sort final is exact
     def best(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("doc_id", "ascending"), ("jaccard_pct", "descending"),
-                       ("dup_of", "ascending")])
-        doc = t["doc_id"].to_numpy()
-        head = np.ones(len(doc), dtype=bool)
-        head[1:] = doc[1:] != doc[:-1]
-        return t.filter(pa.array(head))
+        return key_topk(t, "doc_id", [("jaccard_pct", "descending"),
+                                      ("dup_of", "ascending")], 1)
 
-    return _lsh_result(
-        verified.map_batches(best, batch_format="pyarrow", batch_size=65536)
-        .sort("doc_id").map_batches(best, batch_format="pyarrow", batch_size=None),
-        _VERDICT_SCHEMA)
+    return _lsh_result(sorted_group_reduce(verified, "doc_id", best, best),
+                       _VERDICT_SCHEMA)
 
 
 def _window_grams(texts, k: int):
@@ -1389,6 +1384,8 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
 
 HOST_BANDS, HOST_ROWS = 32, 2  # 2-lane bands: host-level recall tuning
 HOST_SIG_COLS = [f"s{i:02d}" for i in range(NUM_HASHES)]
+HOST_PAIRS_SCHEMA = pa.schema([("host_a", pa.int64()), ("host_b", pa.int64()),
+                               ("sig_match_pct", pa.int64())])
 
 
 class HostSigPartial:
@@ -1432,15 +1429,15 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
     Scale shape: task-stage signatures with a per-batch per-host min
     combiner (hosts are an implicit salt across batches), one grouped min
     via the sorted reduce, banding + bucket sort over hosts (vocab-scale,
-    not corpus-scale), per-bucket pair explode carrying the hex-packed
-    signatures, grouped pair dedup, vectorized agreement scoring.
+    not corpus-scale), bucket pairs from :func:`_bucket_pairs` scored by
+    vectorized lane agreement over the carried signature lanes, grouped
+    pair dedup.
     Gramless (empty-text) docs carry the all-max identity signature and
     are excluded before the merge; host ids use the synthetic
     ``doc_id // docs_per_host`` model shared with
     ``pipelines/webgraph.py``."""
-    import pyarrow.compute as pc
-
     from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
+    from lexmapr_ray.functions.typed import with_schema
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
@@ -1462,49 +1459,32 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
         for b in range(HOST_BANDS)
     ], dtype=np.uint64)
 
-    def band(df):
-        sig = df[HOST_SIG_COLS].to_numpy(dtype=np.int64).astype(np.uint64)
+    def band(t: pa.Table) -> pa.Table:
+        sig = np.column_stack([t[c].to_numpy() for c in HOST_SIG_COLS]).astype(np.uint64)
         buckets = _band_mix(sig, band_seeds, n_bands=HOST_BANDS,
                             rows_per_band=HOST_ROWS)
-        hexes = ["".join(f"{v:016x}" for v in row) for row in sig]
-        return pd.DataFrame({
-            "bucket": buckets.ravel(),
-            "host_id": np.repeat(df["host_id"].to_numpy(np.int64), HOST_BANDS),
-            "sig_hex": np.repeat(np.array(hexes, dtype=object), HOST_BANDS),
-        })
+        return t.take(np.repeat(np.arange(t.num_rows), HOST_BANDS)) \
+            .append_column("bucket", pa.array(buckets.ravel()))
 
-    banded = host_sigs.map_batches(band, batch_format="pandas")
-
-    def pair_block(df):
-        import pandas as pd
-        cols = {"host_a": "int64", "host_b": "int64", "pct": "int64"}
-        d = df.drop_duplicates(["bucket", "host_id"])
-        m = d.merge(d, on="bucket")
-        m = m[m["host_id_x"] < m["host_id_y"]]
-        if len(m) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=d_)
-                                 for c, d_ in cols.items()})
-        a = np.array([[int(h[i:i + 16], 16) for i in range(0, 1024, 16)]
-                      for h in m["sig_hex_x"]], dtype=np.uint64)
-        b = np.array([[int(h[i:i + 16], 16) for i in range(0, 1024, 16)]
-                      for h in m["sig_hex_y"]], dtype=np.uint64)
-        pct = (100 * (a == b).sum(axis=1)) // NUM_HASHES
-        out = pd.DataFrame({"host_a": m["host_id_x"].to_numpy(np.int64),
-                            "host_b": m["host_id_y"].to_numpy(np.int64),
-                            "pct": pct.astype(np.int64)})
-        return out[out["pct"] >= min_match_pct]
+    def pair_block(t: pa.Table) -> pa.Table:
+        host = t["host_id"].to_numpy()
+        ia, ib = _bucket_pairs(t["bucket"].to_numpy(), host)
+        sig = np.column_stack([t[c].to_numpy() for c in HOST_SIG_COLS])
+        pct = (100 * (sig[ia] == sig[ib]).sum(axis=1)) // NUM_HASHES
+        keep = pct >= min_match_pct
+        return pa.table({"host_a": host[ia][keep], "host_b": host[ib][keep],
+                         "pct": pct[keep]})
 
     def dedupe(t: pa.Table) -> pa.Table:
         t = t.sort_by([("host_a", "ascending"), ("host_b", "ascending")])
         return t.take(run_starts(t, ["host_a", "host_b"]))
 
-    pairs = banded.sort("bucket").map_batches(pair_block,
-                                              batch_format="pandas",
-                                              batch_size=None)
+    pairs = host_sigs.map_batches(band, batch_format="pyarrow").sort("bucket") \
+        .map_batches(pair_block, batch_format="pyarrow", batch_size=None)
     out = sorted_group_reduce(pairs, ["host_a", "host_b"], dedupe, dedupe)
-    return out.map_batches(
-        lambda t: t.rename_columns(["host_a", "host_b", "sig_match_pct"]),
-        batch_format="pyarrow")
+    return with_schema(out.map_batches(
+        lambda t: t.rename_columns(HOST_PAIRS_SCHEMA.names),
+        batch_format="pyarrow"), HOST_PAIRS_SCHEMA)
 
 
 # ---------------------------------------------------------------------------

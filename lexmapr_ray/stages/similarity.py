@@ -11,8 +11,25 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
+from lexmapr_ray.functions.topk import key_topk
+from lexmapr_ray.functions.typed import int64_schema, with_schema
+
+NEAR_DUP_SCHEMA = int64_schema("vec_a", "vec_b", "sim_bp")
+KNN_SCHEMA = int64_schema("vec_id", "neighbor_id", "sim_bp", "rank")
+TOPK_MULTI_SCHEMA = int64_schema("query_id", "vec_id", "sim_bp")
+RERANK_SCHEMA = int64_schema("query_id", "vec_id", "sim_bp", "xenc_score", "rank")
+CENTROIDS_SCHEMA = int64_schema("label", "dim", "n_vecs", "mean_micro")
+SEMANTIC_DEDUP_SCHEMA = int64_schema("vec_id", "cluster", "keep", "dup_of")
+CLUSTER_TERMS_SCHEMA = pa.schema([("cluster", pa.int64()), ("token", pa.string()),
+                                  ("n", pa.int64()), ("rank", pa.int64())])
+REPRESENTATIVES_SCHEMA = int64_schema("cluster", "doc_id", "logit_milli")
+
+# pairs scored per einsum in _bucket_cosine_pairs (two 64-dim float64
+# operands: 64 MiB)
+_PAIR_CHUNK = 65536
 
 
 def _read_embeddings(sf_dir: str, columns=None):
@@ -25,6 +42,31 @@ def _batch_matrix(t: pa.Table) -> np.ndarray:
     col = t["embedding"]
     flat = np.asarray(col.combine_chunks().flatten(), dtype=np.float64)
     return flat.reshape(len(t), -1)
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """``m``'s rows scaled to unit length (zero rows stay zero)."""
+    norms = np.linalg.norm(m, axis=1)
+    norms[norms == 0] = 1.0
+    return m / norms[:, None]
+
+
+def _bucket_cosine_pairs(t: pa.Table):
+    """``(vec_a, vec_b, sim_bp)`` arrays of every two vectors that share a
+    ``bucket`` of ``t``, a block out of the bucket sort: ``vec_a < vec_b``,
+    the pairs enumerated by :func:`~lexmapr_ray.stages.dedup._bucket_pairs`
+    and ``sim_bp`` = round(10000 * cosine)."""
+    from lexmapr_ray.stages.dedup import _bucket_pairs
+
+    ids = t["vec_id"].to_numpy()
+    ia, ib = _bucket_pairs(t["bucket"].to_numpy(), ids)
+    mn = _unit_rows(_batch_matrix(t))
+    bp = np.empty(len(ia), dtype=np.int64)
+    for s in range(0, len(ia), _PAIR_CHUNK):
+        a, b = ia[s:s + _PAIR_CHUNK], ib[s:s + _PAIR_CHUNK]
+        bp[s:s + _PAIR_CHUNK] = np.round(
+            np.einsum("ij,ij->i", mn[a], mn[b]) * 10_000)
+    return ids[ia], ids[ib], bp
 
 
 def _get_query_vector(sf_dir: str, query_vec_id: int) -> np.ndarray:
@@ -156,26 +198,23 @@ def _corpus_plane_count(sf_dir: str, target_bucket: int) -> int:
 
 
 def _multi_table_bucketer(n_tables: int, n_planes: int):
-    """Batch fn: replicate each vector into ``n_tables`` (table, bucket)
-    rows (hyperplane signs per table, seeds 777+ti), embedding carried."""
+    """Batch fn: replicate each vector into ``n_tables`` rows, one per
+    hyperplane table (seeds 777+ti), embedding carried.  ``bucket`` packs
+    the table and its hyperplane-sign bucket: ``ti << n_planes | b``."""
 
     def with_bucket(t: pa.Table) -> pa.Table:
         m = _batch_matrix(t)
-        ids, tabs, buckets = [], [], []
+        ids = np.asarray(t["vec_id"], dtype=np.int64)
+        buckets = []
         for ti in range(n_tables):
             lsh = HyperplaneLSH(n_planes=n_planes, dim=m.shape[1], seed=777 + ti)
             signs = (m @ lsh.planes) > 0
-            b = signs.astype(np.int64) @ lsh.weights
-            ids.append(np.asarray(t["vec_id"], dtype=np.int64))
-            tabs.append(np.full(len(b), ti, dtype=np.int64))
-            buckets.append(b)
+            buckets.append((ti << n_planes) | (signs.astype(np.int64) @ lsh.weights))
         emb = t["embedding"].combine_chunks()
-        embs = pa.chunked_array([emb] * n_tables)
         return pa.table({
-            "vec_id": pa.array(np.concatenate(ids)),
-            "table": pa.array(np.concatenate(tabs)),
+            "vec_id": pa.array(np.tile(ids, n_tables)),
             "bucket": pa.array(np.concatenate(buckets)),
-            "embedding": embs,
+            "embedding": pa.chunked_array([emb] * n_tables),
         })
 
     return with_bucket
@@ -195,7 +234,8 @@ def embedding_near_dup_pairs(sf_dir: str, threshold_bp: int = 3000,
     More planes per table lowers per-table recall for a fixed threshold;
     the independent tables win it back (P[hit] = 1-(1-s^p)^L).  Vectors
     sharing any (table, bucket) are pairwise-scored inside the sorted
-    block; a final pair-key dedup removes multi-table repeats.  The shuffle
+    block (:func:`_bucket_cosine_pairs`); a final pair-key dedup removes
+    multi-table repeats.  The shuffle
     carries each embedding n_tables times — the price of recall, linear in
     corpus size, never quadratic.
     """
@@ -203,51 +243,21 @@ def embedding_near_dup_pairs(sf_dir: str, threshold_bp: int = 3000,
     n_planes = _corpus_plane_count(sf_dir, target_bucket)
     with_bucket = _multi_table_bucketer(n_tables, n_planes)
 
-    def pair_up(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
-                                 "vec_b": pd.Series([], dtype="int64"),
-                                 "sim_bp": pd.Series([], dtype="int64")})
-        ids = g["vec_id"].to_numpy()
-        m = np.stack([np.asarray(e, dtype=np.float64) for e in g["embedding"]])
-        norms = np.linalg.norm(m, axis=1)
-        norms[norms == 0] = 1.0
-        mn = m / norms[:, None]
-        sims = mn @ mn.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        bp = np.round(sims[ia, ib] * 10_000).astype(np.int64)
+    def pairs_block(t: pa.Table) -> pa.Table:
+        a, b, bp = _bucket_cosine_pairs(t)
         keep = bp >= threshold_bp
-        va, vb = ids[ia[keep]], ids[ib[keep]]
-        swap = va > vb
-        va2 = np.where(swap, vb, va)
-        vb2 = np.where(swap, va, vb)
-        return pd.DataFrame({"vec_a": va2, "vec_b": vb2, "sim_bp": bp[keep]})
+        return pa.table({"vec_a": a[keep], "vec_b": b[keep], "sim_bp": bp[keep]})
 
-    # sort co-locates each (table, bucket) group in one block; the block
-    # reduce loops only over multi-member groups (vectorized inside each),
-    # avoiding the one-Python-call-per-group cost of groupby().map_groups
-    def pair_up_block(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [pair_up(df.iloc[0:0])]
-        if len(df):
-            keys = ["table", "bucket"]
-            sizes = df.groupby(keys, sort=False).size()
-            multi = sizes[sizes >= 2].index
-            if len(multi):
-                sub = df.set_index(keys).loc[multi].reset_index()
-                for _, g in sub.groupby(keys, sort=False):
-                    outs.append(pair_up(g))
-        return pd.concat(outs, ignore_index=True)
-
-    # final pair-key sort both orders the output and lets a per-block
-    # drop_duplicates remove pairs surfaced by several tables
-    return (
+    # the final pair-key sort both orders the output and puts the repeats
+    # of a pair surfaced by several tables next to each other
+    return with_schema(
         ds.map_batches(with_bucket, batch_format="pyarrow")
-        .sort(["table", "bucket"])
-        .map_batches(pair_up_block, batch_format="pandas", batch_size=None)
+        .sort("bucket")
+        .map_batches(pairs_block, batch_format="pyarrow", batch_size=None)
         .sort(["vec_a", "vec_b"])
-        .map_batches(lambda df: df.drop_duplicates(["vec_a", "vec_b"]),
-                     batch_format="pandas", batch_size=None)
-    )
+        .map_batches(lambda t: t.take(run_starts(t, ["vec_a", "vec_b"])),
+                     batch_format="pyarrow", batch_size=None),
+        NEAR_DUP_SCHEMA)
 
 
 def hybrid_search(sf_dir: str, keyword: str = "spark",
@@ -323,8 +333,9 @@ def knn_graph(sf_dir: str, k: int = 5, n_tables: int = 4,
     every intra-bucket pair is emitted in BOTH directions and reduced
     per-vector instead of thresholded: an exact-safe per-block top-k
     combiner (a neighbour beaten by k others in its own block is beaten
-    globally; multi-table repeats of a pair carry identical sims so
-    drop-duplicates-then-head is order-independent) shrinks the exchange
+    globally; multi-table repeats of a pair carry identical sims, so
+    keeping one per pair before the cut is order-independent; ``key_topk``
+    does the cut) shrinks the exchange
     to <= k rows per (vector, block) before the single vec_id sort, then
     the sorted block reduce dedups and ranks.  Vectors sharing no bucket
     with anything emit no rows (an isolated point has no ANN neighbours).
@@ -337,61 +348,26 @@ def knn_graph(sf_dir: str, k: int = 5, n_tables: int = 4,
     n_planes = _corpus_plane_count(sf_dir, target_bucket)
     with_bucket = _multi_table_bucketer(n_tables, n_planes)
 
-    def directed_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
-                              "neighbor_id": pd.Series([], dtype="int64"),
-                              "sim_bp": pd.Series([], dtype="int64")})
-        if len(g) < 2:
-            return empty
-        ids = g["vec_id"].to_numpy()
-        m = np.stack([np.asarray(e, dtype=np.float64) for e in g["embedding"]])
-        norms = np.linalg.norm(m, axis=1)
-        norms[norms == 0] = 1.0
-        mn = m / norms[:, None]
-        sims = mn @ mn.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        bp = np.round(sims[ia, ib] * 10_000).astype(np.int64)
-        return pd.DataFrame({
-            "vec_id": np.concatenate([ids[ia], ids[ib]]),
-            "neighbor_id": np.concatenate([ids[ib], ids[ia]]),
-            "sim_bp": np.concatenate([bp, bp]),
-        })
+    def pairs_block(t: pa.Table) -> pa.Table:
+        a, b, bp = _bucket_cosine_pairs(t)
+        return pa.table({"vec_id": np.concatenate([a, b]),
+                         "neighbor_id": np.concatenate([b, a]),
+                         "sim_bp": np.concatenate([bp, bp])})
 
-    def pairs_block(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [directed_pairs(df.iloc[0:0])]
-        if len(df):
-            keys = ["table", "bucket"]
-            sizes = df.groupby(keys, sort=False).size()
-            multi = sizes[sizes >= 2].index
-            if len(multi):
-                sub = df.set_index(keys).loc[multi].reset_index()
-                for _, g in sub.groupby(keys, sort=False):
-                    outs.append(directed_pairs(g))
-        return pd.concat(outs, ignore_index=True)
-
-    def topk_block(df: pd.DataFrame, final: bool = False) -> pd.DataFrame:
-        if len(df) == 0:
-            out = df.copy()
-            if final:
-                out["rank"] = pd.Series([], dtype="int64")
-            return out
-        df = df.drop_duplicates(["vec_id", "neighbor_id"]).sort_values(
-            ["vec_id", "sim_bp", "neighbor_id"],
-            ascending=[True, False, True], kind="mergesort")
-        ranks = df.groupby("vec_id", sort=False).cumcount() + 1
-        df = df.assign(rank=ranks)[ranks <= k]
-        return df if final else df.drop(columns=["rank"])
+    def topk(t: pa.Table, rank: str | None = None) -> pa.Table:
+        t = t.group_by(["vec_id", "neighbor_id"], use_threads=False) \
+            .aggregate([("sim_bp", "max")]).rename_columns(KNN_SCHEMA.names[:3])
+        return key_topk(t, "vec_id", [("sim_bp", "descending"),
+                                      ("neighbor_id", "ascending")], k, rank)
 
     cand = (
         ds.map_batches(with_bucket, batch_format="pyarrow")
-        .sort(["table", "bucket"])
-        .map_batches(pairs_block, batch_format="pandas", batch_size=None)
+        .sort("bucket")
+        .map_batches(pairs_block, batch_format="pyarrow", batch_size=None)
     )
-    pruned = cand.map_batches(topk_block, batch_format="pandas",
-                              batch_size=65536)
-    return pruned.sort("vec_id").map_batches(
-        lambda df: topk_block(df, final=True),
-        batch_format="pandas", batch_size=None)
+    return with_schema(sorted_group_reduce(cand, "vec_id", topk,
+                                           lambda t: topk(t, "rank")),
+                       KNN_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +428,7 @@ def ann_ivf_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10,
         assign = (mn @ cents_.T).argmax(axis=1)
         keep = np.isin(assign, list(probe_))
         sims = np.round(mn[keep] @ qn_ * 10_000).astype(np.int64)
-        ids = np.asarray(t["vec_id"].to_pandas())[keep]
+        ids = t["vec_id"].to_numpy()[keep]
         return pa.table({
             "vec_id": pa.array(ids, pa.int64()),
             "sim_bp": pa.array(sims, pa.int64()),
@@ -521,6 +497,7 @@ def ann_ivf_topk_persisted(sf_dir: str, index_dir: str | None = None,
     import ray.data as rd
 
     from lexmapr_ray.functions.topk import global_topk
+    from lexmapr_ray.sources.tables import read_parquet
 
     if index_dir is None:
         # tag carries a corpus fingerprint (size + mtime of the embeddings
@@ -561,7 +538,7 @@ def ann_ivf_topk_persisted(sf_dir: str, index_dir: str | None = None,
         return pa.table({"vec_id": pa.array(ids, pa.int64()),
                          "sim_bp": pa.array(sims, pa.int64())})
 
-    scored = rd.read_parquet(paths, columns=["vec_id", "embedding"]) \
+    scored = read_parquet(paths, ["vec_id", "embedding"]) \
         .map_batches(score, batch_format="pyarrow")
     return global_topk(scored, ["sim_bp", "vec_id"], [True, False], k)
 
@@ -585,6 +562,9 @@ def cosine_topk_multi(sf_dir: str, n_queries: int = 8, k: int = 5):
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
                       columns=["vec_id", "embedding"])
     t = t.filter(pa.compute.less(t["vec_id"], n_queries))
+    if t.num_rows == 0:
+        raise ValueError(f"cosine_topk_multi: {sf_dir}/embeddings.parquet holds "
+                         f"no query vector (vec_id < {n_queries})")
     order = np.argsort(np.asarray(t["vec_id"]))
     qids = np.asarray(t["vec_id"])[order]
     qm = np.stack([np.asarray(t["embedding"][int(i)].as_py(), dtype=np.float64)
@@ -616,17 +596,13 @@ def cosine_topk_multi(sf_dir: str, n_queries: int = 8, k: int = 5):
             "sim_bp": pa.array(np.concatenate(out_s)),
         })
 
-    def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df
-        df = df.sort_values(["query_id", "sim_bp", "vec_id"],
-                            ascending=[True, False, True], kind="mergesort")
-        return df[df.groupby("query_id", sort=False).cumcount() < k]
+    def final_topk(t: pa.Table) -> pa.Table:
+        return key_topk(t, "query_id", [("sim_bp", "descending"),
+                                        ("vec_id", "ascending")], k)
 
     pruned = ds.map_batches(score_prune, batch_format="pyarrow")
-    return pruned.sort("query_id").map_batches(
-        final_topk, batch_format="pandas", batch_size=None
-    )
+    return with_schema(pruned.sort("query_id").map_batches(
+        final_topk, batch_format="pyarrow", batch_size=None), TOPK_MULTI_SCHEMA)
 
 
 class _XEncRescorer:
@@ -725,17 +701,11 @@ def rerank_topk(sf_dir: str, n_queries: int = 8, k1: int = 50, k: int = 10):
         return t.filter(pc.is_in(pc.cast(t["vec_id"], pa.int64()),
                                  value_set=cand_vec_ids))
 
-    import pandas as pd
-
-    def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df.assign(rank=pd.Series([], dtype="int64"))
-        df = df.sort_values(["query_id", "xenc_score", "vec_id"],
-                            ascending=[True, False, True], kind="mergesort")
-        df = df[df.groupby("query_id", sort=False).cumcount() < k].copy()
-        df["rank"] = df.groupby("query_id", sort=False).cumcount() \
-            .astype("int64")
-        return df
+    def final_topk(t: pa.Table) -> pa.Table:
+        t = key_topk(t, "query_id", [("xenc_score", "descending"),
+                                     ("vec_id", "ascending")], k, rank="rank")
+        # rank is 0-based here
+        return t.set_column(4, "rank", pc.subtract(t["rank"], 1))
 
     scored = ds.map_batches(keep_cands, batch_format="pyarrow").map_batches(
         _XEncRescorer(state_ref),
@@ -743,8 +713,8 @@ def rerank_topk(sf_dir: str, n_queries: int = 8, k1: int = 50, k: int = 10):
         concurrency=_auto_concurrency(),
         num_cpus=1,
     )
-    return scored.sort("query_id").map_batches(
-        final_topk, batch_format="pandas", batch_size=None)
+    return with_schema(scored.sort("query_id").map_batches(
+        final_topk, batch_format="pyarrow", batch_size=None), RERANK_SCHEMA)
 
 
 def embedding_centroids(sf_dir: str):
@@ -786,21 +756,15 @@ def embedding_centroids(sf_dir: str):
         {"sum_micro": "sum_micro", "n_vecs": "n_part"},
     )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype="int64")
-                                 for c in ("label", "dim", "n_vecs", "mean_micro")})
-        out = pd.DataFrame({
-            "label": df["label"].astype("int64"),
-            "dim": df["dim"].astype("int64"),
-            "n_vecs": df["n_vecs"].astype("int64"),
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "label": t["label"], "dim": t["dim"], "n_vecs": t["n_vecs"],
             # int64 // floors (matches the oracle's mod-adjusted exact division)
-            "mean_micro": (df["sum_micro"].astype("int64")
-                           // df["n_vecs"].astype("int64")),
+            "mean_micro": t["sum_micro"].to_numpy() // t["n_vecs"].to_numpy(),
         })
-        return out
 
-    return summed.map_batches(finish, batch_format="pandas")
+    return with_schema(summed.map_batches(finish, batch_format="pyarrow"),
+                       CENTROIDS_SCHEMA)
 
 
 def embedding_quantize(sf_dir: str):
@@ -901,6 +865,8 @@ def _kmeans_fit(ds, k: int, iters: int) -> np.ndarray:
 
     seed = ds.map_batches(prune_k, batch_format="pyarrow") \
              .sort("vec_id").limit(k).take_all()
+    if not seed:  # no vectors: no centroids, and nothing to assign
+        return np.zeros((0, 0), dtype=np.int64)
     _, centroids = _micro_ids(pa.Table.from_pylist(seed))   # (k, dim) int64
 
     for _ in range(iters):
@@ -1019,49 +985,31 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 5,
             "embedding": t["embedding"],
         })
 
-    def greedy_block(df: pd.DataFrame) -> pd.DataFrame:
-        empty = {
-            "vec_id": pd.Series([], dtype="int64"),
-            "cluster": pd.Series([], dtype="int64"),
-            "keep": pd.Series([], dtype="int64"),
-            "dup_of": pd.Series([], dtype="int64"),
-        }
-        if len(df) == 0:
-            return pd.DataFrame(empty)
-        outs = []
-        for c, g in df.groupby("cluster", sort=True):
-            g = g.sort_values("vec_id", kind="mergesort")
-            ids = g["vec_id"].to_numpy(dtype=np.int64)
-            m = np.stack([np.asarray(e, dtype=np.float64)
-                          for e in g["embedding"]])
-            norms = np.linalg.norm(m, axis=1)
-            norms[norms == 0] = 1.0
-            mn = m / norms[:, None]
-            bp = np.round(mn @ mn.T * 10_000).astype(np.int64)
-            kept = np.zeros(len(ids), dtype=bool)
-            dup_of = np.full(len(ids), -1, dtype=np.int64)
-            for i in range(len(ids)):
-                hits = kept[:i] & (bp[:i, i] >= threshold_bp)
+    def greedy_block(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("cluster", "ascending"), ("vec_id", "ascending")])
+        ids = t["vec_id"].to_numpy()
+        mn = _unit_rows(_batch_matrix(t))
+        kept = np.zeros(len(ids), dtype=bool)
+        dup_of = np.full(len(ids), -1, dtype=np.int64)
+        starts = run_starts(t, ["cluster"])
+        for lo, hi in zip(starts, np.append(starts[1:], len(ids))):
+            bp = np.round(mn[lo:hi] @ mn[lo:hi].T * 10_000).astype(np.int64)
+            for i in range(hi - lo):
+                hits = kept[lo:lo + i] & (bp[:i, i] >= threshold_bp)
                 if hits.any():
-                    dup_of[i] = ids[int(np.argmax(hits))]  # lowest kept id
+                    dup_of[lo + i] = ids[lo + int(np.argmax(hits))]  # lowest kept id
                 else:
-                    kept[i] = True
-            outs.append(pd.DataFrame({
-                "vec_id": ids,
-                "cluster": np.full(len(ids), int(c), dtype=np.int64),
-                "keep": kept.astype(np.int64),
-                "dup_of": dup_of,
-            }))
-        return pd.concat(outs, ignore_index=True)
+                    kept[lo + i] = True
+        return pa.table({"vec_id": ids, "cluster": t["cluster"],
+                         "keep": kept.astype(np.int64), "dup_of": dup_of})
 
     # sort on cluster co-locates each cluster whole in one block;
     # batch_size=None keeps the sorted blocks intact through the reduce
-    return (ds.map_batches(assign_emb, batch_format="pyarrow",
-                           batch_size=4096)
-            .sort("cluster")
-            .map_batches(greedy_block, batch_format="pandas",
-                         batch_size=None)
-            .sort("vec_id"))
+    return with_schema(
+        ds.map_batches(assign_emb, batch_format="pyarrow", batch_size=4096)
+        .sort("cluster")
+        .map_batches(greedy_block, batch_format="pyarrow", batch_size=None)
+        .sort("vec_id"), SEMANTIC_DEDUP_SCHEMA)
 
 
 def embedding_covariance(sf_dir: str):
@@ -1129,9 +1077,9 @@ def embedding_covariance(sf_dir: str):
         q = abs(num) // den if den else 0
         rows.append({"dim_i": i, "dim_j": j, "n_vecs": n,
                      "cov_micro2": q if num >= 0 else -q})
-    df = pd.DataFrame(rows, columns=["dim_i", "dim_j", "n_vecs", "cov_micro2"]) \
-        .astype("int64").sort_values(["dim_i", "dim_j"]).reset_index(drop=True)
-    return rd.from_pandas(df)
+    rows.sort(key=lambda r: (r["dim_i"], r["dim_j"]))
+    return rd.from_arrow(pa.Table.from_pylist(rows, schema=int64_schema(
+        "dim_i", "dim_j", "n_vecs", "cov_micro2")))
 
 
 def rrf_search(sf_dir: str, keyword: str = "spark", query_vec_id: int = 0,
@@ -1230,8 +1178,7 @@ def cluster_top_terms(sf_dir: str, top: int = 5, num_buckets: int = 32):
     top-k orchestration."""
     import pyarrow.compute as pc
 
-    from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_starts,
-                                                sorted_group_reduce)
+    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.stages.textstats import _read_documents, _token_lists
 
@@ -1257,18 +1204,15 @@ def cluster_top_terms(sf_dir: str, top: int = 5, num_buckets: int = 32):
     counts = grouped_sum_count(joined.map_batches(explode, batch_format="pyarrow"),
                                ["cluster", "token"], count_alias="n")
 
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("cluster", "ascending"), ("n", "descending"),
-                       ("token", "ascending")])
-        starts = run_starts(t, ["cluster"])
-        rank = np.arange(len(t)) - np.repeat(starts, np.diff(starts, append=len(t)))
-        keep = rank < top
-        return t.filter(pa.array(keep)).append_column("rank", pa.array(rank[keep] + 1))
+    def finish(t: pa.Table, rank: str | None = None) -> pa.Table:
+        return key_topk(t, "cluster", [("n", "descending"), ("token", "ascending")],
+                        top, rank)
 
     # exact-safe: each part's per-cluster top-`top` superset contains the
     # global per-cluster top-`top`
-    return sorted_group_reduce(
-        counts, "cluster", lambda t: finish(t).drop_columns(["rank"]), finish)
+    return with_schema(sorted_group_reduce(
+        counts, "cluster", finish, lambda t: finish(t, "rank")),
+        CLUSTER_TERMS_SCHEMA)
 
 
 def cluster_representatives(sf_dir: str, num_buckets: int = 32):
@@ -1283,8 +1227,6 @@ def cluster_representatives(sf_dir: str, num_buckets: int = 32):
     best-per-cluster prune (one row per cluster per batch) before the one
     cluster sort — the ``minhash_index_dedup`` verdict pattern.
     """
-    import pandas as pd
-
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.stages.textstats import _classifier_scores
 
@@ -1298,19 +1240,12 @@ def cluster_representatives(sf_dir: str, num_buckets: int = 32):
         right_schema=pa.schema([("vec_id", pa.int64()),
                                 ("cluster", pa.int64())]))
 
-    def best(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"cluster": pd.Series([], dtype="int64"),
-                                 "doc_id": pd.Series([], dtype="int64"),
-                                 "logit_milli": pd.Series([], dtype="int64")})
-        out = df.sort_values(["cluster", "logit_milli", "doc_id"],
-                             ascending=[True, False, True]) \
-            .drop_duplicates("cluster")
-        return out[["cluster", "doc_id", "logit_milli"]].astype("int64")
+    def best(t: pa.Table) -> pa.Table:
+        return key_topk(t.select(REPRESENTATIVES_SCHEMA.names), "cluster",
+                        [("logit_milli", "descending"), ("doc_id", "ascending")], 1)
 
-    return joined.map_batches(best, batch_format="pandas", batch_size=65536) \
-        .sort("cluster").map_batches(best, batch_format="pandas",
-                                     batch_size=None)
+    return with_schema(sorted_group_reduce(joined, "cluster", best, best),
+                       REPRESENTATIVES_SCHEMA)
 
 
 def bm25_search(sf_dir: str, query: str = "spark merge window", k: int = 10):

@@ -393,14 +393,11 @@ def _top_k(k: int):
     final, sort)`` reduce of :func:`_doc_local_scores`: a sort then a
     run-rank cut.  Per-block pruning is exact (a row in its doc's global
     top-k is in the top-k of any subset holding it)."""
+    from lexmapr_ray.functions.topk import key_topk
+
     def partial(t: pa.Table) -> pa.Table:
-        t = t.select(["doc_id", "term", "s"]).sort_by(
-            [("doc_id", "ascending"), ("s", "descending"), ("term", "ascending")])
-        doc = t["doc_id"].to_numpy()
-        first = np.ones(len(doc), dtype=bool)
-        first[1:] = doc[1:] != doc[:-1]
-        pos = np.arange(len(doc))
-        return t.filter(pa.array(pos - np.maximum.accumulate(np.where(first, pos, 0)) < k))
+        return key_topk(t.select(["doc_id", "term", "s"]), "doc_id",
+                        [("s", "descending"), ("term", "ascending")], k)
 
     def final(t: pa.Table) -> pa.Table:
         return partial(t).rename_columns(["doc_id", "term", "score_e6"])
@@ -637,8 +634,6 @@ def score_percentile(sf_dir: str):
 
 def lang_token_stats(sf_dir: str):
     """Per-language corpus statistics: docs, total tokens, total chars."""
-    import pandas as pd
-
     from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     ds = _read_documents(sf_dir, ["lang", "text"])
@@ -895,6 +890,9 @@ def text_normalize(sf_dir: str):
     return ds.map_batches(norm, batch_format="pyarrow").sort("doc_id")
 
 
+SOURCE_CAP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("source", pa.string())])
+
+
 def source_cap(sf_dir: str, cap: int = 15):
     """Per-source document cap: keep the first ``cap`` docs (lowest doc_id)
     of every source — the over-represented-domain throttle every corpus
@@ -906,18 +904,17 @@ def source_cap(sf_dir: str, cap: int = 15):
     the sort shuffle moves <= cap rows per (source, batch) instead of the
     corpus; the identical prune after the source sort is the final answer.
     """
+    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.topk import key_topk
+    from lexmapr_ray.functions.typed import with_schema
+
     ds = _read_documents(sf_dir, ["doc_id", "source"])
 
-    def keep_block(df):
-        if len(df) == 0:
-            return df
-        df = df.sort_values(["source", "doc_id"], kind="mergesort")
-        return df[df.groupby("source", sort=False).cumcount() < cap]
+    def keep_block(t: pa.Table) -> pa.Table:
+        return key_topk(t, "source", [("doc_id", "ascending")], cap)
 
-    pruned = ds.map_batches(keep_block, batch_format="pandas", batch_size=65536)
-    return pruned.sort("source").map_batches(
-        keep_block, batch_format="pandas", batch_size=None
-    ).sort("doc_id")
+    return with_schema(sorted_group_reduce(ds, "source", keep_block, keep_block)
+                       .sort("doc_id"), SOURCE_CAP_SCHEMA)
 
 
 def vocab_topk(sf_dir: str, k: int = 20):
@@ -1364,23 +1361,13 @@ def collocations(sf_dir: str, k: int = 20, min_count: int = 5):
         flat = pc.list_flatten(splits)
         if isinstance(flat, pa.ChunkedArray):
             flat = flat.combine_chunks()
-        n = len(flat)
-        empty = pa.table({"w1": pa.array([], pa.string()),
-                          "w2": pa.array([], pa.string()),
-                          "n_pair": pa.array([], pa.int64())})
-        if n < 2:
-            return empty
+        n = max(len(flat) - 1, 0)
         parent = pc.list_parent_indices(splits).to_numpy(zero_copy_only=False)
-        valid = parent[: n - 1] == parent[1:]
-        df = pa.table({
-            "w1": flat.slice(0, n - 1).filter(pa.array(valid)),
-            "w2": flat.slice(1, n - 1).filter(pa.array(valid)),
-        }).to_pandas()
-        if len(df) == 0:
-            return empty
-        g = df.groupby(["w1", "w2"], sort=False).size().rename("n_pair") \
-            .reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        valid = pa.array(parent[:n] == parent[1:])
+        return pa.table({"w1": flat.slice(0, n).filter(valid),
+                         "w2": flat.slice(1, n).filter(valid)}) \
+            .group_by(["w1", "w2"], use_threads=False) \
+            .aggregate([([], "count_all")]).rename_columns(["w1", "w2", "n_pair"])
 
     uni = grouped_sum_count(
         docs.map_batches(uni_partial, batch_format="pyarrow"),
@@ -1515,9 +1502,8 @@ def source_vocab_overlap(sf_dir: str):
         src = pc.filter(t["source"], keep)
         flat = pc.list_flatten(splits)
         parent = pc.list_parent_indices(splits)
-        df = pa.table({"source": pc.take(src, parent),
-                       "w": flat}).to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.table({"source": pc.take(src, parent), "w": flat}) \
+            .group_by(["source", "w"], use_threads=False).aggregate([])
 
     vocab = grouped_sum_count(
         docs.map_batches(explode, batch_format="pyarrow"),

@@ -3566,15 +3566,106 @@ def test_join_preserves_int64_keys_past_float53(ray_session):
 
 
 def test_pandas_batch_sites_ratchet():
-    """The engine's ``batch_format="pandas"`` sites only go down (one batch
-    format, Arrow, is the aim), and the window operators import no pandas
-    at all.  Lower the bound as sites move to Arrow."""
+    """One batch format: the engine has no ``batch_format="pandas"`` site,
+    and pandas is imported only by the modules that still need it —
+    ``joins._stable_bucket``'s string hash, ``components._serial_union_find``
+    and the driver-side ``to_pandas``/``rd.from_pandas`` finals."""
     import pathlib
     import re
 
     pkg = pathlib.Path(__file__).resolve().parent.parent / "lexmapr_ray"
     sites = sum(p.read_text().count('batch_format="pandas"')
                 for p in pkg.rglob("*.py"))
-    assert sites <= 22, sites
-    windows = (pkg / "pipelines" / "windows.py").read_text()
-    assert not re.search(r"^\s*(import|from)\s+pandas\b", windows, re.M)
+    assert sites == 0, sites
+    importers = {str(p.relative_to(pkg)) for p in pkg.rglob("*.py")
+                 if re.search(r"^\s*(import|from)\s+pandas\b", p.read_text(), re.M)}
+    assert importers <= {"functions/joins.py", "functions/components.py",
+                         "stages/textstats.py", "pipelines/relational.py"}, importers
+    for mod in ("stages/similarity.py", "stages/bpe.py",
+                "functions/quantiles.py", "pipelines/windows.py"):
+        assert mod not in importers
+
+
+def test_key_topk_matches_python_reference():
+    """``key_topk`` keeps each key's first k rows under its order, against
+    a sort-and-count over plain tuples: random keys with ties in the order
+    columns, k below and above the run lengths, one and two key columns,
+    with and without the rank column."""
+    import random
+
+    import pyarrow as pa
+
+    from lexmapr_ray.functions.topk import key_topk
+
+    rng = random.Random(7)
+    rows = [(rng.randrange(4), rng.randrange(3), rng.randrange(5), i)
+            for i in range(300)]
+    rng.shuffle(rows)
+    t = pa.table({c: [r[j] for r in rows] for j, c in enumerate("abvi")})
+    order = [("v", "descending"), ("i", "ascending")]
+    for by in (["a"], ["a", "b"]):
+        runs: dict = {}
+        for r in sorted(rows, key=lambda r: ([r["ab".index(c)] for c in by], -r[2], r[3])):
+            runs.setdefault(tuple(r["ab".index(c)] for c in by), []).append(r)
+        for k in (1, 3, 1000):
+            want = [(r, pos + 1) for run in runs.values()
+                    for pos, r in enumerate(run[:k])]
+            got = key_topk(t, by if len(by) > 1 else by[0], order, k)
+            assert got.column_names == ["a", "b", "v", "i"]
+            assert list(zip(*[got[c].to_pylist() for c in "abvi"])) == \
+                [r for r, _ in want]
+            ranked = key_topk(t, by, order, k, rank="rank")
+            assert ranked["rank"].to_pylist() == [p for _, p in want]
+            assert ranked["rank"].type == pa.int64()
+    assert key_topk(t.slice(0, 0), "a", order, 2, rank="rank").num_rows == 0
+
+
+def test_read_parquet_drops_schema_metadata(ray_session, tmp_path):
+    """Parquet written from pandas carries a ``pandas`` schema-metadata
+    dict, which Ray's schema dedup cannot hash; the engine reader hands
+    Ray the projected schema without it, so no block carries metadata."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from lexmapr_ray.sources.tables import read_parquet, sized_read_parquet
+
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(pa.Table.from_pandas(pd.DataFrame(
+        {"k": np.arange(100), "s": [str(i) for i in range(100)]})), path)
+    assert pq.read_schema(path).metadata
+    for ds in (read_parquet(path, ["k"]), read_parquet(path),
+               sized_read_parquet(path, ["s", "k"])):
+        blocks = ray.get(ds.filter(expr="k >= 0").materialize().to_arrow_refs())
+        assert sum(b.num_rows for b in blocks) == 100
+        assert all(b.schema.metadata is None for b in blocks)
+    assert read_parquet(path, ["s", "k"]).schema().names == ["s", "k"]
+
+
+def test_no_schema_hash_warnings(sf_dir):
+    """A run whose inputs are pandas-written Parquet logs no "Failed to
+    hash the schemas" line, from the driver or (``log_to_driver``) from a
+    worker: the reads drop the metadata that made the schema dedup fail."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import sys, time, ray\n"
+        "ray.init(address='local', num_cpus=2, include_dashboard=False,\n"
+        "         log_to_driver=True)\n"
+        "import __ray_entry__ as entry\n"
+        "qs = entry.queries()\n"
+        "for name in sys.argv[2:]:\n"
+        "    qs[name](sys.argv[1]).materialize()\n"
+        "time.sleep(2)  # the log monitor forwards worker lines\n"
+        "ray.shutdown()\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, sf_dir,
+         "filter_project", "cluster_top_terms", "tfidf_top_terms"],
+        cwd=root, capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    out = proc.stdout + proc.stderr
+    assert "Failed to hash the schemas" not in out, \
+        [line for line in out.splitlines() if "Failed to hash" in line][:5]

@@ -286,17 +286,27 @@ _TYPED_QUERIES = [
     "events_purchase_context", "events_funnel", "max_concurrent_sessions",
     "event_transitions", "top_orders_per_customer", "orders_running_window",
     "events_daily_active", "events_retention_cohorts", "kg_entities",
+    "knn_graph", "embedding_near_dup", "cosine_topk_multi", "rerank_topk",
+    "cluster_representatives", "label_propagation", "source_cap",
+    "semantic_dedup", "embedding_centroids", "degree_histogram",
+    "host_near_dup", "cluster_top_terms",
 ]
+
+# queries whose empty input is a caller error: the named ValueError
+_EMPTY_RAISES = {
+    "cosine_topk_multi": "no query vector",
+    "rerank_topk": "no query vector",
+}
 
 
 @pytest.fixture(scope="module")
 def empty_sf_dir(sf_dir, tmp_path_factory):
-    """A copy of ``sf_dir``'s events, orders and documents with every row
-    dropped (the schema and its types kept)."""
+    """A copy of ``sf_dir``'s events, orders, documents and embeddings with
+    every row dropped (the schema and its types kept)."""
     import pyarrow.parquet as pq
 
     d = tmp_path_factory.mktemp("sf_empty")
-    for t in ("events", "orders", "documents"):
+    for t in ("events", "orders", "documents", "embeddings"):
         pq.write_table(pq.read_table(f"{sf_dir}/{t}.parquet").slice(0, 0),
                        str(d / f"{t}.parquet"))
     return str(d)
@@ -304,12 +314,17 @@ def empty_sf_dir(sf_dir, tmp_path_factory):
 
 @pytest.mark.parametrize("name", _TYPED_QUERIES)
 def test_empty_input_keeps_schema(ray_session, sf_dir, empty_sf_dir, name):
-    """Each per-entity operator declares its output schema: on all-0-row
+    """Each of these operators declares its output schema: on all-0-row
     inputs it returns that schema, the one it has on sf0.001, instead of a
-    column-less result."""
+    column-less result — or, where an empty input is a caller error, it
+    raises a ``ValueError`` that names the missing input."""
     import __ray_entry__ as entry
 
     q = entry.queries()[name]
+    if name in _EMPTY_RAISES:
+        with pytest.raises(ValueError, match=_EMPTY_RAISES[name]):
+            q(empty_sf_dir)
+        return
     want = q(sf_dir).materialize().schema()
     got = q(empty_sf_dir).materialize().schema()
     assert got is not None, "column-less result"

@@ -3,7 +3,10 @@
     python3 tools/ab.py HEAD --workload kg_build --pairs 10
 
 Run from the root of a checkout.  ``<rev>`` is exported with ``git archive``
-into a temporary directory (the repository itself is not touched); then
+into a temporary directory, and the working tree's tracked and untracked
+non-ignored files are copied into another, so both sides run from fresh
+copies in the same place with no compiled caches or run leftovers (the
+repository itself is not touched).  Then
 ``kgbench/run.py --trace 0`` runs on both trees in interleaved pairs, the
 revision first on odd pairs, pair i with seed i.  Prints each pair's
 end-to-end metrics, then per metric the median change/base ratio, the
@@ -34,6 +37,18 @@ def export(rev: str, dest: str) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def snapshot(dest: str) -> None:
+    """Copy the working tree's tracked and untracked non-ignored files (a
+    tracked file deleted in the working tree is left out) into ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True).stdout
+    for rel in filter(None, listed.decode().split("\0")):
+        src, dst = os.path.join(ROOT, rel), os.path.join(dest, rel)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
@@ -89,14 +104,17 @@ def main(argv=None) -> int:
         spec = json.load(f)
     metrics = spec["end_to_end"]
     base_dir = tempfile.mkdtemp(prefix="ab-")
+    change_dir = tempfile.mkdtemp(prefix="ab-")
     pairs, failed = [], 0
     try:
         export(args.rev, base_dir)
-        print(f"base {args.rev} ({base_dir}) vs working tree {ROOT}; "
-              f"workload {args.workload}, {spec['run_seconds']} s per run")
+        snapshot(change_dir)
+        print(f"base {args.rev} ({base_dir}) vs working tree {ROOT} "
+              f"({change_dir}); workload {args.workload}, "
+              f"{spec['run_seconds']} s per run")
         print("pair seed first   " + "  ".join(f"{m['name']:>26}" for m in metrics))
         for i in range(1, args.pairs + 1):
-            order = [("base", base_dir), ("change", ROOT)]
+            order = [("base", base_dir), ("change", change_dir)]
             if i % 2 == 0:
                 order.reverse()
             got = {side: bench(tree, args.workload, i, spec["run_seconds"])
@@ -111,6 +129,7 @@ def main(argv=None) -> int:
                 for m in metrics))
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
+        shutil.rmtree(change_dir, ignore_errors=True)
         subprocess.run(["ray", "stop", "--force"], capture_output=True)
 
     if pairs:
