@@ -59,9 +59,14 @@ def sorted_group_reduce(ds, keys, partial_fn, final_fn, *, bundle: int = DEFAULT
     test_map_batches_never_sees_an_empty_batch``).
     """
     partial = ds.map_batches(partial_fn, batch_format="pyarrow", batch_size=bundle)
-    return partial.sort(keys).map_batches(
-        final_fn, batch_format="pyarrow", batch_size=None
-    )
+    return sorted_final(partial, keys, final_fn)
+
+
+def sorted_final(partials, keys, final_fn):
+    """The exchange half of :func:`sorted_group_reduce`: sort the
+    ``partials`` Dataset on ``keys`` and run ``final_fn`` on each sorted
+    block whole."""
+    return partials.sort(keys).map_batches(final_fn, batch_format="pyarrow", batch_size=None)
 
 
 def grouped_sum_count(
@@ -75,6 +80,18 @@ def grouped_sum_count(
     Output columns: keys + sum aliases (+ count alias), globally sorted by
     *keys* (range-partitioned blocks, sorted within).
     """
+    return sorted_group_reduce(ds, keys, *sum_count_reduce(keys, sum_cols, count_alias))
+
+
+def sum_count_reduce(
+    keys: list[str] | str,
+    sum_cols: dict[str, str] | None = None,
+    count_alias: str | None = None,
+):
+    """The ``(partial, final)`` pair of :func:`grouped_sum_count`, for a
+    caller that merges the partials some other way (on the driver, when
+    they are few).  ``final`` over any concatenation of ``partial`` outputs
+    gives one row per key, sorted by *keys*."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     sum_cols = sum_cols or {}
     count_col = count_alias or "__n"
@@ -106,7 +123,7 @@ def grouped_sum_count(
             cols[count_col] = out[f"{count_col}_sum"]
         return pa.table(cols).sort_by([(k, "ascending") for k in keys])
 
-    return sorted_group_reduce(ds, keys, partial, final)
+    return partial, final
 
 
 def run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:

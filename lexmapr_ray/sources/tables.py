@@ -20,6 +20,14 @@ Ray's own sizing would kick in (>= 2x CPUs worth of 4 MiB blocks), no
 override is passed — at 100 TB the planner's target_max_block_size logic
 governs exactly as before, so this is a small-table fast path, not a
 scale behavior change.
+
+The floor follows the consumer, not the bytes.  A caller whose first
+stage bundles its input to ``batch_rows`` rows per task passes that size,
+and the block count becomes at most ``ceil(rows / batch_rows)`` (the
+footer's row count): blocks that the first stage would merge back into one
+task are never made.  A caller whose first stage runs one task per block
+(the MinHash family, ``fuzzy_name_pairs``) passes nothing and keeps the
+floor, since there the blocks are its parallelism.
 """
 
 from __future__ import annotations
@@ -45,7 +53,11 @@ def read_parquet(path, columns=None, **kw):
                            schema=schema.remove_metadata(), **kw)
 
 
-def sized_read_parquet(path: str, columns=None):
+def sized_read_parquet(path: str, columns=None, batch_rows: int | None = None):
+    """:func:`read_parquet` of one file, with a block count for a small one
+    (see the module docstring); ``batch_rows`` is the rows per task of the
+    first stage, when that stage bundles its input."""
+    import pyarrow.parquet as pq
     import ray
 
     try:
@@ -55,5 +67,8 @@ def sized_read_parquet(path: str, columns=None):
         return read_parquet(path, columns)
     if est >= 2 * cpus:
         return read_parquet(path, columns)
-    return read_parquet(path, columns,
-                        override_num_blocks=min(2 * cpus, max(_FLOOR, est)))
+    blocks = min(2 * cpus, max(_FLOOR, est))
+    if batch_rows:
+        rows = pq.read_metadata(path).num_rows
+        blocks = min(blocks, max(1, -(-rows // batch_rows)))
+    return read_parquet(path, columns, override_num_blocks=blocks)

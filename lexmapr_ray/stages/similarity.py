@@ -31,6 +31,12 @@ REPRESENTATIVES_SCHEMA = int64_schema("cluster", "doc_id", "logit_milli")
 # operands: 64 MiB)
 _PAIR_CHUNK = 65536
 
+# The layout of a persisted IVF index (:func:`build_ivf_index`).  Bump it
+# whenever the files it writes or their meaning change: the default index
+# location folds it in, so an index written by older code is rebuilt, not
+# read.
+IVF_INDEX_VERSION = 1
+
 
 def _read_embeddings(sf_dir: str, columns=None):
     from lexmapr_ray.sources.tables import sized_read_parquet
@@ -480,6 +486,21 @@ def build_ivf_index(sf_dir: str, index_dir: str, n_centroids: int = 16) -> str:
     return index_dir
 
 
+def ivf_index_dir(sf_dir: str, n_centroids: int) -> str:
+    """The default location of the persisted IVF index of *sf_dir*: a tag
+    over the corpus path, a corpus fingerprint (size + mtime of the
+    embeddings parquet, so a regenerated corpus at the same path does NOT
+    silently reuse a stale index), ``n_centroids`` and
+    ``IVF_INDEX_VERSION``."""
+    import hashlib
+
+    st = os.stat(os.path.join(sf_dir, "embeddings.parquet"))
+    tag = hashlib.md5(
+        f"{os.path.abspath(sf_dir)}:{n_centroids}:"
+        f"{st.st_size}:{st.st_mtime_ns}:v{IVF_INDEX_VERSION}".encode()).hexdigest()[:12]
+    return f"/tmp/lexmapr_ivf_index_{tag}"
+
+
 def ann_ivf_topk_persisted(sf_dir: str, index_dir: str | None = None,
                            query_vec_id: int = 0, k: int = 10,
                            n_centroids: int = 16, nprobe: int = 8):
@@ -490,9 +511,7 @@ def ann_ivf_topk_persisted(sf_dir: str, index_dir: str | None = None,
     Exact-scores the probed rows against the query; row-identical to the
     recompute path (same centroids, same argmax assignment — pinned by
     test and by sharing its serial oracle).  Builds the index on first
-    use; default location keyed by corpus path + n_centroids."""
-    import hashlib
-
+    use; default location :func:`ivf_index_dir`."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -500,14 +519,7 @@ def ann_ivf_topk_persisted(sf_dir: str, index_dir: str | None = None,
     from lexmapr_ray.sources.tables import read_parquet
 
     if index_dir is None:
-        # tag carries a corpus fingerprint (size + mtime of the embeddings
-        # parquet): a regenerated corpus at the same path must NOT silently
-        # reuse a stale index
-        st = os.stat(os.path.join(sf_dir, "embeddings.parquet"))
-        tag = hashlib.md5(
-            f"{os.path.abspath(sf_dir)}:{n_centroids}:"
-            f"{st.st_size}:{st.st_mtime_ns}".encode()).hexdigest()[:12]
-        index_dir = f"/tmp/lexmapr_ivf_index_{tag}"
+        index_dir = ivf_index_dir(sf_dir, n_centroids)
     if not os.path.exists(os.path.join(index_dir, "_INDEXED")):
         build_ivf_index(sf_dir, index_dir, n_centroids=n_centroids)
 

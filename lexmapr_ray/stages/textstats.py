@@ -50,6 +50,17 @@ def _read_documents(sf_dir: str, columns=None):
     return sized_read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
+def _scorer_documents(sf_dir: str, columns):
+    """The documents read for :func:`_doc_local_scores`, whose passes both
+    start with a map bundled to ``DEFAULT_BUNDLE`` rows: blocks are sized
+    to that bundle rather than floored at the read's usual minimum."""
+    from lexmapr_ray.functions.groupagg import DEFAULT_BUNDLE
+    from lexmapr_ray.sources.tables import sized_read_parquet
+
+    return sized_read_parquet(f"{sf_dir}/documents.parquet", columns=columns,
+                              batch_rows=DEFAULT_BUNDLE)
+
+
 def doc_stats(sf_dir: str):
     """Per-document integer stats: chars, tokens, punctuation chars.
 
@@ -405,20 +416,27 @@ def _top_k(k: int):
     return partial, final, (["doc_id", "score_e6", "term"], [False, True, False])
 
 
-def _doc_local_scores(ds, explode, key: str, vocab, lookup, attach, reduce, limit: int):
+def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce, limit: int):
     """Score every document against a vocabulary built from the whole
     corpus: the shape of :func:`tfidf_top_terms`, :func:`token_rarity`,
     :func:`bigram_lm_score` and :func:`target_affinity`.
 
     ``explode`` maps a documents batch to one row per (doc, ``key``) with
-    its count ``tf``.  Pass 1 reduces those rows to the vocabulary
-    (``vocab``, a ``grouped_sum_count``).  When it has at most ``limit``
-    rows the driver turns it into aligned ``key -> v`` arrays (``lookup``,
-    on the vocabulary as one Arrow table) and broadcasts them.  Pass 2 is
-    then ONE Arrow map over the documents: explode again, probe ``v`` with
-    ``index_in``, score ``s = tf * v`` and run the per-doc ``final`` reduce,
-    then one sort.  A document is one input row, so every row it yields is
-    made and reduced in the same task: exact with no re-reduce shuffle.
+    its count ``tf``.  Pass 1 reduces those rows to the vocabulary, a
+    ``grouped_sum_count`` whose arguments are ``vocab``: it materializes
+    the per-batch partials, unsorted.  When they have at most ``limit``
+    rows (block metadata, no pass over the data) the driver concatenates
+    them and runs the final reduce itself; otherwise they go through the
+    usual sort and per-block final, and only that vocabulary's row count
+    is held against ``limit``.  Either way the driver holds at most
+    ``limit`` rows.  A vocabulary within ``limit`` becomes aligned
+    ``key -> v`` arrays (``lookup``, on the vocabulary as one Arrow table)
+    that are broadcast.  Pass 2 is then ONE Arrow map over the documents:
+    explode again, probe ``v`` with ``index_in``, score ``s = tf * v`` and
+    run the per-doc ``final`` reduce, then one sort.  A document is one
+    input row, so every row it yields is made and reduced in the same
+    task: exact with no re-reduce shuffle.  A vocabulary that fits the
+    driver therefore costs one exchange in all, the result sort.
 
     Above ``limit`` (a corpus-scale vocabulary, which must not reach the
     driver) ``attach`` joins ``v`` onto pass 1's rows with bucketed hash
@@ -428,20 +446,29 @@ def _doc_local_scores(ds, explode, key: str, vocab, lookup, attach, reduce, limi
     import ray
 
     from lexmapr_ray.functions.broadcast import get_once, put_lookup
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
+    from lexmapr_ray.functions.groupagg import (DEFAULT_BUNDLE, sorted_final,
+                                                sorted_group_reduce, sum_count_reduce)
 
     partial, final, order = reduce
-    tf = ds.map_batches(explode, batch_format="pyarrow", batch_size=65536)
-    vocab_ds = vocab(tf).materialize()
-    if vocab_ds.count() > limit:
-        return sorted_group_reduce(attach(tf, vocab_ds), "doc_id",
-                                   lambda t: partial(_scored(t)), final)
+    vocab_partial, vocab_final = sum_count_reduce(**vocab)
+    tf = ds.map_batches(explode, batch_format="pyarrow", batch_size=DEFAULT_BUNDLE)
+    vocab_ds = tf.map_batches(vocab_partial, batch_format="pyarrow",
+                              batch_size=DEFAULT_BUNDLE).materialize()
+    merge = vocab_ds.count() <= limit
+    if not merge:
+        vocab_ds = sorted_final(vocab_ds, vocab["keys"], vocab_final).materialize()
+        if vocab_ds.count() > limit:
+            return sorted_group_reduce(attach(tf, vocab_ds), "doc_id",
+                                       lambda t: partial(_scored(t)), final)
     # a corpus with no tokens has a column-less vocabulary: pass 2 then
     # yields only typed 0-row blocks, which a Ray sort would strip of
     # their columns, so that result skips the sort
     blocks = [b for b in ray.get(vocab_ds.to_arrow_refs()) if b.num_rows]
-    ref = put_lookup(*(lookup(pa.concat_tables(blocks)) if blocks
-                       else (pa.array([], pa.string()), pa.array([], pa.int64()))))
+    if blocks:
+        table = pa.concat_tables(blocks)
+        ref = put_lookup(*lookup(vocab_final(table) if merge else table))
+    else:
+        ref = put_lookup(pa.array([], pa.string()), pa.array([], pa.int64()))
 
     def score(t: pa.Table) -> pa.Table:
         rows = explode(t)
@@ -449,7 +476,7 @@ def _doc_local_scores(ds, explode, key: str, vocab, lookup, attach, reduce, limi
         v = pc.take(vals, pc.index_in(rows[key], value_set=keys))
         return final(_scored(rows.append_column("v", v)))
 
-    scored = ds.map_batches(score, batch_format="pyarrow", batch_size=65536)
+    scored = ds.map_batches(score, batch_format="pyarrow", batch_size=DEFAULT_BUNDLE)
     return scored.sort(*order) if blocks else scored
 
 
@@ -476,10 +503,9 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
     shingles, binary noise — makes the vocab corpus-scale, and shipping it
     to every worker would be the set-op anti-pattern).
     """
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    ds = _scorer_documents(sf_dir, ["doc_id", "text"])
     n_docs = ds.count()
 
     def explode(t: pa.Table) -> pa.Table:
@@ -496,7 +522,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
 
     return _doc_local_scores(
         ds, explode, "term",
-        vocab=lambda tf: grouped_sum_count(tf, "term", count_alias="df"),
+        vocab={"keys": "term", "count_alias": "df"},
         lookup=lambda vocab: (vocab["term"], idf_e6(vocab)),
         attach=lambda tf, vocab: _with_v(bucketed_hash_join(tf, vocab, on="term"), idf_e6),
         reduce=_top_k(k), limit=vocab_broadcast_limit)
@@ -1067,7 +1093,6 @@ def token_rarity(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
     builds the unigram table; pass 2 sums each document's rarities inside
     the map that reads it.  ``vocab_broadcast_limit`` switches the attach
     to a bucketed hash join on term, exactly as in tf-idf."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
     def rarity(t, total):
@@ -1078,9 +1103,9 @@ def token_rarity(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
         return _with_v(bucketed_hash_join(tf, vocab, on="term"), lambda t: rarity(t, total))
 
     return _doc_local_scores(
-        _read_documents(sf_dir, ["doc_id", "text"]),
+        _scorer_documents(sf_dir, ["doc_id", "text"]),
         lambda t: _tf(_token_rows(t), ["doc_id", "term"]), "term",
-        vocab=lambda tf: grouped_sum_count(tf, "term", sum_cols={"cnt": "tf"}),
+        vocab={"keys": "term", "sum_cols": {"cnt": "tf"}},
         lookup=lambda vocab: (vocab["term"], rarity(vocab, pc.sum(vocab["cnt"]).as_py())),
         attach=attach, reduce=_floor_mean("n_tokens", "rarity_e3"),
         limit=vocab_broadcast_limit)
@@ -1239,8 +1264,8 @@ def bigram_lm_score(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
     # bigram table: one row per distinct (w1, w2); w1/w2 ride along (bg
     # determines both, so the extra keys don't change granularity)
     return _doc_local_scores(
-        _read_documents(sf_dir, ["doc_id", "text"]), explode, "bg",
-        vocab=lambda tf: grouped_sum_count(tf, ["bg", "w1", "w2"], sum_cols={"cnt2": "tf"}),
+        _scorer_documents(sf_dir, ["doc_id", "text"]), explode, "bg",
+        vocab={"keys": ["bg", "w1", "w2"], "sum_cols": {"cnt2": "tf"}},
         lookup=lookup, attach=attach, reduce=_floor_mean("n_bigrams", "surprise_e3"),
         limit=vocab_broadcast_limit)
 
@@ -1271,7 +1296,6 @@ def target_affinity(sf_dir: str, target_lang: str = "en",
     second corpus scan); pass 2 sums each document's affinities inside the
     map that reads it, or, above ``vocab_broadcast_limit``, after a
     bucketed hash join on term and a doc_id-sorted re-reduce."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
     def explode(t: pa.Table) -> pa.Table:
@@ -1283,9 +1307,8 @@ def target_affinity(sf_dir: str, target_lang: str = "en",
         return (1000 * (t["c_tgt"].to_numpy() + 1)) // t["c_all"].to_numpy()
 
     return _doc_local_scores(
-        _read_documents(sf_dir, ["doc_id", "text", "lang"]), explode, "term",
-        vocab=lambda tf: grouped_sum_count(tf, "term",
-                                           sum_cols={"c_all": "tf", "c_tgt": "tf_tgt"}),
+        _scorer_documents(sf_dir, ["doc_id", "text", "lang"]), explode, "term",
+        vocab={"keys": "term", "sum_cols": {"c_all": "tf", "c_tgt": "tf_tgt"}},
         lookup=lambda vocab: (vocab["term"], affinity(vocab)),
         attach=lambda tf, vocab: _with_v(bucketed_hash_join(tf, vocab, on="term"), affinity),
         reduce=_floor_mean("n_tokens", "affinity_e3"), limit=vocab_broadcast_limit)

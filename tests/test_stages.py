@@ -799,6 +799,99 @@ def test_corpus_stats_default_plans_are_arrow_only(ray_session, sf_dir, monkeypa
         assert formats and "pandas" not in formats, (name, formats)
 
 
+def _arrow(ds):
+    """A Dataset's rows, in order, as one Arrow table."""
+    import pyarrow as pa
+    import ray
+
+    return pa.concat_tables([b for b in ray.get(ds.to_arrow_refs()) if b.num_rows])
+
+
+def _sort_count(monkeypatch):
+    """A list that grows by one per ``Dataset.sort`` call from here on."""
+    import ray.data as rd
+
+    calls = []
+    sort = rd.Dataset.sort
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return sort(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "sort", counting)
+    return calls
+
+
+def test_corpus_stats_default_plan_sorts_once(ray_session, sf_dir, monkeypatch):
+    """A vocabulary that fits ``vocab_broadcast_limit`` is merged on the
+    driver from its unsorted partials: the only exchange of each
+    corpus-statistics operator is its result sort."""
+    from lexmapr_ray.stages import textstats
+
+    sorts = _sort_count(monkeypatch)
+    for name in CORPUS_STAT_OPS:
+        sorts.clear()
+        assert getattr(textstats, name)(sf_dir).materialize().count() > 0, name
+        assert len(sorts) == 1, (name, sorts)
+
+
+def test_corpus_stats_sorted_vocab_then_broadcast(ray_session, sf_dir, monkeypatch):
+    """With ``vocab_broadcast_limit`` at least the vocabulary's row count but
+    below its partials' row count, the partials take the sort and final
+    reduce and the vocabulary is still broadcast; each operator then equals
+    its default output."""
+    from lexmapr_ray.functions import groupagg
+    from lexmapr_ray.stages import textstats
+
+    # small bundles, so pass 1 makes several partials per vocabulary key
+    monkeypatch.setattr(groupagg, "DEFAULT_BUNDLE", 64)
+    sizes = []
+    sum_count_reduce = groupagg.sum_count_reduce
+
+    def recording(*args, **kwargs):
+        partial, final = sum_count_reduce(*args, **kwargs)
+
+        def final_(t):
+            out = final(t)
+            sizes.append((t.num_rows, out.num_rows))
+            return out
+        return partial, final_
+
+    monkeypatch.setattr(groupagg, "sum_count_reduce", recording)
+    sorts = _sort_count(monkeypatch)
+    for name in CORPUS_STAT_OPS:
+        fn = getattr(textstats, name)
+        sizes.clear()
+        base = _arrow(fn(sf_dir))
+        # the driver merged the vocabulary: one final over all partials
+        [(n_partials, n_vocab)] = sizes
+        assert n_vocab < n_partials, (name, sizes)
+        sorts.clear()
+        got = _arrow(fn(sf_dir, vocab_broadcast_limit=n_vocab))
+        assert len(sorts) == 2, (name, sorts)
+        assert got.num_rows > 0 and got.equals(base), name
+
+
+def test_sized_read_follows_the_first_stage_bundle(ray_session, tmp_path):
+    """A small file read for a first stage that bundles ``batch_rows`` rows
+    per task is read as ``ceil(rows / batch_rows)`` blocks; without
+    ``batch_rows`` it keeps the floor of ``min(2 x CPUs, 8)`` blocks."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from lexmapr_ray.functions.groupagg import DEFAULT_BUNDLE
+    from lexmapr_ray.sources.tables import sized_read_parquet
+
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"k": np.arange(2000)}), path)
+    cpus = int(ray.cluster_resources()["CPU"])
+    for batch_rows, blocks in ((DEFAULT_BUNDLE, 1), (None, min(2 * cpus, 8)), (500, 4)):
+        ds = sized_read_parquet(path, batch_rows=batch_rows).materialize()
+        assert ds.num_blocks() == blocks, (batch_rows, ds.num_blocks())
+        assert ds.count() == 2000
+
+
 LSH_FAMILY = ("minhash_dedup_pairs", "ngram_jaccard_pairs",
               "simhash_near_dup_pairs", "minhash_index_dedup",
               "near_dup_clusters")
@@ -3088,6 +3181,22 @@ def test_minhash_index_dedup_persisted_equals_recompute(ray_session, sf_dir,
         .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, again)
     assert os.path.getmtime(marker) == stamp  # index not rebuilt
+
+
+def test_ivf_index_dir_keys_on_layout_version(tmp_path, monkeypatch):
+    """The default persisted-index location changes with the index layout
+    version, so an index written by older code is never read back."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lexmapr_ray.stages import similarity
+
+    pq.write_table(pa.table({"vec_id": [0]}), str(tmp_path / "embeddings.parquet"))
+    here = similarity.ivf_index_dir(str(tmp_path), 16)
+    assert here == similarity.ivf_index_dir(str(tmp_path), 16)
+    assert here != similarity.ivf_index_dir(str(tmp_path), 8)
+    monkeypatch.setattr(similarity, "IVF_INDEX_VERSION", similarity.IVF_INDEX_VERSION + 1)
+    assert here != similarity.ivf_index_dir(str(tmp_path), 16)
 
 
 def test_ann_ivf_persisted_index_equals_recompute(ray_session, sf_dir,

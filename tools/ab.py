@@ -13,9 +13,12 @@ end-to-end metrics, then per metric the median change/base ratio, the
 interquartile range of the pair ratios, the number of pairs in which the
 change was better and the exact two-sided sign-test p-value of that count
 (ties dropped): a ratio whose IQR straddles 1 or whose p is large is not
-resolved by this many pairs.  ``ray stop --force`` runs
-after every run; the exit code is non-zero if a run failed or a check did
-not pass, or if a ``raylet`` or ``kgbench/run.py`` process is left at the end.
+resolved by this many pairs.  After every run the tool kills, and names,
+each process whose command line names one of its two trees (the run's
+Ray session directory lives under the tree it runs from); Ray clusters
+of other users on the host are left alone.  The exit code is non-zero if
+a run failed or a check did not pass, or if such a process is still
+alive at the end.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import json
 import math
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.getcwd()
 
@@ -53,15 +58,16 @@ def snapshot(dest: str) -> None:
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
     """The metrics of one ``--trace 0`` run, or None if it failed."""
-    cmd = [sys.executable, "kgbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, os.path.join(tree, "kgbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     try:
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                               timeout=20 * seconds + 300)
     except subprocess.TimeoutExpired:
         return None
     finally:
-        subprocess.run(["ray", "stop", "--force"], capture_output=True)
+        for line in stop([tree]):
+            print(f"stopped after a run: {line}", file=sys.stderr)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     if proc.returncode != 0 or not result.get("correct"):
@@ -80,17 +86,39 @@ def sign_test_p(better: int, worse: int) -> float:
     return min(1.0, 2 * tail / 2 ** n)
 
 
-def leftovers() -> list[str]:
-    """Command lines of live ``raylet`` processes and ``kgbench/run.py`` runs
-    (matched on the program and script, not on any mention in a command)."""
-    ps = subprocess.run(["ps", "-eo", "comm=,args="], capture_output=True, text=True).stdout
-    left = []
+def leftovers(trees: list[str]) -> list[tuple[int, str]]:
+    """``(pid, command line)`` of every live process whose command line
+    names one of *trees*: the kgbench runs started there and the Ray
+    processes of their sessions.  This process and its ancestors are
+    never listed."""
+    ps = subprocess.run(["ps", "-eo", "pid=,ppid=,args="], capture_output=True,
+                        text=True).stdout
+    procs = {}
     for line in ps.splitlines():
-        comm, _, args = line.strip().partition(" ")
-        script = args.split()[1:2]
-        if comm == "raylet" or (script and script[0].endswith("kgbench/run.py")):
-            left.append(args.strip())
-    return left
+        pid, ppid, args = (line.split(None, 2) + [""])[:3]
+        procs[int(pid)] = (int(ppid), args)
+    mine, pid = set(), os.getpid()
+    while pid in procs and pid not in mine:
+        mine.add(pid)
+        pid = procs[pid][0]
+    return [(pid, args) for pid, (_, args) in procs.items()
+            if pid not in mine and any(os.path.join(t, "") in args for t in trees)]
+
+
+def stop(trees: list[str]) -> list[str]:
+    """SIGKILL the processes :func:`leftovers` finds and wait up to 10 s
+    for them to go; their command lines."""
+    left = leftovers(trees)
+    for pid, _ in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    for _ in range(100):
+        if not leftovers(trees):
+            break
+        time.sleep(0.1)
+    return [args for _, args in left]
 
 
 def main(argv=None) -> int:
@@ -128,9 +156,10 @@ def main(argv=None) -> int:
                 f"{got['base'][m['name']]:>11.4g} -> {got['change'][m['name']]:<11.4g}"
                 for m in metrics))
     finally:
+        stop([base_dir, change_dir])
+        stray = leftovers([base_dir, change_dir])
         shutil.rmtree(base_dir, ignore_errors=True)
         shutil.rmtree(change_dir, ignore_errors=True)
-        subprocess.run(["ray", "stop", "--force"], capture_output=True)
 
     if pairs:
         print(f"median change/base over {len(pairs)} pairs (ratio IQR = quartiles of "
@@ -153,8 +182,7 @@ def main(argv=None) -> int:
                   f"base median {statistics.median(p['base'][name] for p in pairs):.4g} "
                   f"IQR {base_q[2] - base_q[0]:.4g}  "
                   f"change median {statistics.median(p['change'][name] for p in pairs):.4g}")
-    stray = leftovers()
-    for line in stray:
+    for _, line in stray:
         print(f"left running: {line}", file=sys.stderr)
     return 1 if failed or stray else 0
 

@@ -5,9 +5,12 @@ Usage: python tools/explain.py <query_name> [sf_dir]
 
 Runs the named pipeline against *sf_dir* (default /root/testdata/sf0.01),
 materializes it, and prints Ray's per-operator wall/CPU/row breakdown
-(``Dataset.stats()``) plus the row count.  Owns its Ray session (the
-driver contract forbids queries()/entry() from calling ray.init, so this
-tool is the session owner the same way bench.py is).
+(``Dataset.stats()``) plus the row count.  The KG queries' lexicon is
+``LEXMAPR_RESOURCES``, else the reference's tree, else
+``tests/data/lexicon``; the tool names it and its fingerprint first.
+Owns its Ray session (the driver contract forbids queries()/entry() from
+calling ray.init, so this tool is the session owner the same way
+bench.py is).
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def main():
@@ -24,6 +28,13 @@ def main():
         return 2
     name = sys.argv[1]
     sf_dir = sys.argv[2] if len(sys.argv) > 2 else "/root/testdata/sf0.01"
+
+    # the kg queries' lexicon, set before ray.init so workers inherit it
+    from lexmapr_ray.lexkit.lexicon import _resource_fingerprint, resource_dir
+
+    lex = resource_dir(fallback=os.path.join(ROOT, "tests", "data", "lexicon"))
+    os.environ["LEXMAPR_RESOURCES"] = lex
+    print(f"lexicon: {lex} (fingerprint {_resource_fingerprint(lex)})")
 
     import ray
 
@@ -35,8 +46,7 @@ def main():
         import importlib.util
 
         spec = importlib.util.spec_from_file_location(
-            "__ray_entry__", os.path.join(os.path.dirname(
-                os.path.dirname(os.path.abspath(__file__))), "__ray_entry__.py"))
+            "__ray_entry__", os.path.join(ROOT, "__ray_entry__.py"))
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         qs = mod.queries()
