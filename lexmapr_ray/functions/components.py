@@ -68,7 +68,6 @@ def _serial_union_find(edges_df: pd.DataFrame, nodes) -> pd.DataFrame:
 def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
                          node_col: str = "node",
                          key_type: pa.DataType | None = None,
-                         num_buckets: int = 32,
                          max_iters: int | None = None,
                          switch_limit: int = DRIVER_SWITCH_LIMIT):
     """Connected components over an undirected edge Dataset.
@@ -162,7 +161,6 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
     for it in range(max_iters):
         to_b = bucketed_hash_join(
             edges, labels, on="ea", right_on="node",
-            num_buckets=num_buckets,
             left_schema=edge_schema, right_schema=label_schema,
         ).map_batches(
             lambda t: pa.table({"node": _key(t["eb"]),
@@ -171,7 +169,6 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
         ).map_batches(with_side(1), batch_format="pyarrow")
         to_a = bucketed_hash_join(
             edges, labels, on="eb", right_on="node",
-            num_buckets=num_buckets,
             left_schema=edge_schema, right_schema=label_schema,
         ).map_batches(
             lambda t: pa.table({"node": _key(t["ea"]),
@@ -207,7 +204,6 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
                                         "j_label": t["label"]}),
                     batch_format="pyarrow"),
                 on="target", right_on="j_node",
-                num_buckets=num_buckets,
                 left_schema=pa.schema([("node", key_type),
                                        ("target", key_type)]),
                 right_schema=pa.schema([("j_node", key_type),

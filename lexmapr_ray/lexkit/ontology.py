@@ -447,8 +447,13 @@ def get_config_resources(
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = config_cache_path(config_path, cache_dir, resolve)
         if os.path.exists(cache_path) and not no_cache:
-            with open(cache_path) as f:
-                return json.load(f)
+            # a file torn by a crash before the atomic writes below (or by
+            # hand) is a miss: rebuild and rewrite it
+            try:
+                with open(cache_path) as f:
+                    return json.load(f)
+            except (OSError, ValueError):
+                pass
 
     with open(config_path) as f:
         config_json = json.load(f)
@@ -465,6 +470,8 @@ def get_config_resources(
         table = add_fetched_ontology_to_lookup_table(table, fetched)
 
     if cache_path:
-        with open(cache_path, "w") as f:
+        tmp = cache_path + f".tmp{os.getpid()}"
+        with open(tmp, "w") as f:
             json.dump(table, f)
+        os.replace(tmp, cache_path)
     return table

@@ -249,12 +249,8 @@ def ingest_batch(pages_ds, *, graph_dir: str, index_dir: str,
 
         from lexmapr_ray.stages.match import TRIPLES_SCHEMA
 
-        try:
-            sch = graph.schema().base_schema
-        except Exception:
-            sch = TRIPLES_SCHEMA
         os.makedirs(version_dir, exist_ok=True)
-        pq.write_table(sch.empty_table(),
+        pq.write_table(TRIPLES_SCHEMA.empty_table(),
                        os.path.join(version_dir, "part-empty.parquet"))
     # atomic pointer flip: write-temp + os.replace — a crash mid-write
     # must never leave a truncated/empty _CURRENT (review r5)

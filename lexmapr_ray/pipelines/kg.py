@@ -730,8 +730,7 @@ def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
                                          count_alias="n_pages"), _COOC_SCHEMA)
 
 
-def term_components(triples_ds, *, num_buckets: int = 32,
-                    max_iters: int | None = None):
+def term_components(triples_ds, *, max_iters: int | None = None):
     """Connected components of the term CO-MENTION graph: ontology terms
     linked whenever some page mentions both; ``component`` = the
     lexicographically smallest term id reachable — the coarse topical
@@ -757,7 +756,7 @@ def term_components(triples_ds, *, num_buckets: int = 32,
     )
     labels = min_label_components(
         edges, nodes, a_col="obj_a", b_col="obj_b", node_col="obj",
-        key_type=pa.string(), num_buckets=num_buckets, max_iters=max_iters,
+        key_type=pa.string(), max_iters=max_iters,
     )
     return labels.map_batches(
         lambda t: t.rename_columns(

@@ -28,6 +28,14 @@ def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.cast(pc.round(pc.multiply(col, 100)), pa.int64())
 
 
+# Join sides read straight from the input tables (their Parquet types) or
+# made by ``_prep_li_revenue``: the joins take these rather than probe an
+# unexecuted plan with ``Dataset.schema()`` (functions/joins.py).
+_ORDERS_KEYS = int64_schema("o_orderkey", "o_custkey")
+_CUST_NATION = pa.schema([("c_custkey", pa.int64()), ("c_nationkey", pa.int32())])
+_LI_REVENUE = int64_schema("l_orderkey", "revenue_e4")
+
+
 def _read(sf_dir: str, table: str, columns=None):
     from lexmapr_ray.sources.tables import sized_read_parquet
 
@@ -244,7 +252,7 @@ def q6_forecast_revenue(sf_dir: str, date_lo: str = "1996-01-01",
 
 
 def q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_0",
-                       nation_b: str = "NATION_1", num_buckets: int = 32,
+                       nation_b: str = "NATION_1",
                        date_lo: str = "1995-01-01", date_hi: str = "1997-01-01"):
     """TPC-H Q7-style volume shipping between two nations: for every
     (supplier nation, customer nation) ordered pair drawn from {a, b} with
@@ -298,16 +306,16 @@ def q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_0",
                 "l_discount"]).map_batches(prep_li, batch_format="pyarrow")
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    j1 = bucketed_hash_join(li, orders, on="l_orderkey", right_on="o_orderkey",
-                            num_buckets=num_buckets)
+    j1 = bucketed_hash_join(
+        li, orders, on="l_orderkey", right_on="o_orderkey",
+        left_schema=int64_schema("l_orderkey", "s_nat", "l_year", "revenue_e4"),
+        right_schema=_ORDERS_KEYS)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     j2 = bucketed_hash_join(
         j1, cust, on="o_custkey", right_on="c_custkey",
-        num_buckets=num_buckets,
-        left_schema=pa.schema([
-            ("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
-            ("l_year", pa.int64()), ("revenue_e4", pa.int64()),
-            ("o_custkey", pa.int64())]))
+        left_schema=int64_schema("l_orderkey", "s_nat", "l_year", "revenue_e4",
+                                 "o_custkey"),
+        right_schema=_CUST_NATION)
 
     def finish(t: pa.Table) -> pa.Table:
         c_nat = pc.cast(t["c_nationkey"], pa.int64())
@@ -486,7 +494,7 @@ def q14_promo_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     return agg.map_batches(share, batch_format="pyarrow")
 
 
-def q3_topk_revenue(sf_dir: str, num_buckets: int = 32):
+def q3_topk_revenue(sf_dir: str):
     """Filtered 3-way join: size-switched semi-join for the dimension filter
     (customer segment — the segment key set is built DISTRIBUTED, collected
     keys-only when small, bucketed when not; no full-table driver pull,
@@ -511,7 +519,7 @@ def q3_topk_revenue(sf_dir: str, num_buckets: int = 32):
 
     orders_f = semi_join(
         orders.map_batches(filter_orders, batch_format="pyarrow"),
-        "o_custkey", building, "c_custkey", num_buckets=num_buckets,
+        "o_custkey", building, "c_custkey",
     ).map_batches(lambda t: t.select(["o_orderkey"]), batch_format="pyarrow")
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]) \
         .map_batches(_prep_li_revenue, batch_format="pyarrow")
@@ -525,11 +533,12 @@ def q3_topk_revenue(sf_dir: str, num_buckets: int = 32):
         return _group_sum(t, "l_orderkey", "revenue_e4")
 
     summed = bucketed_hash_join(li, orders_f, on="l_orderkey", right_on="o_orderkey",
-                                num_buckets=num_buckets, block_fn=block_sum)
+                                block_fn=block_sum, left_schema=_LI_REVENUE,
+                                right_schema=int64_schema("o_orderkey"))
     return global_topk(summed, ["revenue_e4", "l_orderkey"], [True, False], 10)
 
 
-def q5_regional_revenue(sf_dir: str, num_buckets: int = 32):
+def q5_regional_revenue(sf_dir: str):
     """Star join, all-regions variant: lineitem x orders and then x customer
     are BOTH bucketed hash joins (customer is the largest dimension — a
     driver-side custkey dict is the r1/r2-flagged anti-pattern and is gone);
@@ -547,17 +556,15 @@ def q5_regional_revenue(sf_dir: str, num_buckets: int = 32):
         .map_batches(_prep_li_revenue, batch_format="pyarrow")
 
     j1 = bucketed_hash_join(li, orders, on="l_orderkey", right_on="o_orderkey",
-                            num_buckets=num_buckets)
+                            left_schema=_LI_REVENUE, right_schema=_ORDERS_KEYS)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    # explicit left_schema: j1's lineage contains the bucket sort, and
+    # explicit left_schema: j1's lineage contains the join's sort, and
     # Dataset.schema() would execute the whole first join once just for
     # typing before the second join executes it again (joins.py docstring)
     j2 = bucketed_hash_join(j1, cust, on="o_custkey", right_on="c_custkey",
-                            num_buckets=num_buckets,
-                            left_schema=pa.schema([
-                                ("l_orderkey", pa.int64()),
-                                ("revenue_e4", pa.int64()),
-                                ("o_custkey", pa.int64())]))
+                            left_schema=int64_schema("l_orderkey", "revenue_e4",
+                                                     "o_custkey"),
+                            right_schema=_CUST_NATION)
 
     def attach_nation(t: pa.Table) -> pa.Table:
         names = lookup(pc.cast(t["c_nationkey"], pa.int64()), nation_ref)
@@ -570,8 +577,7 @@ def q5_regional_revenue(sf_dir: str, num_buckets: int = 32):
     )
 
 
-def q5_full_asia_revenue(sf_dir: str, num_buckets: int = 32,
-                         region: str = "ASIA",
+def q5_full_asia_revenue(sf_dir: str, region: str = "ASIA",
                          date_lo: str = "1996-01-01", date_hi: str = "1997-01-01"):
     """The TRUE TPC-H Q5 join shape (reference coverage for supplier/region):
     customer x orders x lineitem x supplier x nation x region with the
@@ -632,17 +638,18 @@ def q5_full_asia_revenue(sf_dir: str, num_buckets: int = 32,
     li2 = li.map_batches(prep_li, batch_format="pyarrow")
 
     j1 = bucketed_hash_join(li2, orders_f, on="l_orderkey", right_on="o_orderkey",
-                            num_buckets=num_buckets)
+                            left_schema=pa.schema([
+                                ("l_orderkey", pa.int64()),
+                                ("s_nationkey", pa.int32()),
+                                ("revenue_e4", pa.int64())]),
+                            right_schema=_ORDERS_KEYS)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     # explicit left_schema — same double-execution rationale as
     # q5_regional_revenue's second join
     j2 = bucketed_hash_join(j1, cust, on="o_custkey", right_on="c_custkey",
-                            num_buckets=num_buckets,
-                            left_schema=pa.schema([
-                                ("l_orderkey", pa.int64()),
-                                ("s_nationkey", pa.int64()),
-                                ("revenue_e4", pa.int64()),
-                                ("o_custkey", pa.int64())]))
+                            left_schema=int64_schema("l_orderkey", "s_nationkey",
+                                                     "revenue_e4", "o_custkey"),
+                            right_schema=_CUST_NATION)
 
     def correlate(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(pc.cast(t["c_nationkey"], pa.int64()),
@@ -658,7 +665,7 @@ def q5_full_asia_revenue(sf_dir: str, num_buckets: int = 32,
     )
 
 
-def customer_orders_left(sf_dir: str, num_buckets: int = 32):
+def customer_orders_left(sf_dir: str):
     """Left outer join customer -> orders with per-customer aggregates
     (exercises ``bucketed_hash_join(how='left')``, untested in round 1:
     customers with no orders survive with n_orders=0, sum_cents=0)."""
@@ -689,8 +696,9 @@ def customer_orders_left(sf_dir: str, num_buckets: int = 32):
 
     return bucketed_hash_join(cust, orders.map_batches(prep, batch_format="pyarrow"),
                               on="c_custkey", right_on="o_custkey",
-                              num_buckets=num_buckets, how="left",
-                              block_fn=block_agg) \
+                              how="left", block_fn=block_agg,
+                              left_schema=int64_schema("c_custkey"),
+                              right_schema=int64_schema("o_custkey", "cents")) \
         .sort("c_custkey")
 
 
@@ -949,7 +957,7 @@ def events_zscore_outliers(sf_dir: str):
     return ds.map_batches(flag, batch_format="pyarrow").sort("event_id")
 
 
-def customer_event_activity(sf_dir: str, num_buckets: int = 32):
+def customer_event_activity(sf_dir: str):
     """FULL OUTER join: every customer and every event user, with per-user
     event counts — customers without events keep n_events=0, event users
     with no customer row keep acctbal_cents=-1.
@@ -975,8 +983,9 @@ def customer_event_activity(sf_dir: str, num_buckets: int = 32):
     )
     j = bucketed_hash_join(
         cust.map_batches(prep_cust, batch_format="pyarrow"),
-        ev_counts, on="c_custkey", right_on="user_id",
-        num_buckets=num_buckets, how="outer",
+        ev_counts, on="c_custkey", right_on="user_id", how="outer",
+        left_schema=int64_schema("c_custkey", "acctbal_cents"),
+        right_schema=int64_schema("user_id", "n_events"),
     )
 
     def fill(t: pa.Table) -> pa.Table:
@@ -1142,8 +1151,7 @@ def fuzzy_name_pairs(sf_dir: str):
 
 
 def q10_returned_revenue(sf_dir: str, date_lo: str = "1996-01-01",
-                         date_hi: str = "1996-04-01", k: int = 20,
-                         num_buckets: int = 32):
+                         date_hi: str = "1996-04-01", k: int = 20):
     """TPC-H Q10 shape: top-``k`` customers by revenue of RETURNED items
     in a quarter — the 4-table join composition (lineitem x orders x
     customer x nation) that exercises every join primitive in its right
@@ -1185,7 +1193,7 @@ def q10_returned_revenue(sf_dir: str, date_lo: str = "1996-01-01",
 
     j1 = bucketed_hash_join(
         li, orders, on="l_orderkey", right_on="o_orderkey",
-        num_buckets=num_buckets, block_fn=block_sum,
+        block_fn=block_sum,
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("revenue_e4", pa.int64())]),
         right_schema=pa.schema([("o_orderkey", pa.int64()),
@@ -1205,7 +1213,6 @@ def q10_returned_revenue(sf_dir: str, date_lo: str = "1996-01-01",
 
     j2 = bucketed_hash_join(
         rev, cust, on="o_custkey", right_on="c_custkey",
-        num_buckets=num_buckets,
         left_schema=pa.schema([("o_custkey", pa.int64()),
                                ("revenue_e4", pa.int64())]),
         right_schema=pa.schema([("c_custkey", pa.int64()),
@@ -1324,7 +1331,7 @@ def referential_audit(sf_dir: str):
     return rd.from_pandas(out)
 
 
-def revenue_rollup(sf_dir: str, num_buckets: int = 32):
+def revenue_rollup(sf_dir: str):
     """ROLLUP-style multi-level aggregate: order revenue by (nation,
     year), with per-nation subtotals and a grand total in the same result
     (the GROUPING SETS shape reporting layers expect).  Sentinels:
@@ -1368,7 +1375,6 @@ def revenue_rollup(sf_dir: str, num_buckets: int = 32):
 
     joined = bucketed_hash_join(
         orders, cust, on="o_custkey", right_on="c_custkey",
-        num_buckets=num_buckets,
         left_schema=pa.schema([("o_custkey", pa.int64()), ("yr", pa.int64()),
                                ("cents", pa.int64())]),
         right_schema=pa.schema([("c_custkey", pa.int64()),

@@ -68,7 +68,7 @@ _EDGE_SCHEMA = pa.schema([("src", pa.int64()), ("dst", pa.int64()),
 _RANK_SCHEMA = pa.schema([("node", pa.int64()), ("pr", pa.int64())])
 
 
-def pagerank(edges, nodes, *, iters: int = 3, num_buckets: int = 32):
+def pagerank(edges, nodes, *, iters: int = 3):
     """Distributed integer PageRank over an arbitrary (src, dst) edge
     Dataset; ``nodes`` is a Dataset with one int64 ``node`` row per vertex
     (vertices with no in-links must still appear in the output).
@@ -87,7 +87,7 @@ def pagerank(edges, nodes, *, iters: int = 3, num_buckets: int = 32):
     edge/rank datasets move; nothing lands on the driver."""
     deg = grouped_sum_count(edges, "src", count_alias="deg")
     edges_deg = bucketed_hash_join(
-        edges, deg, on="src", num_buckets=num_buckets,
+        edges, deg, on="src",
         left_schema=pa.schema([("src", pa.int64()), ("dst", pa.int64())]),
         right_schema=pa.schema([("src", pa.int64()), ("deg", pa.int64())]),
     ).map_batches(
@@ -108,7 +108,6 @@ def pagerank(edges, nodes, *, iters: int = 3, num_buckets: int = 32):
     for _ in range(iters):
         contrib = bucketed_hash_join(
             edges_deg, ranks, on="src", right_on="node",
-            num_buckets=num_buckets,
             left_schema=_EDGE_SCHEMA, right_schema=_RANK_SCHEMA,
         ).map_batches(
             lambda t: pa.table({
@@ -141,7 +140,7 @@ def pagerank(edges, nodes, *, iters: int = 3, num_buckets: int = 32):
     return ranks.sort("node")
 
 
-def pagerank_docs(sf_dir: str, iters: int = 3, num_buckets: int = 32):
+def pagerank_docs(sf_dir: str, iters: int = 3):
     """PageRank over the synthetic doc link graph (queries() entry).
 
     Every doc has >= 1 outlink by construction, so there is no dangling
@@ -151,14 +150,13 @@ def pagerank_docs(sf_dir: str, iters: int = 3, num_buckets: int = 32):
         lambda t: pa.table({"node": pc.cast(t["doc_id"], pa.int64())}),
         batch_format="pyarrow",
     )
-    return pagerank(doc_links(sf_dir), nodes,
-                    iters=iters, num_buckets=num_buckets)
+    return pagerank(doc_links(sf_dir), nodes, iters=iters)
 
 
 _SCORE_SCHEMA = pa.schema([("node", pa.int64()), ("v", pa.int64())])
 
 
-def hits(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
+def hits(edges, nodes, *, iters: int = 2):
     """Distributed integer HITS (Kleinberg 1999): mutually-reinforcing hub
     and authority scores over an arbitrary (src, dst) edge Dataset — the
     second classic link-analysis prior a crawl-prioritization pass runs
@@ -203,7 +201,6 @@ def hits(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
         ``join_on`` endpoints onto ``sum_on`` endpoints, then max-rescale."""
         contrib = bucketed_hash_join(
             edges, scores, on=join_on, right_on="node",
-            num_buckets=num_buckets,
             left_schema=edge_schema, right_schema=_SCORE_SCHEMA,
         ).map_batches(
             lambda t: pa.table({"node": pc.cast(t[sum_on], pa.int64()),
@@ -244,21 +241,20 @@ def hits(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
         auth.map_batches(lambda t: pa.table({"node": t["node"],
                                              "auth": t["v"]}),
                          batch_format="pyarrow"),
-        on="node", num_buckets=num_buckets,
+        on="node",
         left_schema=pa.schema([("node", pa.int64()), ("hub", pa.int64())]),
         right_schema=pa.schema([("node", pa.int64()), ("auth", pa.int64())]),
     )
     return both.sort("node")
 
 
-def hits_docs(sf_dir: str, iters: int = 2, num_buckets: int = 32):
+def hits_docs(sf_dir: str, iters: int = 2):
     """HITS over the synthetic doc link graph (queries() entry)."""
     nodes = _read_docs(sf_dir, ["doc_id"]).map_batches(
         lambda t: pa.table({"node": pc.cast(t["doc_id"], pa.int64())}),
         batch_format="pyarrow",
     )
-    return hits(doc_links(sf_dir), nodes,
-                iters=iters, num_buckets=num_buckets)
+    return hits(doc_links(sf_dir), nodes, iters=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,7 @@ def _host_expr(d: pa.ChunkedArray | pa.Array) -> pa.Array:
 PREFIX_TOKENS = 12  # boilerplate fingerprint length (tokens)
 
 
-def host_stats(sf_dir: str, num_buckets: int = 32):
+def host_stats(sf_dir: str):
     """Per-host corpus health: doc count, boilerplate-duplicate count,
     total characters.  ``n_dup`` counts docs whose leading-``PREFIX_TOKENS``
     fingerprint occurs more than once CORPUS-WIDE — shared lead text is
@@ -319,7 +315,7 @@ def host_stats(sf_dir: str, num_buckets: int = 32):
         "digest", count_alias="n_occ",
     )
     joined = bucketed_hash_join(
-        prepped, dig_counts, on="digest", num_buckets=num_buckets,
+        prepped, dig_counts, on="digest",
         left_schema=pa.schema([
             ("doc_id", pa.int64()), ("host", pa.string()),
             ("digest", pa.string()), ("n_chars", pa.int64())]),
@@ -343,7 +339,6 @@ def host_stats(sf_dir: str, num_buckets: int = 32):
 
 
 def host_filtered_corpus(sf_dir: str, max_dup_permille: int = 187,
-                         num_buckets: int = 32,
                          broadcast_limit: int = 2_000_000):
     """C4-style HOST blocklist filter: drop every document on a host whose
     exact-duplicate share exceeds ``max_dup_permille`` (integer permille —
@@ -354,7 +349,7 @@ def host_filtered_corpus(sf_dir: str, max_dup_permille: int = 187,
     membership is a size-switched :func:`semi_join` — broadcast keys when
     small, bucketed co-location above ``broadcast_limit`` — never a
     driver-side dict."""
-    stats = host_stats(sf_dir, num_buckets=num_buckets)
+    stats = host_stats(sf_dir)
 
     def good_hosts(t: pa.Table) -> pa.Table:
         mask = pc.less_equal(
@@ -469,7 +464,7 @@ def k_core(sf_dir: str, k: int = 22, permille: int = 100):
     return _node_degrees(edges, count_alias="core_degree").sort("token")
 
 
-def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
+def token_triangles(sf_dir: str, permille: int = 100):
     """Triangle count + local clustering coefficient per node of the token
     ADJACENCY graph (nodes = tokens; undirected edge a—b when the bigram
     "a b" or "b a" occurs at least ``permille``/1000 times per corpus
@@ -516,12 +511,12 @@ def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
     with_da = bucketed_hash_join(
         edges, deg.map_batches(
             lambda t: t.rename_columns(["a", "deg_u"]), batch_format="pyarrow"),
-        on="a", num_buckets=num_buckets,
+        on="a",
         left_schema=str_schema("a", "b"), right_schema=str_schema("a", "deg_u"))
     with_db = bucketed_hash_join(
         with_da, deg.map_batches(
             lambda t: t.rename_columns(["b", "deg_v"]), batch_format="pyarrow"),
-        on="b", num_buckets=num_buckets,
+        on="b",
         left_schema=str_schema("a", "b", "deg_u"),
         right_schema=str_schema("b", "deg_v"))
 
@@ -556,7 +551,7 @@ def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
         batch_format="pyarrow")
 
     tri = bucketed_hash_join(
-        wedges, edge_keys, on="key", num_buckets=num_buckets,
+        wedges, edge_keys, on="key",
         left_schema=str_schema("key", "u", "x", "y"),
         right_schema=str_schema("key"))
 
@@ -580,7 +575,7 @@ def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
                          "clustering_mpt": pa.array(mpt, pa.int64())})
 
     combined = bucketed_hash_join(
-        deg, tri_counts, on="token", how="left", num_buckets=num_buckets,
+        deg, tri_counts, on="token", how="left",
         block_fn=finish,
         left_schema=pa.schema([("token", pa.string()), ("degree", pa.int64())]),
         right_schema=pa.schema([("token", pa.string()),
@@ -588,8 +583,7 @@ def token_triangles(sf_dir: str, permille: int = 100, num_buckets: int = 32):
     return combined.sort("token")
 
 
-def bfs_distances(sf_dir: str, seed: int = 0, hops: int = 12,
-                  num_buckets: int = 32):
+def bfs_distances(sf_dir: str, seed: int = 0, hops: int = 12):
     """Single-source unweighted shortest paths (BFS level sets) over the
     synthetic doc link graph, within ``hops`` rounds — crawl-depth /
     seed-proximity analysis.  Output: (node, dist) for every node
@@ -621,7 +615,6 @@ def bfs_distances(sf_dir: str, seed: int = 0, hops: int = 12,
     for _ in range(hops):
         contrib = bucketed_hash_join(
             edges, dist, on="src", right_on="node",
-            num_buckets=num_buckets,
             left_schema=pa.schema([("src", i64), ("dst", i64)]),
             right_schema=pa.schema([("node", i64), ("dist", i64)]),
         ).map_batches(lambda t: pa.table({"node": t["dst"],
@@ -633,8 +626,7 @@ def bfs_distances(sf_dir: str, seed: int = 0, hops: int = 12,
 
 
 def link_prediction(sf_dir: str, permille: int = 100, min_common: int = 2,
-                    k: int = 20, num_buckets: int = 32,
-                    max_degree: int | None = 512):
+                    k: int = 20, max_degree: int | None = 512):
     """Common-neighbor link prediction over the token graph — the
     KG-completion pass that proposes MISSING edges: for every non-adjacent
     pair (x, y) sharing >= ``min_common`` neighbors, score = the exact
@@ -763,7 +755,7 @@ def degree_histogram(sf_dir: str):
 LABELS_SCHEMA = int64_schema("node", "lbl")
 
 
-def label_propagation(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
+def label_propagation(edges, nodes, *, iters: int = 2):
     """Synchronous label propagation (Raghavan et al. 2007) over the
     UNDIRECTED closure of a (src, dst) edge Dataset — the linear-time
     community detector a web corpus runs to group mirror/topic clusters
@@ -809,7 +801,6 @@ def label_propagation(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
     for _ in range(iters):
         contrib = bucketed_hash_join(
             sym, labels, on="src", right_on="node",
-            num_buckets=num_buckets,
             left_schema=sym_schema, right_schema=LABELS_SCHEMA,
         ).map_batches(
             lambda t: pa.table({
@@ -835,17 +826,15 @@ def label_propagation(edges, nodes, *, iters: int = 2, num_buckets: int = 32):
     return with_schema(labels.sort("node"), LABELS_SCHEMA)
 
 
-def label_propagation_docs(sf_dir: str, iters: int = 2,
-                           num_buckets: int = 32):
+def label_propagation_docs(sf_dir: str, iters: int = 2):
     """Label propagation over the synthetic doc link graph."""
     nodes = _read_docs(sf_dir, ["doc_id"]).map_batches(
         lambda t: pa.table({"node": pc.cast(t["doc_id"], pa.int64())}),
         batch_format="pyarrow")
-    return label_propagation(doc_links(sf_dir), nodes,
-                             iters=iters, num_buckets=num_buckets)
+    return label_propagation(doc_links(sf_dir), nodes, iters=iters)
 
 
-def neighbor_feature_agg(sf_dir: str, num_buckets: int = 32):
+def neighbor_feature_agg(sf_dir: str):
     """1-hop neighbor feature aggregation (the GraphSAGE/GCN 'aggregate'
     primitive): for every document, the count and integer-milli MEAN of
     its IN-neighbors' ``n_chars`` — the feature-propagation pass that
@@ -869,7 +858,6 @@ def neighbor_feature_agg(sf_dir: str, num_buckets: int = 32):
 
     contrib = bucketed_hash_join(
         doc_links(sf_dir), feats, on="src", right_on="node",
-        num_buckets=num_buckets,
         left_schema=pa.schema([("src", pa.int64()), ("dst", pa.int64())]),
         right_schema=pa.schema([("node", pa.int64()), ("f", pa.int64())]),
     ).map_batches(
@@ -901,7 +889,7 @@ def neighbor_feature_agg(sf_dir: str, num_buckets: int = 32):
     return summed.map_batches(finish, batch_format="pyarrow")
 
 
-def random_walks(sf_dir: str, steps: int = 4, num_buckets: int = 32):
+def random_walks(sf_dir: str, steps: int = 4):
     """Deterministic DeepWalk-style walk sampling (Perozzi et al. 2014):
     one length-``steps`` walk per document over the link graph, the
     positive-pair generator for graph-embedding training — RNG-free so
@@ -934,7 +922,7 @@ def random_walks(sf_dir: str, steps: int = 4, num_buckets: int = 32):
         return t.append_column("idx", pa.array(idx, pa.int64()))
 
     edges_idx = bucketed_hash_join(
-        edges, deg, on="src", num_buckets=num_buckets,
+        edges, deg, on="src",
         block_fn=rank_in_src,
         left_schema=pa.schema([("src", pa.int64()), ("dst", pa.int64())]),
         right_schema=pa.schema([("src", pa.int64()), ("deg", pa.int64())]),
@@ -970,7 +958,6 @@ def random_walks(sf_dir: str, steps: int = 4, num_buckets: int = 32):
 
         frontier = bucketed_hash_join(
             frontier, edges_idx, on="cur", right_on="src",
-            num_buckets=num_buckets,
             left_schema=fr_schema, right_schema=ei_schema,
         ).map_batches(advance, batch_format="pyarrow").materialize()
         out = out.union(frontier.map_batches(emit(t_step),
@@ -1105,7 +1092,7 @@ def host_link_graph(sf_dir: str):
                              count_alias="n_links")
 
 
-def redirect_resolve(sf_dir: str, rounds: int = 4, num_buckets: int = 32):
+def redirect_resolve(sf_dir: str, rounds: int = 4):
     """Redirect-chain resolution with loop detection — the crawl-frontier
     pass that maps every fetched URL to its final destination before any
     dedup/canonicalization keyed on URL can be trusted (HTTP 3xx chains
@@ -1168,7 +1155,7 @@ def redirect_resolve(sf_dir: str, rounds: int = 4, num_buckets: int = 32):
         # join is total; materialize keeps the per-round lineage flat
         state = bucketed_hash_join(
             state, state.map_batches(rename, batch_format="pyarrow"),
-            on="ptr", right_on="jnode", num_buckets=num_buckets,
+            on="ptr", right_on="jnode",
             left_schema=st_schema, right_schema=j_schema,
             block_fn=compose,
         ).materialize()

@@ -270,7 +270,7 @@ def url_latest_capture(sf_dir: str):
     return sorted_group_reduce(caps, "url", keep_latest, keep_latest)
 
 
-def crawl_diff(sf_dir: str, num_buckets: int = 32):
+def crawl_diff(sf_dir: str):
     """Snapshot diff between two crawls of the same url space: classify
     every url as ``added`` / ``removed`` / ``changed`` / ``unchanged`` —
     the incremental-ingest pass a Common-Crawl pipeline runs to process
@@ -328,7 +328,7 @@ def crawl_diff(sf_dir: str, num_buckets: int = 32):
     snap_schema = lambda c: pa.schema([("url", pa.string()),
                                        (c, pa.string())])
     return bucketed_hash_join(
-        old, new, on="url", how="outer", num_buckets=num_buckets,
+        old, new, on="url", how="outer",
         block_fn=classify,
         left_schema=snap_schema("dg_old"),
         right_schema=snap_schema("dg_new"),

@@ -674,7 +674,11 @@ def corpus_clean(sf_dir: str, min_tokens: int = 5, threshold: float = 0.8,
     clusters = near_dup_clusters(sf_dir, threshold=threshold,
                                  concurrency=concurrency)
     docs = _read_documents(sf_dir, ["doc_id", "text"])
-    joined = bucketed_hash_join(docs, clusters, on="doc_id")
+    joined = bucketed_hash_join(
+        docs, clusters, on="doc_id",
+        left_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
+        right_schema=pa.schema([("doc_id", pa.int64()),
+                                ("cluster_id", pa.int64())]))
 
     def keep(t: pa.Table) -> pa.Table:
         from lexmapr_ray.stages.textstats import ASCII_WS
@@ -1247,7 +1251,7 @@ def _window_grams(texts, k: int):
 
 
 def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
-                  broadcast_limit: int = 2_000_000, num_buckets: int = 32):
+                  broadcast_limit: int = 2_000_000):
     """Exact duplicated-substring removal (the Lee et al. 2022
     "Deduplicating Training Data" exact-substring shape at word-``k``-gram
     granularity): every token covered by ANY word k-gram whose total
@@ -1315,8 +1319,7 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
                          "gram": grams})
 
     hits = semi_join(docs.map_batches(occurrences, batch_format="pyarrow"),
-                     "gram", hot, "gram", broadcast_limit=broadcast_limit,
-                     num_buckets=num_buckets) \
+                     "gram", hot, "gram", broadcast_limit=broadcast_limit) \
         .map_batches(lambda t: t.select(["doc_id", "pos"]),
                      batch_format="pyarrow")
 
@@ -1346,8 +1349,7 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
         })
 
     clean = semi_join(docs, "doc_id", packed, "doc_id", anti=True,
-                      broadcast_limit=broadcast_limit,
-                      num_buckets=num_buckets) \
+                      broadcast_limit=broadcast_limit) \
         .map_batches(normalize, batch_format="pyarrow")
 
     def trim_block(t: pa.Table) -> pa.Table:
@@ -1371,10 +1373,9 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2,
         })
 
     affected = semi_join(docs, "doc_id", packed, "doc_id",
-                         broadcast_limit=broadcast_limit,
-                         num_buckets=num_buckets)
+                         broadcast_limit=broadcast_limit)
     dirty = bucketed_hash_join(
-        affected, packed, on="doc_id", num_buckets=num_buckets,
+        affected, packed, on="doc_id",
         block_fn=trim_block,
         left_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
         right_schema=pa.schema([("doc_id", pa.int64()), ("hits", pa.string())]),

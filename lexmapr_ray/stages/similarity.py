@@ -1095,7 +1095,7 @@ def embedding_covariance(sf_dir: str):
 
 
 def rrf_search(sf_dir: str, keyword: str = "spark", query_vec_id: int = 0,
-               k: int = 10, rrf_k: int = 60, num_buckets: int = 32):
+               k: int = 10, rrf_k: int = 60):
     """Reciprocal-rank fusion of a sparse and a dense retrieval ranking —
     the standard hybrid-IR combiner (Cormack et al. 2009): each document
     scores sum over rankings of 1/(rrf_k + rank), here in integer
@@ -1166,14 +1166,14 @@ def rrf_search(sf_dir: str, keyword: str = "spark", query_vec_id: int = 0,
                          "rrf_score": pc.add(t["cb"], pc.fill_null(t["ca"], 0))})
 
     fused = bucketed_hash_join(
-        cb, ca, on="doc_id", how="left", num_buckets=num_buckets,
+        cb, ca, on="doc_id", how="left",
         block_fn=total,
         left_schema=pa.schema([("doc_id", pa.int64()), ("cb", pa.int64())]),
         right_schema=pa.schema([("doc_id", pa.int64()), ("ca", pa.int64())]))
     return global_topk(fused, ["rrf_score", "doc_id"], [True, False], k)
 
 
-def cluster_top_terms(sf_dir: str, top: int = 5, num_buckets: int = 32):
+def cluster_top_terms(sf_dir: str, top: int = 5):
     """Semantic cluster labeling: the ``top`` most frequent tokens of each
     k-means cluster's documents — how an embedding-clustered corpus gets
     human-readable topic labels (and how cluster-balanced mixes are
@@ -1198,7 +1198,6 @@ def cluster_top_terms(sf_dir: str, top: int = 5, num_buckets: int = 32):
     docs = _read_documents(sf_dir, ["doc_id", "text"])
     joined = bucketed_hash_join(
         docs, clusters, on="doc_id", right_on="vec_id",
-        num_buckets=num_buckets,
         left_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
         right_schema=pa.schema([("vec_id", pa.int64()),
                                 ("cluster", pa.int64())]))
@@ -1227,7 +1226,7 @@ def cluster_top_terms(sf_dir: str, top: int = 5, num_buckets: int = 32):
         CLUSTER_TERMS_SCHEMA)
 
 
-def cluster_representatives(sf_dir: str, num_buckets: int = 32):
+def cluster_representatives(sf_dir: str):
     """One representative document per k-means cluster: the member with
     the highest hashed-classifier logit (ties to the smaller doc_id) —
     how a clustered corpus surfaces exemplar docs for inspection or
@@ -1246,7 +1245,6 @@ def cluster_representatives(sf_dir: str, num_buckets: int = 32):
         lambda t: t.select(["doc_id", "logit_milli"]), batch_format="pyarrow")
     joined = bucketed_hash_join(
         scores, embedding_kmeans(sf_dir), on="doc_id", right_on="vec_id",
-        num_buckets=num_buckets,
         left_schema=pa.schema([("doc_id", pa.int64()),
                                ("logit_milli", pa.int64())]),
         right_schema=pa.schema([("vec_id", pa.int64()),

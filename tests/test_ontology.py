@@ -591,3 +591,27 @@ def test_cache_follows_owl_edit_in_place(tmp_path):
     labels = get_config_resources(str(cfg), cache_dir=cache)["standard_resource_labels"]
     assert labels.get("renamed leaf") == "ex_0000002"
     assert "leaf thing" not in labels
+
+
+def test_torn_lookup_cache_is_a_miss(tmp_path):
+    """A lookup-table cache file cut short (a crash mid-write by older
+    code, or a full disk) is rebuilt on the next call and rewritten whole,
+    not a ``JSONDecodeError`` on every later run."""
+    import json
+
+    from lexmapr_ray.lexkit.ontology import config_cache_path
+
+    owl = tmp_path / "two.owl"
+    owl.write_text(_TWO_CLASS_OWL)
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps([{f"file://{owl}": "http://purl.example.org/obo/EX_0000001"}]))
+    cache = str(tmp_path / "cache")
+
+    fresh = get_config_resources(str(cfg), cache_dir=cache)
+    path = config_cache_path(str(cfg), cache)
+    whole = open(path).read()
+    with open(path, "w") as f:
+        f.write(whole[: len(whole) // 2])
+    assert get_config_resources(str(cfg), cache_dir=cache) == fresh
+    assert open(path).read() == whole
+    assert not [n for n in os.listdir(cache) if ".tmp" in n]

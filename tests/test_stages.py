@@ -684,7 +684,7 @@ def test_join_block_fn_survives_tiny_block_target(ray_session):
             return t.group_by("k", use_threads=False).aggregate(
                 [("v", "sum")]).rename_columns(["k", "v"])
 
-        out = bucketed_hash_join(left, right, on="k", num_buckets=8,
+        out = bucketed_hash_join(left, right, on="k",
                                  block_fn=block_sum).to_pandas()
         assert out["k"].is_unique, "join merge split a key across block_fn calls"
         assert len(out) == nkeys
@@ -3295,7 +3295,7 @@ def test_crawl_diff_statuses_exact(ray_session, tmp_path):
     })
     pq.write_table(tbl, str(tmp_path / "documents.parquet"))
 
-    got = crawl_diff(str(tmp_path), num_buckets=4).to_pandas()
+    got = crawl_diff(str(tmp_path)).to_pandas()
     con = duckdb.connect()
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{tmp_path}/documents.parquet')")
@@ -3582,13 +3582,17 @@ def test_scalar_agg_queries_emit_zero_row_when_filter_matches_nothing(
 
 
 @pytest.mark.parametrize("empty_side", [None, "left", "right"])
-def test_join_kinds_match_arrow_join(ray_session, empty_side):
+def test_join_kinds_match_arrow_join(ray_session, empty_side, tmp_path):
     """Every ``how`` of bucketed_hash_join equals ONE in-process
     ``pa.Table.join`` of the same tables: duplicate keys on both sides,
     keys on one side only, null payloads, null keys (never matched),
     int64 keys past 2^53 and a renamed ``right_on``; ``block_fn`` receives
-    an Arrow table.  Rows compare order-insensitively."""
+    an Arrow table, and some call receives more than one distinct key
+    (one merge joins several keys).  Rows compare order-insensitively."""
+    import uuid
+
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
@@ -3596,8 +3600,8 @@ def test_join_kinds_match_arrow_join(ray_session, empty_side):
 
     big = (1 << 62) + 12345
     # a null in the batch must not move a key past 2^53 to another bucket
-    assert _stable_bucket(pa.array([big, None]), 32)[0] == \
-        _stable_bucket(pa.array([big]), 32)[0]
+    assert _stable_bucket(pa.array([big, None]))[0] == \
+        _stable_bucket(pa.array([big]))[0]
     left = pa.table({
         "k": pa.array([1, 2, 2, 3, big, big + 1, None, 7], pa.int64()),
         "lv": pa.array(["a", "b", "c", "d", "e", "f", "g", None])})
@@ -3614,6 +3618,9 @@ def test_join_kinds_match_arrow_join(ray_session, empty_side):
     def arrow_only(t):
         if not isinstance(t, pa.Table):
             raise TypeError(f"block_fn got {type(t).__name__}")
+        # block_fn runs in a worker: report its distinct keys through a file
+        (tmp_path / uuid.uuid4().hex).write_text(
+            str(pc.count_distinct(t["k"]).as_py()))
         return t
 
     def rows(t: pa.Table) -> pa.Table:
@@ -3625,7 +3632,7 @@ def test_join_kinds_match_arrow_join(ray_session, empty_side):
         got = bucketed_hash_join(
             rd.from_arrow([left.slice(0, 4), left.slice(4)]),
             rd.from_arrow(right), on="k", right_on="rk", how=how,
-            num_buckets=4, block_fn=arrow_only,
+            block_fn=arrow_only,
             left_schema=left.schema, right_schema=right.schema,
         ).materialize()
         got = pa.concat_tables(ray.get(got.to_arrow_refs()),
@@ -3633,6 +3640,7 @@ def test_join_kinds_match_arrow_join(ray_session, empty_side):
         assert got.column_names == want.column_names, (how, got.schema)
         assert rows(got).equals(rows(want.cast(got.schema))), \
             (how, got.to_pydict(), want.to_pydict())
+    assert max(int(f.read_text()) for f in tmp_path.iterdir()) > 1
 
 
 def test_join_preserves_int64_keys_past_float53(ray_session):
@@ -3694,6 +3702,50 @@ def test_pandas_batch_sites_ratchet():
                 "functions/quantiles.py", "pipelines/windows.py"):
         assert mod not in importers
 
+
+
+def test_num_buckets_ratchet():
+    """The join partitions on the full key hash, so nothing takes a
+    bucket count: no parameter or keyword under ``lexmapr_ray/`` is named
+    ``num_buckets``."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexmapr_ray"
+    found = [f"{p.relative_to(pkg)}:{node.lineno}"
+             for p in pkg.rglob("*.py")
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, (ast.arg, ast.keyword))
+             and node.arg == "num_buckets"]
+    assert not found, found
+
+
+def test_join_queries_probe_no_lazy_schema(ray_session, sf_dir, monkeypatch):
+    """The joins of these seven queries take declared schemas, so none
+    calls ``Dataset.schema()`` on an unexecuted plan (which runs the plan
+    up to its first block just to type it, then cancels the rest)."""
+    import traceback
+
+    from ray.data.dataset import Dataset, MaterializedDataset
+
+    from lexmapr_ray.pipelines import relational as rel
+    from lexmapr_ray.stages.dedup import corpus_clean
+
+    lazy = []
+    schema = Dataset.schema
+
+    def counted(self, *args, **kwargs):
+        if not isinstance(self, MaterializedDataset):
+            caller = traceback.extract_stack()[-2]
+            lazy.append(f"{caller.filename}:{caller.lineno}")
+        return schema(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "schema", counted)
+    for query in (corpus_clean, rel.q7_volume_shipping, rel.q3_topk_revenue,
+                  rel.q5_regional_revenue, rel.q5_full_asia_revenue,
+                  rel.customer_orders_left, rel.customer_event_activity):
+        query(sf_dir).materialize()
+    assert not lazy, lazy
 
 def test_key_topk_matches_python_reference():
     """``key_topk`` keeps each key's first k rows under its order, against

@@ -46,7 +46,7 @@ def test_pagerank_matches_serial_reference(ray_session, iters):
     }))
     node_ds = rd.from_arrow(pa.table({"node": pa.array(nodes, pa.int64())}))
 
-    got = pagerank(edges, node_ds, iters=iters, num_buckets=4).to_pandas()
+    got = pagerank(edges, node_ds, iters=iters).to_pandas()
     want = _serial_pagerank(edge_list, nodes, iters)
     assert dict(zip(got["node"], got["pr"])) == want
     # isolated + sink nodes survive with the base rank floor
@@ -105,7 +105,7 @@ def test_min_label_components_string_keys(ray_session):
     results = {}
     for tag, limit in (("serial", 2_000_000), ("distributed", 0)):
         got = min_label_components(edges, nodes, key_type=pa.string(),
-                                   num_buckets=4, switch_limit=limit) \
+                                   switch_limit=limit) \
             .to_pandas().sort_values("node").reset_index(drop=True)
         results[tag] = got
         labels = dict(zip(got["node"], got["label"]))
@@ -156,7 +156,7 @@ def test_hits_matches_serial_reference(ray_session, iters):
     }))
     node_ds = rd.from_arrow(pa.table({"node": pa.array(nodes, pa.int64())}))
 
-    got = hits(edges, node_ds, iters=iters, num_buckets=4).to_pandas()
+    got = hits(edges, node_ds, iters=iters).to_pandas()
     want = _serial_hits(edge_list, nodes, iters)
     assert {int(r.node): (int(r.hub), int(r.auth))
             for r in got.itertuples()} == want
@@ -205,8 +205,7 @@ def test_label_propagation_matches_serial(ray_session, iters):
     }))
     node_ds = rd.from_arrow(pa.table({"node": pa.array(nodes, pa.int64())}))
 
-    got = label_propagation(edges, node_ds, iters=iters,
-                            num_buckets=4).to_pandas()
+    got = label_propagation(edges, node_ds, iters=iters).to_pandas()
     want = _serial_lpa(edge_list, nodes, iters)
     assert {int(r.node): int(r.lbl) for r in got.itertuples()} == want
     by_node = {int(r.node): int(r.lbl) for r in got.itertuples()}
@@ -244,7 +243,7 @@ def test_neighbor_feature_agg_matches_serial(ray_session, tmp_path):
             n_in[dst] += 1
             s[dst] += chars[d]
 
-    got = neighbor_feature_agg(str(tmp_path), num_buckets=4).to_pandas()
+    got = neighbor_feature_agg(str(tmp_path)).to_pandas()
     assert len(got) == n
     for r in got.itertuples():
         d = int(r.node)
@@ -280,7 +279,7 @@ def test_random_walks_matches_serial(ray_session, tmp_path):
             cur = nbrs[(w * 1000003 + t * 10007) % len(nbrs)]
             want[(w, t)] = cur
 
-    got = random_walks(str(tmp_path), steps=steps, num_buckets=4).to_pandas()
+    got = random_walks(str(tmp_path), steps=steps).to_pandas()
     assert len(got) == n * (steps + 1)
     assert {(int(r.walk_id), int(r.step)): int(r.node)
             for r in got.itertuples()} == want
