@@ -21,13 +21,25 @@ override is passed — at 100 TB the planner's target_max_block_size logic
 governs exactly as before, so this is a small-table fast path, not a
 scale behavior change.
 
+A small file is read on the driver.  pyarrow reads the projected columns
+in the requested order, the schema metadata is dropped, and Ray gets
+``from_arrow`` of the block count's row slices, split where Ray's read
+would split them (``np.array_split`` of the file's rows).  Ray's read
+starts a sampling task when the Dataset is built and a read task on every
+execution; both are gone, and no read parallelism with them, since Ray
+reads one file in one task anyway.  The driver then holds the file's
+decoded columns while it builds the plan: a file takes this path only
+below 2 x CPUs x 4 MiB compressed, which bounds that memory.
+
 The floor follows the consumer, not the bytes.  A caller whose first
 stage bundles its input to ``batch_rows`` rows per task passes that size,
-and the block count becomes at most ``ceil(rows / batch_rows)`` (the
-footer's row count): blocks that the first stage would merge back into one
-task are never made.  A caller whose first stage runs one task per block
+and the block count becomes at most ``ceil(rows / batch_rows)``: blocks
+that the first stage would merge back into one task are never made.  A caller whose first stage runs one task per block
 (the MinHash family, ``fuzzy_name_pairs``) passes nothing and keeps the
 floor, since there the blocks are its parallelism.
+
+:func:`index_dir` names the default location of an index persisted from
+an input table.
 """
 
 from __future__ import annotations
@@ -38,10 +50,24 @@ _TARGET_BYTES = 4 * 1024 * 1024
 _FLOOR = 8
 
 
-def read_parquet(path, columns=None, **kw):
+def index_dir(kind: str, table: str, *key) -> str:
+    """The default location of a persisted ``kind`` index built from the
+    input table ``table``: ``/tmp/lexmapr_<kind>_index_<tag>``, the tag an
+    md5 over the table's absolute path, size and mtime (a regenerated table
+    at the same path does not reuse a stale index) and ``key``, the index's
+    parameters and layout version (an index written by other engine code
+    is rebuilt, not read)."""
+    import hashlib
+
+    st = os.stat(table)
+    parts = (os.path.abspath(table), st.st_size, st.st_mtime_ns, *key)
+    tag = hashlib.md5(":".join(map(str, parts)).encode()).hexdigest()[:12]
+    return f"/tmp/lexmapr_{kind}_index_{tag}"
+
+
+def read_parquet(path, columns=None):
     """``ray.data.read_parquet`` of the Parquet file ``path`` (or a list of
-    files with one schema) whose blocks carry no schema metadata; ``kw``
-    goes to Ray (block sizing)."""
+    files with one schema) whose blocks carry no schema metadata."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -49,16 +75,17 @@ def read_parquet(path, columns=None, **kw):
     schema = pq.read_schema(path if isinstance(path, str) else path[0])
     if columns is not None:
         schema = pa.schema([schema.field(c) for c in columns])
-    return rd.read_parquet(path, columns=columns,
-                           schema=schema.remove_metadata(), **kw)
+    return rd.read_parquet(path, columns=columns, schema=schema.remove_metadata())
 
 
 def sized_read_parquet(path: str, columns=None, batch_rows: int | None = None):
-    """:func:`read_parquet` of one file, with a block count for a small one
-    (see the module docstring); ``batch_rows`` is the rows per task of the
-    first stage, when that stage bundles its input."""
+    """:func:`read_parquet` of one file; a small one is read on the driver
+    into a block count of its own (see the module docstring).
+    ``batch_rows`` is the rows per task of the first stage, when that
+    stage bundles its input."""
     import pyarrow.parquet as pq
     import ray
+    import ray.data as rd
 
     try:
         est = max(1, -(-os.path.getsize(path) // _TARGET_BYTES))
@@ -67,8 +94,12 @@ def sized_read_parquet(path: str, columns=None, batch_rows: int | None = None):
         return read_parquet(path, columns)
     if est >= 2 * cpus:
         return read_parquet(path, columns)
+    table = pq.read_table(path, columns=columns).replace_schema_metadata()
     blocks = min(2 * cpus, max(_FLOOR, est))
     if batch_rows:
-        rows = pq.read_metadata(path).num_rows
-        blocks = min(blocks, max(1, -(-rows // batch_rows)))
-    return read_parquet(path, columns, override_num_blocks=blocks)
+        blocks = min(blocks, max(1, -(-table.num_rows // batch_rows)))
+    # the row split of Ray's own read (np.array_split of the file's one
+    # block), so a block holds the same rows either way
+    base, extra = divmod(table.num_rows, blocks)
+    return rd.from_arrow([table.slice(i * base + min(i, extra), base + (i < extra))
+                          for i in range(blocks)])

@@ -30,6 +30,12 @@ _RNG = np.random.RandomState(1234567)
 _HASH_A = _RNG.randint(1, _MERSENNE, size=NUM_HASHES, dtype=np.int64).astype(np.uint64)
 _HASH_B = _RNG.randint(0, _MERSENNE, size=NUM_HASHES, dtype=np.int64).astype(np.uint64)
 
+# The layout of a persisted MinHash bucket index
+# (:func:`build_minhash_bucket_index`): its bands, hashes and columns.  Bump
+# it whenever they change: the default index location folds it in, so an
+# index written by older code is rebuilt, not read.
+MINHASH_INDEX_VERSION = 1
+
 
 
 def _auto_concurrency(requested=None, frac=(7, 8)):
@@ -1105,6 +1111,16 @@ def build_minhash_bucket_index(sf_dir: str, index_dir: str,
     return index_dir
 
 
+def minhash_index_dir(sf_dir: str, existing_permille: int) -> str:
+    """The default location of the persisted MinHash bucket index of
+    *sf_dir* (:func:`~lexmapr_ray.sources.tables.index_dir` of its
+    documents, the split gate and ``MINHASH_INDEX_VERSION``)."""
+    from lexmapr_ray.sources.tables import index_dir
+
+    return index_dir("minhash", os.path.join(sf_dir, "documents.parquet"),
+                     existing_permille, f"v{MINHASH_INDEX_VERSION}")
+
+
 def minhash_index_dedup_persisted(sf_dir: str, index_dir: str | None = None,
                                   threshold: float = 0.8,
                                   existing_permille: int = 700,
@@ -1116,21 +1132,14 @@ def minhash_index_dedup_persisted(sf_dir: str, index_dir: str | None = None,
     candidate/verify/argmax tail, so the verdicts are
     row-identical to the recompute path (pinned by test and by sharing the
     recompute path's SQL oracle).  Builds the index on first use
-    (idempotent ``_INDEXED`` marker), default location keyed by corpus path
-    + split gate under /tmp."""
+    (idempotent ``_INDEXED`` marker), default location
+    :func:`minhash_index_dir`."""
     import ray.data as rd
 
     from lexmapr_ray.stages.textstats import md5_permille
 
     if index_dir is None:
-        # tag carries a corpus fingerprint (size + mtime of the documents
-        # parquet): a regenerated corpus at the same path must NOT silently
-        # reuse a stale index
-        st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-        tag = hashlib.md5(
-            f"{os.path.abspath(sf_dir)}:{existing_permille}:"
-            f"{st.st_size}:{st.st_mtime_ns}".encode()).hexdigest()[:12]
-        index_dir = f"/tmp/lexmapr_minhash_index_{tag}"
+        index_dir = minhash_index_dir(sf_dir, existing_permille)
     if not os.path.exists(os.path.join(index_dir, "_INDEXED")):
         build_minhash_bucket_index(sf_dir, index_dir,
                                    existing_permille=existing_permille,

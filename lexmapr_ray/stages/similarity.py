@@ -487,18 +487,13 @@ def build_ivf_index(sf_dir: str, index_dir: str, n_centroids: int = 16) -> str:
 
 
 def ivf_index_dir(sf_dir: str, n_centroids: int) -> str:
-    """The default location of the persisted IVF index of *sf_dir*: a tag
-    over the corpus path, a corpus fingerprint (size + mtime of the
-    embeddings parquet, so a regenerated corpus at the same path does NOT
-    silently reuse a stale index), ``n_centroids`` and
-    ``IVF_INDEX_VERSION``."""
-    import hashlib
+    """The default location of the persisted IVF index of *sf_dir*
+    (:func:`~lexmapr_ray.sources.tables.index_dir` of its embeddings,
+    ``n_centroids`` and ``IVF_INDEX_VERSION``)."""
+    from lexmapr_ray.sources.tables import index_dir
 
-    st = os.stat(os.path.join(sf_dir, "embeddings.parquet"))
-    tag = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:{n_centroids}:"
-        f"{st.st_size}:{st.st_mtime_ns}:v{IVF_INDEX_VERSION}".encode()).hexdigest()[:12]
-    return f"/tmp/lexmapr_ivf_index_{tag}"
+    return index_dir("ivf", os.path.join(sf_dir, "embeddings.parquet"),
+                     n_centroids, f"v{IVF_INDEX_VERSION}")
 
 
 def ann_ivf_topk_persisted(sf_dir: str, index_dir: str | None = None,

@@ -436,7 +436,10 @@ def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce
     run the per-doc ``final`` reduce, then one sort.  A document is one
     input row, so every row it yields is made and reduced in the same
     task: exact with no re-reduce shuffle.  A vocabulary that fits the
-    driver therefore costs one exchange in all, the result sort.
+    driver therefore costs one exchange in all, the result sort, and none
+    when the documents fit one bundle (a row count the read's metadata
+    holds): pass 2 is then a single task whose ``final`` already emits
+    the result order, so the sort is dropped.
 
     Above ``limit`` (a corpus-scale vocabulary, which must not reach the
     driver) ``attach`` joins ``v`` onto pass 1's rows with bucketed hash
@@ -477,7 +480,7 @@ def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce
         return final(_scored(rows.append_column("v", v)))
 
     scored = ds.map_batches(score, batch_format="pyarrow", batch_size=DEFAULT_BUNDLE)
-    return scored.sort(*order) if blocks else scored
+    return scored.sort(*order) if blocks and ds.count() > DEFAULT_BUNDLE else scored
 
 
 def _with_v(ds, value):

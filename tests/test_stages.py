@@ -822,17 +822,49 @@ def _sort_count(monkeypatch):
     return calls
 
 
-def test_corpus_stats_default_plan_sorts_once(ray_session, sf_dir, monkeypatch):
+def test_corpus_stats_sort_only_above_one_bundle(ray_session, sf_dir, monkeypatch):
     """A vocabulary that fits ``vocab_broadcast_limit`` is merged on the
-    driver from its unsorted partials: the only exchange of each
-    corpus-statistics operator is its result sort."""
+    driver from its unsorted partials, so the only exchange left is the
+    result sort.  A corpus that fits one bundle is scored in one task whose
+    final already emits the result order: no sort at all.  With the bundle
+    below the corpus's row count, the result sort is back."""
+    import pyarrow.parquet as pq
+
+    from lexmapr_ray.functions import groupagg
     from lexmapr_ray.stages import textstats
 
+    rows = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
+    assert rows <= groupagg.DEFAULT_BUNDLE
     sorts = _sort_count(monkeypatch)
+    for bundle, n_sorts in ((groupagg.DEFAULT_BUNDLE, 0), (rows // 2, 1)):
+        monkeypatch.setattr(groupagg, "DEFAULT_BUNDLE", bundle)
+        for name in CORPUS_STAT_OPS:
+            sorts.clear()
+            assert getattr(textstats, name)(sf_dir).materialize().count() > 0, name
+            assert len(sorts) == n_sorts, (name, bundle, sorts)
+
+
+def test_corpus_stats_one_bundle_blocks_in_result_order(ray_session, sf_dir, monkeypatch):
+    """The one-task scoring of a corpus that fits one bundle keeps the
+    result order when its output splits into many blocks: each scorer's
+    blocks, concatenated in order, equal the sorted plan's output."""
+    import ray
+    from ray.data import DataContext
+
+    from lexmapr_ray.functions import groupagg
+    from lexmapr_ray.stages import textstats
+
+    ctx = DataContext.get_current()
     for name in CORPUS_STAT_OPS:
-        sorts.clear()
-        assert getattr(textstats, name)(sf_dir).materialize().count() > 0, name
-        assert len(sorts) == 1, (name, sorts)
+        fn = getattr(textstats, name)
+        with monkeypatch.context() as m:
+            m.setattr(groupagg, "DEFAULT_BUNDLE", 64)
+            want = _arrow(fn(sf_dir))
+        with monkeypatch.context() as m:
+            m.setattr(ctx, "target_max_block_size", 1024)
+            ds = fn(sf_dir).materialize()
+        assert sum(b.num_rows > 0 for b in ray.get(ds.to_arrow_refs())) > 1, name
+        assert _arrow(ds).equals(want), name
 
 
 def test_corpus_stats_sorted_vocab_then_broadcast(ray_session, sf_dir, monkeypatch):
@@ -3184,19 +3216,25 @@ def test_minhash_index_dedup_persisted_equals_recompute(ray_session, sf_dir,
 
 
 def test_ivf_index_dir_keys_on_layout_version(tmp_path, monkeypatch):
-    """The default persisted-index location changes with the index layout
-    version, so an index written by older code is never read back."""
+    """The default location of each persisted index (IVF, MinHash bucket)
+    changes with its parameter and its layout version, so an index written
+    by older code is never read back."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from lexmapr_ray.stages import similarity
+    from lexmapr_ray.stages import dedup, similarity
 
-    pq.write_table(pa.table({"vec_id": [0]}), str(tmp_path / "embeddings.parquet"))
-    here = similarity.ivf_index_dir(str(tmp_path), 16)
-    assert here == similarity.ivf_index_dir(str(tmp_path), 16)
-    assert here != similarity.ivf_index_dir(str(tmp_path), 8)
-    monkeypatch.setattr(similarity, "IVF_INDEX_VERSION", similarity.IVF_INDEX_VERSION + 1)
-    assert here != similarity.ivf_index_dir(str(tmp_path), 16)
+    for table in ("embeddings", "documents"):
+        pq.write_table(pa.table({"id": [0]}), str(tmp_path / f"{table}.parquet"))
+    for mod, where, version in ((similarity, similarity.ivf_index_dir, "IVF_INDEX_VERSION"),
+                                (dedup, dedup.minhash_index_dir, "MINHASH_INDEX_VERSION")):
+        here = where(str(tmp_path), 16)
+        assert here == where(str(tmp_path), 16)
+        assert here != where(str(tmp_path), 8)
+        with monkeypatch.context() as m:
+            m.setattr(mod, version, getattr(mod, version) + 1)
+            assert here != where(str(tmp_path), 16)
+    assert similarity.ivf_index_dir(str(tmp_path), 16) != dedup.minhash_index_dir(str(tmp_path), 16)
 
 
 def test_ann_ivf_persisted_index_equals_recompute(ray_session, sf_dir,
@@ -3801,6 +3839,35 @@ def test_read_parquet_drops_schema_metadata(ray_session, tmp_path):
         assert sum(b.num_rows for b in blocks) == 100
         assert all(b.schema.metadata is None for b in blocks)
     assert read_parquet(path, ["s", "k"]).schema().names == ["s", "k"]
+
+
+def test_sized_read_reads_a_small_file_on_the_driver(ray_session, tmp_path):
+    """A small file is read on the driver: its blocks, in order, are the
+    file's rows in the requested column order and types, with no schema
+    metadata, and no ``ReadParquet`` operator runs.  A 0-row file keeps
+    its schema."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from lexmapr_ray.sources.tables import sized_read_parquet
+
+    path, empty = str(tmp_path / "t.parquet"), str(tmp_path / "e.parquet")
+    df = pd.DataFrame({"k": np.arange(1000), "s": [str(i) for i in range(1000)],
+                       "f": np.arange(1000) / 7})
+    pq.write_table(pa.Table.from_pandas(df), path)
+    pq.write_table(pa.Table.from_pandas(df).slice(0, 0), empty)
+    want = pq.read_table(path, columns=["s", "f"]).replace_schema_metadata()
+    ds = sized_read_parquet(path, ["f", "s"])
+    blocks = ray.get(ds.to_arrow_refs())
+    assert len(blocks) > 1
+    assert all(b.schema.metadata is None for b in blocks)
+    assert pa.concat_tables(blocks).equals(want.select(["f", "s"]))
+    out = ds.map_batches(lambda t: t, batch_format="pyarrow").materialize()
+    assert out.count() == 1000 and "ReadParquet" not in out.stats()
+    none = sized_read_parquet(empty, ["s", "k"])
+    assert none.count() == 0
+    assert none.schema().base_schema == pa.schema([("s", pa.string()), ("k", pa.int64())])
 
 
 def test_no_schema_hash_warnings(sf_dir):

@@ -5,7 +5,10 @@ Usage: python tools/explain.py <query_name> [sf_dir]
 
 Runs the named pipeline against *sf_dir* (default /root/testdata/sf0.01),
 materializes it, and prints Ray's per-operator wall/CPU/row breakdown
-(``Dataset.stats()``) plus the row count.  The KG queries' lexicon is
+(``Dataset.stats()``), the row count, and the plan-build seconds apart
+from the execution seconds.  Plan build is the driver work done before
+the query function returns, such as a small file's read and the corpus
+scorers' vocabulary pass.  The KG queries' lexicon is
 ``LEXMAPR_RESOURCES``, else the reference's tree, else
 ``tests/data/lexicon``; the tool names it and its fingerprint first.
 Owns its Ray session (the driver contract forbids queries()/entry() from
@@ -57,16 +60,18 @@ def main():
 
         t0 = time.time()
         res = qs[name](sf_dir)
+        plan = time.time() - t0
         import pandas as pd
 
         if isinstance(res, pd.DataFrame):
             print(f"{name}: pandas result, {len(res)} rows, "
-                  f"{time.time() - t0:.2f}s (no Ray stats)")
+                  f"{plan:.2f}s (no Ray stats)")
             return 0
         res = res.materialize()
-        wall = time.time() - t0
+        run = time.time() - t0 - plan
         print(res.stats())
-        print(f"\n{name}: {res.count()} rows in {wall:.2f}s at {sf_dir}")
+        print(f"\n{name}: {res.count()} rows in {plan + run:.2f}s at {sf_dir} "
+              f"(plan build {plan:.2f}s, execution {run:.2f}s)")
         return 0
     finally:
         ray.shutdown()
