@@ -74,18 +74,12 @@ def cmd_kg_run(args) -> int:
         graph = finalize_graph(args.out, args.finalize)
         print(f"final graph: {graph.count()} triples -> {args.finalize}")
     if args.entities:
-        import glob as _glob
-
         import ray.data as rd
 
         from lexmapr_ray.pipelines.kg import canonicalize_mentions
-        from lexmapr_ray.state.lineage import completed_shards, part_dir
+        from lexmapr_ray.state.lineage import committed_files
 
-        files = [
-            f
-            for sid in sorted(completed_shards(args.out))
-            for f in sorted(_glob.glob(os.path.join(part_dir(args.out, sid), "*.parquet")))
-        ]
+        files = committed_files(args.out)
         ents = canonicalize_mentions(rd.read_parquet(files)).materialize()
         ents.write_parquet(args.entities)
         print(f"canonical entities: {ents.count()} surface forms -> {args.entities}")
@@ -94,10 +88,9 @@ def cmd_kg_run(args) -> int:
 
 def cmd_kg_ingest(args) -> int:
     _ensure_ray()
-    import ray.data as rd
-
     from lexmapr_ray.pipelines.ingest import ingest_batch
     from lexmapr_ray.pipelines.kg import broadcast_lexicon
+    from lexmapr_ray.sources.tables import read_parquet
 
     if args.batch.startswith("synth:"):
         from lexmapr_ray.sources.pages import synth_pages_dataset
@@ -110,7 +103,7 @@ def cmd_kg_ingest(args) -> int:
         if not paths:
             print(f"no parquet files match {args.batch!r}", file=sys.stderr)
             return 2
-        pages = rd.read_parquet(paths)
+        pages = read_parquet(paths)
         import hashlib as _hashlib
 
         # idempotency key from path + size + mtime per file — hashing

@@ -33,7 +33,8 @@ import pyarrow.compute as pc
 from lexmapr_ray.functions.groupagg import sorted_group_reduce
 from lexmapr_ray.functions.joins import bucketed_hash_join
 
-
+# The most (nodes + edges) rows whose components :func:`min_label_components`
+# finds on the driver; a larger graph runs the distributed loop.
 DRIVER_SWITCH_LIMIT = 2_000_000
 
 
@@ -68,8 +69,7 @@ def _serial_union_find(edges_df: pd.DataFrame, nodes) -> pd.DataFrame:
 def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
                          node_col: str = "node",
                          key_type: pa.DataType | None = None,
-                         max_iters: int | None = None,
-                         switch_limit: int = DRIVER_SWITCH_LIMIT):
+                         max_iters: int | None = None):
     """Connected components over an undirected edge Dataset.
 
     ``edges``: Dataset with columns ``a_col``/``b_col`` (each row one
@@ -85,15 +85,15 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
     distributed path.
 
     SIZE-SWITCHED like BPE's merge rounds (stages/bpe.py): below
-    ``switch_limit`` total (nodes + edges) rows the iterative loop's
+    ``DRIVER_SWITCH_LIMIT`` total (nodes + edges) rows the iterative loop's
     per-round fixed cost (2 bucketed joins + a sort + 2 materializes,
     x O(log diameter) rounds) dwarfs the actual work, so a driver-side
     union-find with union-by-min produces the definitionally identical
     labelling in one pass over a small table (kg_components at the
     sf0.01 gate: ~6 s -> the cooccurrence build alone).  Above the limit
     — web-scale near-dup graphs — the distributed min-label +
-    pointer-jump loop runs unchanged.  Set ``switch_limit=0`` to force
-    the distributed path (tests pin both paths equal).
+    pointer-jump loop runs unchanged.  A limit of 0 forces the
+    distributed path (tests pin both paths equal).
     """
     if key_type is None:
         key_type = nodes.schema().field(node_col).type
@@ -111,7 +111,7 @@ def min_label_components(edges, nodes, *, a_col: str = "a", b_col: str = "b",
         batch_format="pyarrow",
     ).materialize()
     n_nodes, n_edges = labels.count(), edges.count()
-    if n_nodes + n_edges <= switch_limit:
+    if n_nodes + n_edges <= DRIVER_SWITCH_LIMIT:
         import ray.data as rd
 
         # an edge-less Dataset may hold only column-less blocks

@@ -29,6 +29,10 @@ import pandas as pd  # _stable_bucket's string hash only
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# The most keys :func:`semi_join` collects on the driver and broadcasts;
+# a larger key set is joined on instead.
+BROADCAST_LIMIT = 2_000_000
+
 
 def broadcast_semi_join(ds, col: str, keys_ref):
     """Keep rows whose *col* value is in the broadcast key set.
@@ -65,14 +69,14 @@ def broadcast_map_join(ds, col: str, lookup_ref, new_col: str, drop_misses: bool
 
 
 def semi_join(left, on: str, right, right_on: str | None = None, *,
-              anti: bool = False, broadcast_limit: int = 2_000_000):
+              anti: bool = False):
     """Size-switched semi (or anti) join: keep left rows whose key is (not)
     present in ``right``'s key column.
 
     ``right`` is reduced to its key column, materialized to the OBJECT STORE
     (never the driver), and counted.  Small key sets take the broadcast
     path (one ``ray.put`` + a per-batch ``pc.is_in``); past
-    ``broadcast_limit`` keys the filter switches to
+    ``BROADCAST_LIMIT`` keys the filter switches to
     ``bucketed_hash_join(how="semi"|"anti")``, because a corpus-scale key
     set is itself too big to ship to every worker (judge r2: the set-op
     queries broadcast a distinct user set that is corpus-scale at 100x).
@@ -84,7 +88,7 @@ def semi_join(left, on: str, right, right_on: str | None = None, *,
         lambda t, c=right_on: t.select([c]), batch_format="pyarrow"
     )
     # ONE streaming pass decides the switch AND collects the keys: batches
-    # stream to the driver only until ``broadcast_limit`` is exceeded, at
+    # stream to the driver only until ``BROADCAST_LIMIT`` is exceeded, at
     # which point collection aborts and the filter becomes a fully
     # distributed bucketed pass (the partial collection is bounded by the
     # limit, so the driver never holds a corpus-scale key set)
@@ -94,7 +98,7 @@ def semi_join(left, on: str, right, right_on: str | None = None, *,
     for b in keys_ds.iter_batches(batch_format="pyarrow", batch_size=65536):
         batches.append(b)
         total += len(b)
-        if total > broadcast_limit:
+        if total > BROADCAST_LIMIT:
             overflow = True
             break
     if overflow:

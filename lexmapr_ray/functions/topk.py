@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from lexmapr_ray.functions import groupagg
 from lexmapr_ray.functions.groupagg import run_spread, run_starts
 
 
@@ -51,9 +52,9 @@ def key_topk(t: pa.Table, by, order, k: int, rank: str | None = None) -> pa.Tabl
     return out
 
 
-def topk_prune(ds, keys: list[str], descending: list[bool], k: int, *,
-               bundle: int = 65536):
-    """Per-block top-k combiner (Arrow sort_indices + take, no pandas)."""
+def topk_prune(ds, keys: list[str], descending: list[bool], k: int):
+    """Per-block top-k combiner (Arrow sort_indices + take, no pandas)
+    over batches of ``groupagg.DEFAULT_BUNDLE`` rows."""
     sk = _sort_keys(keys, descending)
 
     def prune(t: pa.Table) -> pa.Table:
@@ -62,7 +63,8 @@ def topk_prune(ds, keys: list[str], descending: list[bool], k: int, *,
         idx = pc.sort_indices(t, sort_keys=sk)
         return t.take(idx.slice(0, k))
 
-    return ds.map_batches(prune, batch_format="pyarrow", batch_size=bundle)
+    return ds.map_batches(prune, batch_format="pyarrow",
+                          batch_size=groupagg.DEFAULT_BUNDLE)
 
 
 def global_topk(ds, keys: list[str], descending: list[bool], k: int,

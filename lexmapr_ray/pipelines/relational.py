@@ -841,31 +841,29 @@ def _distinct_keys(sf_dir: str, table: str, col: str, out: str):
     )
 
 
-def users_with_orders_and_events(sf_dir: str, broadcast_limit: int = 2_000_000):
+def users_with_orders_and_events(sf_dir: str):
     """Set intersection of events.user_id and orders.o_custkey.
 
     Both distinct sets are built distributed; the membership filter is a
     size-switched :func:`~lexmapr_ray.functions.joins.semi_join` — broadcast
-    keys below ``broadcast_limit``, bucketed co-location sort above it
+    keys below ``joins.BROADCAST_LIMIT``, bucketed co-location sort above it
     (judge r2: at 100x the distinct user set is itself corpus-scale and
     must never be pulled to the driver)."""
     from lexmapr_ray.functions.joins import semi_join
 
     users = _distinct_keys(sf_dir, "events", "user_id", "user_id")
     custs = _distinct_keys(sf_dir, "orders", "o_custkey", "user_id")
-    return semi_join(custs, "user_id", users, "user_id",
-                     broadcast_limit=broadcast_limit)
+    return semi_join(custs, "user_id", users, "user_id")
 
 
-def customers_without_events(sf_dir: str, broadcast_limit: int = 2_000_000):
+def customers_without_events(sf_dir: str):
     """Set difference orders.o_custkey EXCEPT events.user_id (size-switched
     anti join; see :func:`users_with_orders_and_events`)."""
     from lexmapr_ray.functions.joins import semi_join
 
     users = _distinct_keys(sf_dir, "events", "user_id", "user_id")
     custs = _distinct_keys(sf_dir, "orders", "o_custkey", "o_custkey")
-    return semi_join(custs, "o_custkey", users, "user_id", anti=True,
-                     broadcast_limit=broadcast_limit)
+    return semi_join(custs, "o_custkey", users, "user_id", anti=True)
 
 
 def event_value_quantiles(sf_dir: str):

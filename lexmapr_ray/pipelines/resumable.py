@@ -28,6 +28,7 @@ from lexmapr_ray.pipelines.kg import (
 )
 from lexmapr_ray.state.lineage import (
     ShardRecord,
+    committed_files,
     completed_shards,
     part_dir,
     write_record,
@@ -72,9 +73,9 @@ def shard_parquet_pages(paths: list[str], files_per_shard: int = 1):
         group = paths[sid : sid + files_per_shard]
 
         def make(group=group):
-            import ray.data as rd
+            from lexmapr_ray.sources.tables import read_parquet
 
-            return rd.read_parquet(group)
+            return read_parquet(group)
 
         shards[sid // files_per_shard] = (make, ";".join(group), -1)
     return shards
@@ -137,22 +138,12 @@ def run_resumable(
 
 
 def finalize_graph(out_dir: str, final_dir: str | None = None):
-    """Global dedup + sort over every committed partition; idempotent."""
-    import glob
-    import os
-
+    """Global dedup + sort over every committed partition; idempotent.
+    A partition directory from a crashed shard is invisible to the graph
+    (:func:`~lexmapr_ray.state.lineage.committed_files`)."""
     import ray.data as rd
 
-    done = completed_shards(out_dir)
-    # only COMMITTED partitions (with a complete sidecar) are read — a
-    # partition directory from a crashed shard is invisible to the graph
-    files = [
-        f
-        for sid in sorted(done)
-        for f in sorted(glob.glob(os.path.join(part_dir(out_dir, sid), "*.parquet")))
-    ]
-    ds = rd.read_parquet(files)
-    graph = dedup_triples(ds)
+    graph = dedup_triples(rd.read_parquet(committed_files(out_dir)))
     if final_dir:
         graph = graph.materialize()
         graph.write_parquet(final_dir)

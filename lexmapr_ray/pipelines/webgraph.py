@@ -338,8 +338,7 @@ def host_stats(sf_dir: str):
     )
 
 
-def host_filtered_corpus(sf_dir: str, max_dup_permille: int = 187,
-                         broadcast_limit: int = 2_000_000):
+def host_filtered_corpus(sf_dir: str, max_dup_permille: int = 187):
     """C4-style HOST blocklist filter: drop every document on a host whose
     exact-duplicate share exceeds ``max_dup_permille`` (integer permille —
     no float thresholds, oracle-exact).  Returns the surviving
@@ -347,7 +346,7 @@ def host_filtered_corpus(sf_dir: str, max_dup_permille: int = 187,
 
     The good-host set scales with corpus size (hosts ~ docs / 16), so
     membership is a size-switched :func:`semi_join` — broadcast keys when
-    small, bucketed co-location above ``broadcast_limit`` — never a
+    small, bucketed co-location above ``joins.BROADCAST_LIMIT`` — never a
     driver-side dict."""
     stats = host_stats(sf_dir)
 
@@ -365,8 +364,7 @@ def host_filtered_corpus(sf_dir: str, max_dup_permille: int = 187,
                             "host": _host_expr(t["doc_id"])}),
         batch_format="pyarrow",
     )
-    return semi_join(docs, "host", good, "host",
-                     broadcast_limit=broadcast_limit).sort("doc_id")
+    return semi_join(docs, "host", good, "host").sort("doc_id")
 
 
 def _token_edges(sf_dir: str, permille: int):

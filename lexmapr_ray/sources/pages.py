@@ -145,7 +145,7 @@ def synth_pages_dataset(
     )
 
 
-def pages_from_documents(sf_dir: str, batch_size: int = 512):
+def pages_from_documents(sf_dir: str):
     """Wrap the testdata ``documents`` table in the pages schema.
 
     Reads only the needed columns; html is rendered from text with the
@@ -171,10 +171,10 @@ def pages_from_documents(sf_dir: str, batch_size: int = 512):
         ]
         return pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
 
-    return ds.map_batches(to_pages, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(to_pages, batch_format="pyarrow", batch_size=512)
 
 
-def snapshot_pages(sf_dir: str, which: str, batch_size: int = 512):
+def snapshot_pages(sf_dir: str, which: str):
     """Deterministic crawl SNAPSHOT of the documents url space, for
     KG-snapshot diffing: snapshot ``a`` holds docs with ``d % 4 != 0``
     as-is; snapshot ``b`` holds docs with ``d % 5 != 0``, and pages with
@@ -213,11 +213,10 @@ def snapshot_pages(sf_dir: str, which: str, batch_size: int = 512):
             })
         return pa.Table.from_pylist(rows, schema=PAGES_SCHEMA)
 
-    return ds.map_batches(to_snapshot, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return ds.map_batches(to_snapshot, batch_format="pyarrow", batch_size=512)
 
 
-def multi_capture_pages(sf_dir: str, batch_size: int = 512):
+def multi_capture_pages(sf_dir: str):
     """Deterministic MULTI-CAPTURE pages table: document ``d`` appears as
     ``1 + d % 3`` crawl captures of the same url at strictly increasing
     ``warc_ts`` (the Common-Crawl situation url-recency dedup exists for).
@@ -241,7 +240,7 @@ def multi_capture_pages(sf_dir: str, batch_size: int = 512):
             "n_chars": pa.array(chars, pa.int64()),
         })
 
-    return ds.map_batches(explode, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(explode, batch_format="pyarrow", batch_size=512)
 
 
 def url_latest_capture(sf_dir: str):
@@ -379,7 +378,7 @@ def canonicalize_url(u: str) -> str:
     return f"{scheme}://{host}{path}" + (f"?{q}" if q else "")
 
 
-def raw_url_captures(sf_dir: str, batch_size: int = 2048):
+def raw_url_captures(sf_dir: str):
     """Deterministic MESSY url captures: doc ``d`` yields ``1 + d % 3``
     raw variants of one logical URL differing in case, default port,
     tracking params, param order, fragment, and trailing slash — the
@@ -403,8 +402,7 @@ def raw_url_captures(sf_dir: str, batch_size: int = 2048):
             urls.extend(variants[:1 + d % 3])
         return pa.table({"url": pa.array(urls, pa.string())})
 
-    return ds.map_batches(explode, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return ds.map_batches(explode, batch_format="pyarrow", batch_size=2048)
 
 
 def url_canonicalize(sf_dir: str):
@@ -433,7 +431,7 @@ def url_canonicalize(sf_dir: str):
 # Linked pages (anchors embedded in the html payload)
 # ---------------------------------------------------------------------------
 
-def linked_pages_from_documents(sf_dir: str, batch_size: int = 512):
+def linked_pages_from_documents(sf_dir: str):
     """Pages whose html carries REAL ``<a href>`` anchors: doc ``d`` links
     to docs ``(d*31 + 7 + 13*j) % N`` for ``j < 1 + d % 3`` — the same
     deterministic edge set as ``pipelines/webgraph.py::doc_links``, so SQL
@@ -469,5 +467,4 @@ def linked_pages_from_documents(sf_dir: str, batch_size: int = 512):
         return pa.table({"url": pa.array(urls, pa.string()),
                          "html": pa.array(htmls, pa.binary())})
 
-    return ds.map_batches(to_pages, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return ds.map_batches(to_pages, batch_format="pyarrow", batch_size=512)

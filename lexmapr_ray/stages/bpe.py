@@ -27,6 +27,10 @@ import pyarrow.compute as pc
 
 END_OF_WORD = "</w>"
 
+# The most distinct words whose merge rounds :func:`bpe_train` runs on the
+# driver; a larger vocabulary runs them distributed.
+DRIVER_VOCAB_LIMIT = 4_000_000
+
 
 def _merge_word(syms: list, left: str, right: str, merged: str) -> list:
     """Textbook non-overlapping left-to-right merge scan."""
@@ -116,8 +120,7 @@ def _serial_merge_loop(words, freqs, n_merges: int):
     return merges
 
 
-def bpe_train(sf_dir: str, n_merges: int = 30, min_freq: int = 2,
-              driver_vocab_limit: int = 4_000_000):
+def bpe_train(sf_dir: str, n_merges: int = 30, min_freq: int = 2):
     """Learn the first ``n_merges`` BPE merges from the corpus.
 
     Returns one row per learned merge: (rank, left, right, merged,
@@ -126,9 +129,9 @@ def bpe_train(sf_dir: str, n_merges: int = 30, min_freq: int = 2,
 
     The corpus is touched exactly once regardless of path (one distributed
     vectorized word-count pass).  The merge rounds then run over the
-    VOCABULARY, whose size decides the topology (the same size-switch
-    pattern as ``semi_join``'s broadcast limit and tf-idf's vocabulary
-    threshold): at or below ``driver_vocab_limit`` distinct words the
+    VOCABULARY, whose size decides the topology (the same size switch as
+    ``joins.BROADCAST_LIMIT`` and ``textstats.VOCAB_BROADCAST_LIMIT``): at
+    or below ``DRIVER_VOCAB_LIMIT`` distinct words the
     rounds run as one vectorized numpy loop on the driver
     (:func:`_serial_merge_loop` — a bounded model-training step over
     reduced statistics, like the k-means centroid update; 30 Ray shuffles
@@ -163,7 +166,7 @@ def bpe_train(sf_dir: str, n_merges: int = 30, min_freq: int = 2,
 
     import ray.data
 
-    if vocab_ds.count() <= driver_vocab_limit:
+    if vocab_ds.count() <= DRIVER_VOCAB_LIMIT:
         kept = vocab_ds.filter(
             expr=f"freq >= {int(min_freq)}") if min_freq > 1 else vocab_ds
         rows = kept.take_all()

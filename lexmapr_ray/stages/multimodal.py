@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from lexmapr_ray.stages.dedup import _auto_concurrency
 from lexmapr_ray.stages.png import SIGNATURE as _PNG_SIG
 from lexmapr_ray.stages.png import decode_png_gray, encode_png_gray
 
@@ -129,20 +130,20 @@ class DecodeImage:
         })
 
 
-def _decode_features(ds, concurrency: int = 2):
+def _decode_features(ds):
     return ds.map_batches(
         DecodeImage(), batch_format="pyarrow", batch_size=32,
-        concurrency=concurrency,
+        concurrency=_auto_concurrency(),
     ).sort("media_id")
 
 
-def media_features(n_items: int = 256, concurrency: int = 2):
+def media_features(n_items: int = 256):
     """Synth -> decode -> per-item features (batch_size kept small on
     purpose: payload bytes dominate block memory)."""
-    return _decode_features(synth_media_dataset(n_items), concurrency)
+    return _decode_features(synth_media_dataset(n_items))
 
 
-def media_from_documents(sf_dir: str, batch_size: int = 64):
+def media_from_documents(sf_dir: str):
     """Deterministic media table DERIVED FROM TESTDATA: each document's
     text bytes are tiled into a pixel grid whose dimensions are a pure
     function of (doc_id, text length), then encoded as a REAL grayscale
@@ -166,12 +167,12 @@ def media_from_documents(sf_dir: str, batch_size: int = 64):
             })
         return pa.Table.from_pylist(rows, schema=MEDIA_SCHEMA)
 
-    return ds.map_batches(to_media, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(to_media, batch_format="pyarrow", batch_size=64)
 
 
-def media_features_from_documents(sf_dir: str, concurrency: int = 2):
+def media_features_from_documents(sf_dir: str):
     """sf_dir-driven decode + feature pipeline (the driver's media query)."""
-    return _decode_features(media_from_documents(sf_dir), concurrency)
+    return _decode_features(media_from_documents(sf_dir))
 
 
 class ResizeImage:
@@ -183,7 +184,7 @@ class ResizeImage:
     are engine-independent; ``codec="pil"`` is the seam where a real
     deployment swaps in ``PIL.Image.resize``.  Same small-batch task shape
     as decode: payload bytes dominate block memory, so batch_size stays
-    small and ``concurrency`` caps the concurrent tasks.
+    small and ``_auto_concurrency`` caps the concurrent tasks.
     """
 
     def __init__(self, target: int = 8, codec: str = "stdlib"):
@@ -235,7 +236,7 @@ def _encode_video(frames: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def video_from_documents(sf_dir: str, batch_size: int = 32):
+def video_from_documents(sf_dir: str):
     """Video table derived from testdata: each doc's text bytes are tiled
     into ``n_frames`` (4-11, a function of doc_id) frames of w*h pixels,
     then packed as a Motion-PNG container — an opaque binary column with
@@ -257,7 +258,7 @@ def video_from_documents(sf_dir: str, batch_size: int = 32):
                          "payload": payload, "width": w, "height": h})
         return pa.Table.from_pylist(rows, schema=MEDIA_SCHEMA)
 
-    return ds.map_batches(to_video, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(to_video, batch_format="pyarrow", batch_size=32)
 
 
 class SampleFrames:
@@ -314,17 +315,17 @@ class SampleFrames:
         })
 
 
-def media_resize_features(sf_dir: str, concurrency: int = 2):
+def media_resize_features(sf_dir: str):
     """sf_dir-driven decode+resize feature pipeline (driver media query)."""
     return media_from_documents(sf_dir).map_batches(
         ResizeImage(), batch_format="pyarrow", batch_size=32,
-        concurrency=concurrency,
+        concurrency=_auto_concurrency(),
     ).sort("media_id")
 
 
-def video_frame_features(sf_dir: str, concurrency: int = 2, stride: int = 2):
+def video_frame_features(sf_dir: str, stride: int = 2):
     """sf_dir-driven frame-sample pipeline (driver media query)."""
     return video_from_documents(sf_dir).map_batches(
         SampleFrames(stride), batch_format="pyarrow", batch_size=32,
-        concurrency=concurrency,
+        concurrency=_auto_concurrency(),
     ).sort(["media_id", "frame_idx"])

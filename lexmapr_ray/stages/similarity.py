@@ -140,11 +140,11 @@ class HyperplaneLSH:
         })
 
 
-def ann_lsh_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10, n_probe_bits: int = 0):
+def ann_lsh_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10):
     """ANN: score only vectors whose LSH bucket matches the query's.
 
-    With multi-probe disabled (n_probe_bits=0) this is the fastest/recall-
-    tradeoff point; the exact top-k path above is the recall oracle.
+    One probe (the query's own bucket) is the fast end of the recall
+    trade-off; the exact top-k path above is the recall oracle.
     """
     import ray
 
@@ -227,7 +227,6 @@ def _multi_table_bucketer(n_tables: int, n_planes: int):
 
 
 def embedding_near_dup_pairs(sf_dir: str, threshold_bp: int = 3000,
-                             concurrency: int | None = None,
                              n_tables: int = 4, target_bucket: int = 64):
     """Embedding-cosine near-duplicate pairs via MULTI-TABLE hyperplane LSH.
 

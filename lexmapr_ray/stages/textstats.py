@@ -27,6 +27,10 @@ ASCII_WS = " \t\n\f\r"
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 
+# The most vocabulary rows a scorer (:func:`_doc_local_scores`) merges on
+# the driver and broadcasts; a larger vocabulary is joined on instead.
+VOCAB_BROADCAST_LIMIT = 10_000_000
+
 
 def _token_lists(texts):
     """(trimmed, list<token>) per row: ASCII-whitespace trim + \\s+ split.
@@ -198,12 +202,12 @@ class LangIdHeuristic:
         })
 
 
-def lang_id(sf_dir: str, concurrency: int | None = None):
+def lang_id(sf_dir: str):
     from lexmapr_ray.stages.dedup import _auto_concurrency
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     return ds.map_batches(
-        LangIdHeuristic(), batch_format="pyarrow", concurrency=_auto_concurrency(concurrency)
+        LangIdHeuristic(), batch_format="pyarrow", concurrency=_auto_concurrency()
     ).sort("doc_id")
 
 
@@ -416,7 +420,7 @@ def _top_k(k: int):
     return partial, final, (["doc_id", "score_e6", "term"], [False, True, False])
 
 
-def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce, limit: int):
+def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce):
     """Score every document against a vocabulary built from the whole
     corpus: the shape of :func:`tfidf_top_terms`, :func:`token_rarity`,
     :func:`bigram_lm_score` and :func:`target_affinity`.
@@ -424,12 +428,13 @@ def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce
     ``explode`` maps a documents batch to one row per (doc, ``key``) with
     its count ``tf``.  Pass 1 reduces those rows to the vocabulary, a
     ``grouped_sum_count`` whose arguments are ``vocab``: it materializes
-    the per-batch partials, unsorted.  When they have at most ``limit``
-    rows (block metadata, no pass over the data) the driver concatenates
-    them and runs the final reduce itself; otherwise they go through the
-    usual sort and per-block final, and only that vocabulary's row count
-    is held against ``limit``.  Either way the driver holds at most
-    ``limit`` rows.  A vocabulary within ``limit`` becomes aligned
+    the per-batch partials, unsorted.  When they have at most
+    ``VOCAB_BROADCAST_LIMIT`` rows (block metadata, no pass over the data)
+    the driver concatenates them and runs the final reduce itself;
+    otherwise they go through the usual sort and per-block final, and only
+    that vocabulary's row count is held against the limit.  Either way the
+    driver holds at most ``VOCAB_BROADCAST_LIMIT`` rows.  A vocabulary
+    within the limit becomes aligned
     ``key -> v`` arrays (``lookup``, on the vocabulary as one Arrow table)
     that are broadcast.  Pass 2 is then ONE Arrow map over the documents:
     explode again, probe ``v`` with ``index_in``, score ``s = tf * v`` and
@@ -441,7 +446,7 @@ def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce
     holds): pass 2 is then a single task whose ``final`` already emits
     the result order, so the sort is dropped.
 
-    Above ``limit`` (a corpus-scale vocabulary, which must not reach the
+    Above the limit (a corpus-scale vocabulary, which must not reach the
     driver) ``attach`` joins ``v`` onto pass 1's rows with bucketed hash
     joins; a document's rows then span blocks, so its partials re-reduce
     through one doc_id sort (``sorted_group_reduce(partial, final)``).
@@ -457,10 +462,10 @@ def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce
     tf = ds.map_batches(explode, batch_format="pyarrow", batch_size=DEFAULT_BUNDLE)
     vocab_ds = tf.map_batches(vocab_partial, batch_format="pyarrow",
                               batch_size=DEFAULT_BUNDLE).materialize()
-    merge = vocab_ds.count() <= limit
+    merge = vocab_ds.count() <= VOCAB_BROADCAST_LIMIT
     if not merge:
         vocab_ds = sorted_final(vocab_ds, vocab["keys"], vocab_final).materialize()
-        if vocab_ds.count() > limit:
+        if vocab_ds.count() > VOCAB_BROADCAST_LIMIT:
             return sorted_group_reduce(attach(tf, vocab_ds), "doc_id",
                                        lambda t: partial(_scored(t)), final)
     # a corpus with no tokens has a column-less vocabulary: pass 2 then
@@ -489,8 +494,7 @@ def _with_v(ds, value):
                           batch_format="pyarrow")
 
 
-def tfidf_top_terms(sf_dir: str, k: int = 5,
-                    vocab_broadcast_limit: int = 10_000_000):
+def tfidf_top_terms(sf_dir: str, k: int = 5):
     """Per-document top-k terms by an integer-exact tf-idf.
 
     score_e6 = tf * ((1_000_000 * N) // df): pure int64 arithmetic, so the
@@ -500,7 +504,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
     Shape: :func:`_doc_local_scores` with ``v`` = idf_e6 per term.  Pass 1
     counts each term's document frequency (one (doc, term) row per doc
     containing it); pass 2 scores and cuts each document's top-k inside the
-    map that reads it.  ``vocab_broadcast_limit`` switches the idf attach
+    map that reads it.  ``VOCAB_BROADCAST_LIMIT`` switches the idf attach
     from a broadcast (a sane tokenizer's vocab is ~1e7 terms even at
     100 TB) to a bucketed hash join on term (a pathological tokenizer — raw
     shingles, binary noise — makes the vocab corpus-scale, and shipping it
@@ -528,7 +532,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
         vocab={"keys": "term", "count_alias": "df"},
         lookup=lambda vocab: (vocab["term"], idf_e6(vocab)),
         attach=lambda tf, vocab: _with_v(bucketed_hash_join(tf, vocab, on="term"), idf_e6),
-        reduce=_top_k(k), limit=vocab_broadcast_limit)
+        reduce=_top_k(k))
 
 
 def corpus_sample(sf_dir: str, permille: int = 100):
@@ -1080,7 +1084,7 @@ def corpus_shuffle_order(sf_dir: str):
     return _shuffle_order(_read_documents(sf_dir, ["doc_id"]))
 
 
-def token_rarity(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
+def token_rarity(sf_dir: str):
     """Per-document mean token rarity under a corpus unigram model — the
     model-based cousin of ``quality_score`` (a document of globally rare
     tokens scores high; boilerplate scores low).
@@ -1094,7 +1098,7 @@ def token_rarity(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
 
     Shape: :func:`_doc_local_scores` with ``v`` = rarity per term.  Pass 1
     builds the unigram table; pass 2 sums each document's rarities inside
-    the map that reads it.  ``vocab_broadcast_limit`` switches the attach
+    the map that reads it.  ``VOCAB_BROADCAST_LIMIT`` switches the attach
     to a bucketed hash join on term, exactly as in tf-idf."""
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
@@ -1110,8 +1114,7 @@ def token_rarity(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
         lambda t: _tf(_token_rows(t), ["doc_id", "term"]), "term",
         vocab={"keys": "term", "sum_cols": {"cnt": "tf"}},
         lookup=lambda vocab: (vocab["term"], rarity(vocab, pc.sum(vocab["cnt"]).as_py())),
-        attach=attach, reduce=_floor_mean("n_tokens", "rarity_e3"),
-        limit=vocab_broadcast_limit)
+        attach=attach, reduce=_floor_mean("n_tokens", "rarity_e3"))
 
 
 def inverted_index(sf_dir: str, min_df: int = 5):
@@ -1197,7 +1200,7 @@ def source_mix(sf_dir: str):
     )
 
 
-def bigram_lm_score(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
+def bigram_lm_score(sf_dir: str):
     """Per-document bigram-LM surprise — the CCNet/KenLM-style perplexity
     filter: train a bigram language model on the corpus itself, score every
     document by its mean inverse conditional probability, keep the fluent
@@ -1221,7 +1224,7 @@ def bigram_lm_score(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
     (``binary_join_element_wise``, masked at document boundaries); pass 1
     builds the bigram table, from which the driver derives ``c1`` and
     ``V``; pass 2 sums each document's surprises inside the map that reads
-    it.  Above ``vocab_broadcast_limit`` the attach is two
+    it.  Above ``VOCAB_BROADCAST_LIMIT`` the attach is two
     ``bucketed_hash_join`` passes (on ``bg``, then on ``w1`` against a
     grouped ``c1`` table), and ``V`` is the row count of a grouped reduce.
 
@@ -1269,12 +1272,10 @@ def bigram_lm_score(sf_dir: str, vocab_broadcast_limit: int = 10_000_000):
     return _doc_local_scores(
         _scorer_documents(sf_dir, ["doc_id", "text"]), explode, "bg",
         vocab={"keys": ["bg", "w1", "w2"], "sum_cols": {"cnt2": "tf"}},
-        lookup=lookup, attach=attach, reduce=_floor_mean("n_bigrams", "surprise_e3"),
-        limit=vocab_broadcast_limit)
+        lookup=lookup, attach=attach, reduce=_floor_mean("n_bigrams", "surprise_e3"))
 
 
-def target_affinity(sf_dir: str, target_lang: str = "en",
-                    vocab_broadcast_limit: int = 10_000_000):
+def target_affinity(sf_dir: str, target_lang: str = "en"):
     """DSIR-style importance scoring for target-domain resampling: score
     every document by how much its unigram distribution looks like a TARGET
     subcorpus (here ``lang == target_lang`` — in production the target is a
@@ -1297,7 +1298,7 @@ def target_affinity(sf_dir: str, target_lang: str = "en",
     Shape is :func:`token_rarity`'s: pass 1 builds (c_all, c_tgt) per term
     in one grouped reduce (the target count is a conditional sum, not a
     second corpus scan); pass 2 sums each document's affinities inside the
-    map that reads it, or, above ``vocab_broadcast_limit``, after a
+    map that reads it, or, above ``VOCAB_BROADCAST_LIMIT``, after a
     bucketed hash join on term and a doc_id-sorted re-reduce."""
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
@@ -1314,7 +1315,7 @@ def target_affinity(sf_dir: str, target_lang: str = "en",
         vocab={"keys": "term", "sum_cols": {"c_all": "tf", "c_tgt": "tf_tgt"}},
         lookup=lambda vocab: (vocab["term"], affinity(vocab)),
         attach=lambda tf, vocab: _with_v(bucketed_hash_join(tf, vocab, on="term"), affinity),
-        reduce=_floor_mean("n_tokens", "affinity_e3"), limit=vocab_broadcast_limit)
+        reduce=_floor_mean("n_tokens", "affinity_e3"))
 
 
 def corpus_sample_exact(sf_dir: str, n: int = 100):

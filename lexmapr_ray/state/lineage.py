@@ -17,6 +17,7 @@ re-processed and overwritten on resume.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import time
@@ -82,3 +83,11 @@ def completed_shards(out_dir: str) -> dict[int, ShardRecord]:
         if rec is not None and rec.status == "complete":
             out[sid] = rec
     return out
+
+
+def committed_files(out_dir: str) -> list[str]:
+    """The Parquet files of every committed partition of *out_dir*, in
+    shard order.  Only a shard with a complete sidecar counts: the
+    partition directory of a crashed shard is left out."""
+    return [f for sid in sorted(completed_shards(out_dir))
+            for f in sorted(glob.glob(os.path.join(part_dir(out_dir, sid), "*.parquet")))]

@@ -185,14 +185,14 @@ def test_minhash_pairs_sound_and_equal_bruteforce_on_candidates(
     from lexmapr_ray.stages.dedup import minhash_candidate_pairs, minhash_dedup_pairs
 
     text = docs.set_index("doc_id")["text"]
-    got = minhash_dedup_pairs(sf_dir, concurrency=2).to_pandas()
+    got = minhash_dedup_pairs(sf_dir).to_pandas()
     for _, r in got.iterrows():
         sa, sb = _shingles(text[r.doc_a]), _shingles(text[r.doc_b])
         j = len(sa & sb) / len(sa | sb) if (sa | sb) else 1.0
         assert j >= 0.8
         assert int(round(j * 100)) == r.jaccard_pct
 
-    cand = minhash_candidate_pairs(sf_dir, concurrency=2).to_pandas()
+    cand = minhash_candidate_pairs(sf_dir).to_pandas()
     expected = set()
     for _, r in cand.iterrows():
         sa, sb = _shingles(text[r.doc_a]), _shingles(text[r.doc_b])
@@ -288,7 +288,7 @@ def test_embedding_near_dup_sound(ray_session, sf_dir, embs):
 def test_media_features_match_serial_decode(ray_session):
     from lexmapr_ray.stages.multimodal import DecodeImage, media_features, synth_media_dataset
 
-    got = media_features(64, concurrency=2).to_pandas().set_index("media_id")
+    got = media_features(64).to_pandas().set_index("media_id")
     serial = synth_media_dataset(64).to_pandas()
     for _, row in serial.iterrows():
         img = DecodeImage._decode(row.payload)
@@ -406,8 +406,8 @@ def test_near_dup_clusters_match_union_find(ray_session, sf_dir):
     verified pair graph (transitive closure, singletons map to self)."""
     from lexmapr_ray.stages.dedup import minhash_dedup_pairs, near_dup_clusters
 
-    pairs = minhash_dedup_pairs(sf_dir, concurrency=2).to_pandas()
-    got = near_dup_clusters(sf_dir, concurrency=2).to_pandas()
+    pairs = minhash_dedup_pairs(sf_dir).to_pandas()
+    got = near_dup_clusters(sf_dir).to_pandas()
 
     parent = {int(d): int(d) for d in got["doc_id"]}
 
@@ -466,12 +466,13 @@ def test_tfidf_top_terms_matches_duckdb(ray_session, sf_dir):
     )
 
 
-def test_global_topk_prunes_blocks_and_is_exact(ray_session):
+def test_global_topk_prunes_blocks_and_is_exact(ray_session, monkeypatch):
     """The top-k prune must (a) cap every block entering the shuffle at k
     rows (the scale guarantee judge r2 asked to assert) and (b) reproduce
     the exact unpruned answer, including ties broken by the key column."""
     import ray.data as rd
 
+    from lexmapr_ray.functions import groupagg
     from lexmapr_ray.functions.topk import global_topk, topk_prune
 
     rng = np.random.RandomState(7)
@@ -479,7 +480,9 @@ def test_global_topk_prunes_blocks_and_is_exact(ray_session):
     items = [{"id": int(i), "score": int(rng.randint(0, 500))} for i in range(n)]
     ds = rd.from_items(items, override_num_blocks=16)
 
-    pruned = topk_prune(ds, ["score", "id"], [True, False], k, bundle=1024)
+    with monkeypatch.context() as m:
+        m.setattr(groupagg, "DEFAULT_BUNDLE", 1024)
+        pruned = topk_prune(ds, ["score", "id"], [True, False], k)
     block_sizes = [
         b["n"][0]
         for b in pruned.map_batches(
@@ -498,9 +501,11 @@ def test_global_topk_prunes_blocks_and_is_exact(ray_session):
     pd.testing.assert_frame_equal(got[["id", "score"]], exp[["id", "score"]])
 
 
-def test_semi_join_bucketed_path_matches_broadcast(ray_session, sf_dir):
-    """broadcast_limit=0 forces the distributed bucketed co-location path;
-    it must agree exactly with the broadcast path (and hence the oracle)."""
+def test_semi_join_bucketed_path_matches_broadcast(ray_session, sf_dir, monkeypatch):
+    """``BROADCAST_LIMIT`` 0 forces the distributed bucketed co-location
+    path; it must agree exactly with the broadcast path (and hence the
+    oracle)."""
+    from lexmapr_ray.functions import joins
     from lexmapr_ray.pipelines.relational import (
         customers_without_events,
         users_with_orders_and_events,
@@ -511,8 +516,10 @@ def test_semi_join_bucketed_path_matches_broadcast(ray_session, sf_dir):
         (customers_without_events, "o_custkey"),
     ]:
         broadcast = fn(sf_dir).to_pandas().sort_values(col).reset_index(drop=True)
-        bucketed = fn(sf_dir, broadcast_limit=0).to_pandas() \
-            .sort_values(col).reset_index(drop=True)
+        with monkeypatch.context() as m:
+            m.setattr(joins, "BROADCAST_LIMIT", 0)
+            bucketed = fn(sf_dir).to_pandas() \
+                .sort_values(col).reset_index(drop=True)
         pd.testing.assert_frame_equal(broadcast, bucketed)
     assert len(broadcast) > 0
 
@@ -716,23 +723,25 @@ def test_near_dup_clusters_long_chain_pointer_jumping(ray_session, tmp_path):
     })
     pq.write_table(tbl, str(tmp_path / "documents.parquet"))
 
-    got = near_dup_clusters(str(tmp_path), concurrency=2).to_pandas()
+    got = near_dup_clusters(str(tmp_path)).to_pandas()
     assert (got.loc[got.doc_id < n_chain, "cluster_id"] == 0).all(), \
         "chain did not collapse to one cluster"
     tail = got.loc[got.doc_id >= n_chain]
     assert (tail["cluster_id"] == tail["doc_id"]).all()
 
 
-def test_tfidf_bucketed_vocab_path_matches_broadcast(ray_session, sf_dir):
-    """vocab_broadcast_limit=0 forces the bucketed-join vocabulary path;
-    it must reproduce the broadcast path exactly (which the DuckDB oracle
-    already pins)."""
+def test_tfidf_bucketed_vocab_path_matches_broadcast(ray_session, sf_dir, monkeypatch):
+    """``VOCAB_BROADCAST_LIMIT`` 0 forces the bucketed-join vocabulary
+    path; it must reproduce the broadcast path exactly (which the DuckDB
+    oracle already pins)."""
+    from lexmapr_ray.stages import textstats
     from lexmapr_ray.stages.textstats import tfidf_top_terms
 
     base = tfidf_top_terms(sf_dir).to_pandas() \
         .sort_values(["doc_id", "score_e6", "term"],
                      ascending=[True, False, True]).reset_index(drop=True)
-    joined = tfidf_top_terms(sf_dir, vocab_broadcast_limit=0).to_pandas() \
+    monkeypatch.setattr(textstats, "VOCAB_BROADCAST_LIMIT", 0)
+    joined = tfidf_top_terms(sf_dir).to_pandas() \
         .sort_values(["doc_id", "score_e6", "term"],
                      ascending=[True, False, True]).reset_index(drop=True)
     pd.testing.assert_frame_equal(base, joined)
@@ -743,7 +752,7 @@ CORPUS_STAT_OPS = ("tfidf_top_terms", "token_rarity", "bigram_lm_score",
                    "target_affinity")
 
 
-def test_corpus_stats_on_tokenless_corpus(ray_session, tmp_path):
+def test_corpus_stats_on_tokenless_corpus(ray_session, tmp_path, monkeypatch):
     """A corpus of blank texts has an empty vocabulary.  Each corpus-
     statistics operator then returns a typed 0-row result with its DuckDB
     oracle's columns, on the broadcast and on the bucketed-join path."""
@@ -766,7 +775,8 @@ def test_corpus_stats_on_tokenless_corpus(ray_session, tmp_path):
         exp = con.execute(entrymod.oracle_sql()[name]).fetch_arrow_table()
         assert exp.num_rows == 0, name
         for limit in (10_000_000, 0):
-            ds = getattr(textstats, name)(str(tmp_path), vocab_broadcast_limit=limit)
+            monkeypatch.setattr(textstats, "VOCAB_BROADCAST_LIMIT", limit)
+            ds = getattr(textstats, name)(str(tmp_path))
             assert ds.count() == 0, (name, limit)
             schema = ds.schema()
             assert schema is not None, (name, limit)
@@ -823,7 +833,7 @@ def _sort_count(monkeypatch):
 
 
 def test_corpus_stats_sort_only_above_one_bundle(ray_session, sf_dir, monkeypatch):
-    """A vocabulary that fits ``vocab_broadcast_limit`` is merged on the
+    """A vocabulary that fits ``VOCAB_BROADCAST_LIMIT`` is merged on the
     driver from its unsorted partials, so the only exchange left is the
     result sort.  A corpus that fits one bundle is scored in one task whose
     final already emits the result order: no sort at all.  With the bundle
@@ -868,7 +878,7 @@ def test_corpus_stats_one_bundle_blocks_in_result_order(ray_session, sf_dir, mon
 
 
 def test_corpus_stats_sorted_vocab_then_broadcast(ray_session, sf_dir, monkeypatch):
-    """With ``vocab_broadcast_limit`` at least the vocabulary's row count but
+    """With ``VOCAB_BROADCAST_LIMIT`` at least the vocabulary's row count but
     below its partials' row count, the partials take the sort and final
     reduce and the vocabulary is still broadcast; each operator then equals
     its default output."""
@@ -899,7 +909,9 @@ def test_corpus_stats_sorted_vocab_then_broadcast(ray_session, sf_dir, monkeypat
         [(n_partials, n_vocab)] = sizes
         assert n_vocab < n_partials, (name, sizes)
         sorts.clear()
-        got = _arrow(fn(sf_dir, vocab_broadcast_limit=n_vocab))
+        with monkeypatch.context() as m:
+            m.setattr(textstats, "VOCAB_BROADCAST_LIMIT", n_vocab)
+            got = _arrow(fn(sf_dir))
         assert len(sorts) == 2, (name, sorts)
         assert got.num_rows > 0 and got.equals(base), name
 
@@ -1729,7 +1741,7 @@ def test_length_trim_and_shuffle_order_adversarial_oracle(ray_session, tmp_path)
     assert sorted(ranks) == list(range(41))
 
 
-def test_rarity_index_hll_adversarial_oracle(ray_session, tmp_path):
+def test_rarity_index_hll_adversarial_oracle(ray_session, tmp_path, monkeypatch):
     """token_rarity / inverted_index vs their DuckDB oracles, and the HLL
     sketch vs exact distinct counts, on a corpus with edge whitespace,
     exact duplicates, a high-repetition doc, and empty texts.  min_df is
@@ -1739,6 +1751,7 @@ def test_rarity_index_hll_adversarial_oracle(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     import __ray_entry__ as entrymod
+    from lexmapr_ray.stages import textstats
     from lexmapr_ray.stages.sketches import hll_distinct_tokens
     from lexmapr_ray.stages.textstats import inverted_index, token_rarity
 
@@ -1773,12 +1786,14 @@ def test_rarity_index_hll_adversarial_oracle(ray_session, tmp_path):
             .reset_index(drop=True)
         pd.testing.assert_frame_equal(got, exp, check_dtype=False, obj=name)
 
-    # vocab_broadcast_limit=0 forces the bucketed-join vocabulary path; it
+    # VOCAB_BROADCAST_LIMIT 0 forces the bucketed-join vocabulary path; it
     # must reproduce the broadcast path exactly
     base = token_rarity(str(tmp_path)).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    joined = token_rarity(str(tmp_path), vocab_broadcast_limit=0).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    with monkeypatch.context() as m:
+        m.setattr(textstats, "VOCAB_BROADCAST_LIMIT", 0)
+        joined = token_rarity(str(tmp_path)).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, joined)
     assert len(base) == 5
 
@@ -1884,16 +1899,17 @@ def test_cms_heavy_hitters_overestimate_contract(ray_session, sf_dir):
     assert (out["cms_est"] - out["cnt"] <= eps * total_tokens * 3).all()
 
 
-def test_bigram_lm_adversarial_and_join_path(ray_session, tmp_path):
+def test_bigram_lm_adversarial_and_join_path(ray_session, tmp_path, monkeypatch):
     """bigram_lm_score vs its DuckDB oracle on an adversarial corpus
     (edge whitespace, single-token / empty docs, heavy repetition, an
-    exact dup), then vocab_broadcast_limit=0 forces the bucketed-join
+    exact dup), then ``VOCAB_BROADCAST_LIMIT`` 0 forces the bucketed-join
     model attach — it must reproduce the broadcast path exactly."""
     import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     import __ray_entry__ as entrymod
+    from lexmapr_ray.stages import textstats
     from lexmapr_ray.stages.textstats import bigram_lm_score
 
     texts = [
@@ -1928,7 +1944,8 @@ def test_bigram_lm_adversarial_and_join_path(ray_session, tmp_path):
     s = got.set_index("doc_id")["surprise_e3"]
     assert s[3] < s[2]
 
-    joined = bigram_lm_score(str(tmp_path), vocab_broadcast_limit=0) \
+    monkeypatch.setattr(textstats, "VOCAB_BROADCAST_LIMIT", 0)
+    joined = bigram_lm_score(str(tmp_path)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, joined)
 
@@ -1978,10 +1995,10 @@ def test_minhash_index_dedup_flags_cross_side_dups(ray_session, tmp_path):
     assert list(got["doc_id"]) == sorted(expected)
 
 
-def test_target_affinity_adversarial_and_join_path(ray_session, tmp_path):
+def test_target_affinity_adversarial_and_join_path(ray_session, tmp_path, monkeypatch):
     """target_affinity vs its DuckDB oracle on a corpus where target (en)
     and non-target (de) vocabularies partially overlap, plus edge
-    whitespace/empty docs; vocab_broadcast_limit=0 must reproduce the
+    whitespace/empty docs; ``VOCAB_BROADCAST_LIMIT`` 0 must reproduce the
     broadcast path exactly.  Also pins the semantics: a doc written in the
     target's vocabulary outranks one of equally-common non-target words."""
     import duckdb
@@ -1989,6 +2006,7 @@ def test_target_affinity_adversarial_and_join_path(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     import __ray_entry__ as entrymod
+    from lexmapr_ray.stages import textstats
     from lexmapr_ray.stages.textstats import target_affinity
 
     texts = [
@@ -2021,12 +2039,13 @@ def test_target_affinity_adversarial_and_join_path(ray_session, tmp_path):
     # tokenless docs absent
     assert 6 not in s.index and 7 not in s.index
 
-    joined = target_affinity(str(tmp_path), vocab_broadcast_limit=0) \
+    monkeypatch.setattr(textstats, "VOCAB_BROADCAST_LIMIT", 0)
+    joined = target_affinity(str(tmp_path)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, joined)
 
 
-def test_bpe_train_matches_textbook_serial(ray_session, tmp_path):
+def test_bpe_train_matches_textbook_serial(ray_session, tmp_path, monkeypatch):
     """bpe_train vs an inline textbook BPE on the classic Sennrich-style
     toy vocabulary; also pins the tie-break (max count, then lexicographic
     (left, right)) and the min_freq hapax prune."""
@@ -2035,6 +2054,7 @@ def test_bpe_train_matches_textbook_serial(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from lexmapr_ray.stages import bpe
     from lexmapr_ray.stages.bpe import bpe_train
 
     words = (["low"] * 5 + ["lower"] * 2 + ["newest"] * 6 + ["widest"] * 3
@@ -2075,13 +2095,13 @@ def test_bpe_train_matches_textbook_serial(ray_session, tmp_path):
     assert got.loc[0, "pair_count"] == 9  # 's t' from newest(6) + widest(3)
 
     # the size-switch is transparent: forcing the distributed merge rounds
-    # (driver_vocab_limit=0) yields bit-identical merges
-    dist = bpe_train(str(tmp_path), n_merges=8, driver_vocab_limit=0) \
-        .to_pandas()
+    # (DRIVER_VOCAB_LIMIT 0) yields bit-identical merges
+    monkeypatch.setattr(bpe, "DRIVER_VOCAB_LIMIT", 0)
+    dist = bpe_train(str(tmp_path), n_merges=8).to_pandas()
     pd.testing.assert_frame_equal(got, dist)
 
 
-def test_dup_span_trim_adversarial_oracle(ray_session, tmp_path):
+def test_dup_span_trim_adversarial_oracle(ray_session, tmp_path, monkeypatch):
     """dup_span_trim vs its DuckDB oracle on a corpus built to bite:
     cross-doc shared 8-gram, within-doc repeated 8-gram (multiplicity
     counts), a doc trimmed to nothing, empty text, <8-token doc, and a
@@ -2092,6 +2112,7 @@ def test_dup_span_trim_adversarial_oracle(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     import __ray_entry__ as entrymod
+    from lexmapr_ray.functions import joins
     from lexmapr_ray.stages.dedup import dup_span_trim
 
     common = "the quick brown fox jumps over the lazy dog"
@@ -2121,7 +2142,8 @@ def test_dup_span_trim_adversarial_oracle(ray_session, tmp_path):
         .reset_index(drop=True)
 
     for bl in (2_000_000, 1):
-        got = dup_span_trim(str(tmp_path), broadcast_limit=bl).to_pandas() \
+        monkeypatch.setattr(joins, "BROADCAST_LIMIT", bl)
+        got = dup_span_trim(str(tmp_path)).to_pandas() \
             .reset_index(drop=True)
         pd.testing.assert_frame_equal(
             got[sorted(got.columns)], exp[sorted(exp.columns)],
@@ -3758,6 +3780,54 @@ def test_num_buckets_ratchet():
     assert not found, found
 
 
+def _engine_functions():
+    """``(path, def)`` for every function defined under ``lexmapr_ray/``."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexmapr_ray"
+    for p in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield p.relative_to(pkg), node
+
+
+def _params(fn):
+    a = fn.args
+    return [x for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+
+
+def test_sizing_parameters_ratchet():
+    """Sizing is the engine's decision: a task limit comes from
+    ``_auto_concurrency`` and a size switch from its module's constant.
+    Only the parameters a real caller sets (the matcher family's
+    ``concurrency``/``batch_size``, ``sorted_group_reduce``'s ``bundle``,
+    ``sized_read_parquet``'s ``batch_rows``) are left: 20 parameters named
+    ``concurrency``, ``batch_size``, ``bundle``, ``batch_rows`` or
+    ``*_limit``.  Lower the count when one goes."""
+    found = [f"{p}:{fn.lineno} {fn.name}({x.arg})"
+             for p, fn in _engine_functions() for x in _params(fn)
+             if x.arg in ("concurrency", "batch_size", "bundle", "batch_rows")
+             or x.arg.endswith("_limit")]
+    assert len(found) == 20, found
+
+
+def test_no_dead_parameters():
+    """Every parameter of a function under ``lexmapr_ray/`` is read by its
+    body (``self``, ``cls`` and ``_``-prefixed names excepted): a value a
+    caller can set must change something."""
+    import ast
+
+    dead = []
+    for p, fn in _engine_functions():
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        dead += [f"{p}:{fn.lineno} {fn.name}({x.arg})" for x in _params(fn)
+                 if x.arg not in read and x.arg not in ("self", "cls")
+                 and not x.arg.startswith("_")]
+    assert not dead, dead
+
+
 def test_join_queries_probe_no_lazy_schema(ray_session, sf_dir, monkeypatch):
     """The joins of these seven queries take declared schemas, so none
     calls ``Dataset.schema()`` on an unexecuted plan (which runs the plan
@@ -3822,19 +3892,22 @@ def test_key_topk_matches_python_reference():
 def test_read_parquet_drops_schema_metadata(ray_session, tmp_path):
     """Parquet written from pandas carries a ``pandas`` schema-metadata
     dict, which Ray's schema dedup cannot hash; the engine reader hands
-    Ray the projected schema without it, so no block carries metadata."""
+    Ray the projected schema without it, so no block carries metadata.
+    A ``kg-run`` shard of user pages files is read the same way."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
+    from lexmapr_ray.pipelines.resumable import shard_parquet_pages
     from lexmapr_ray.sources.tables import read_parquet, sized_read_parquet
 
     path = str(tmp_path / "t.parquet")
     pq.write_table(pa.Table.from_pandas(pd.DataFrame(
         {"k": np.arange(100), "s": [str(i) for i in range(100)]})), path)
     assert pq.read_schema(path).metadata
+    [(make, _, _)] = shard_parquet_pages([path]).values()
     for ds in (read_parquet(path, ["k"]), read_parquet(path),
-               sized_read_parquet(path, ["s", "k"])):
+               sized_read_parquet(path, ["s", "k"]), make()):
         blocks = ray.get(ds.filter(expr="k >= 0").materialize().to_arrow_refs())
         assert sum(b.num_rows for b in blocks) == 100
         assert all(b.schema.metadata is None for b in blocks)

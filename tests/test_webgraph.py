@@ -81,12 +81,13 @@ def test_host_filter_drops_dup_heavy_hosts(ray_session):
             surviving["host"].str.removeprefix("host").astype(int)).all()
 
 
-def test_min_label_components_string_keys(ray_session):
+def test_min_label_components_string_keys(ray_session, monkeypatch):
     """Generic components with STRING node ids: a 9-node chain (forces
     multi-round propagation + pointer jumping), a triangle, and two
     isolated nodes; label = lexicographic min reachable."""
     import ray.data as rd
 
+    from lexmapr_ray.functions import components
     from lexmapr_ray.functions.components import min_label_components
 
     chain = [(f"n{i:02d}", f"n{i + 1:02d}") for i in range(8)]
@@ -99,13 +100,14 @@ def test_min_label_components_string_keys(ray_session):
         "b": pa.array([b for _, b in edge_list], pa.string()),
     }))
     nodes = rd.from_arrow(pa.table({"node": pa.array(node_ids, pa.string())}))
-    # BOTH paths of the size switch: switch_limit=0 forces the distributed
-    # min-label + pointer-jump loop; the default takes driver union-find.
+    # BOTH paths of the size switch: a DRIVER_SWITCH_LIMIT of 0 forces the
+    # distributed min-label + pointer-jump loop; the default takes driver
+    # union-find.
     # They must agree row-for-row (the switch is a pure execution choice).
     results = {}
     for tag, limit in (("serial", 2_000_000), ("distributed", 0)):
-        got = min_label_components(edges, nodes, key_type=pa.string(),
-                                   switch_limit=limit) \
+        monkeypatch.setattr(components, "DRIVER_SWITCH_LIMIT", limit)
+        got = min_label_components(edges, nodes, key_type=pa.string()) \
             .to_pandas().sort_values("node").reset_index(drop=True)
         results[tag] = got
         labels = dict(zip(got["node"], got["label"]))
