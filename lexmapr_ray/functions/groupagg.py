@@ -1,4 +1,5 @@
-"""Distributed grouped aggregation via sort co-location.
+"""Distributed grouped aggregation via sort co-location, and the engine's
+one co-location exchange.
 
 Measured on this Ray build (2.49), both built-in grouped operators are
 dominated by per-group / per-block machinery rather than the actual
@@ -9,10 +10,9 @@ engine therefore standardizes on ONE shape for every grouped reduction:
 
     partial per-batch combine  (bundled large batches — also coalesces
         block count ahead of the shuffle, blocks^2 sort cost)
-    -> Dataset.sort(keys)      (equal keys provably co-partitioned:
-        boundary assignment is a pure function of the key)
-    -> per-block vectorized final combine  (batch_size=None so batches
-        never split a sorted block)
+    -> Dataset.sort(keys)
+    -> per-block vectorized final combine  (the last two are
+        :func:`sorted_final`; see the co-location invariant below)
 
 Both sides run on Arrow tables.  ``grouped_sum_count`` covers the
 Sum/Count family (every SQL-oracled query in this repo) with Arrow hash
@@ -25,18 +25,32 @@ fixed-width register/bitmap rows.  ``functions/topk.py::key_topk`` builds
 the per-key top-k (argmax is its k=1) on the first two; it serves as both
 the partial and the final of a per-key top-k reduce.
 
-Why the co-location invariant is safe under dynamic block splitting
-(advisor r2 raised it): Ray 2.49's sort reduce task merges its range's
-mapper slices with ``BlockAccessor.merge_sorted_blocks`` and returns ONE
-block per range partition (ray/data/_internal/planner/exchange/
-sort_task_spec.py:148-161) — sort outputs are never re-split at
-``target_max_block_size``, so with ``batch_size=None`` a post-sort
-``map_batches`` always sees each range (hence each key group) whole.  The
-cost of a pathologically hot key is one oversized block's worth of MEMORY
-in its reduce/consumer task, never a silently split group.
+The co-location invariant.  Every operator in the engine that needs each
+key's rows together in one block (a grouped final, a per-key window, a
+join merge, a bucket's pair explode) goes through :func:`sorted_final`,
+the one ``sort -> whole-block map`` in the engine; no other module
+writes that chain.  It is exact for two reasons:
+
+* a range sort assigns each row by comparing its sort key with sampled
+  boundaries, so rows with equal sort keys land in one partition.  Only
+  the whole sort key is kept together: a composite sort can cut a group
+  of its first column at a mid-group boundary, so sort on the group key
+  alone;
+* Ray 2.49's sort reduce task merges its range's mapper slices with
+  ``BlockAccessor.merge_sorted_blocks`` and returns ONE block per range
+  partition (ray/data/_internal/planner/exchange/sort_task_spec.py:
+  148-161) — sort outputs are never re-split at ``target_max_block_size``,
+  so with ``batch_size=None`` the map right after the sort sees each range
+  whole.  Any LATER map's output blocks are re-split, so a per-key pass
+  must run inside ``final_fn``, not downstream of it.
+
+The cost of a pathologically hot key is one oversized block's worth of
+MEMORY in its reduce/consumer task, never a silently split group.
 ``tests/test_stages.py::test_sorted_reduce_survives_tiny_block_target``
 pins the behavior: if a Ray upgrade ever starts splitting sort outputs,
 that test fails loudly instead of queries silently double-counting.
+``tests/test_stages.py::test_colocation_sort_ratchet`` keeps every other
+module on :func:`sorted_final`.
 """
 
 from __future__ import annotations
@@ -49,23 +63,30 @@ DEFAULT_BUNDLE = 65536
 
 
 def sorted_group_reduce(ds, keys, partial_fn, final_fn, *, bundle: int = DEFAULT_BUNDLE):
-    """General two-phase grouped reduction (see module docstring).
+    """General two-phase grouped reduction (see module docstring):
+    ``partial_fn`` over batches of ``bundle`` rows, then
+    :func:`sorted_final`.
 
-    ``partial_fn``/``final_fn`` map an Arrow table to an Arrow table; both
-    must be per-key associative (partial output rows for one key are
-    merged by final_fn exactly once, in one block).  Neither is called on
-    a 0-row batch: Ray passes an empty block through a ``map_batches``
-    unchanged (pinned by ``tests/test_stages.py::
-    test_map_batches_never_sees_an_empty_batch``).
+    ``partial_fn``/``final_fn`` map an Arrow table to an Arrow table.  For
+    a reduction both must be per-key associative (partial output rows for
+    one key are merged by final_fn exactly once, in one block); a
+    row-wise ``partial_fn`` (a projection ahead of a per-key window) is
+    the degenerate case.  Neither is called on a 0-row batch: Ray passes
+    an empty block through a ``map_batches`` unchanged (pinned by
+    ``tests/test_stages.py::test_map_batches_never_sees_an_empty_batch``).
     """
     partial = ds.map_batches(partial_fn, batch_format="pyarrow", batch_size=bundle)
     return sorted_final(partial, keys, final_fn)
 
 
 def sorted_final(partials, keys, final_fn):
-    """The exchange half of :func:`sorted_group_reduce`: sort the
-    ``partials`` Dataset on ``keys`` and run ``final_fn`` on each sorted
-    block whole."""
+    """The engine's one sort-then-whole-block map: sort ``partials`` on
+    ``keys`` (a column name or a list) and run ``final_fn`` (Arrow table ->
+    Arrow table) on each sorted block whole, so it sees every key's rows
+    together (see module docstring).  It is the exchange half of
+    :func:`sorted_group_reduce`, and also every per-key pass that is not a
+    reduce: join merges, windows, bucket pair explodes.  The output
+    blocks follow the sort's key ranges in order."""
     return partials.sort(keys).map_batches(final_fn, batch_format="pyarrow", batch_size=None)
 
 

@@ -29,6 +29,8 @@ import pandas as pd  # _stable_bucket's string hash only
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from lexmapr_ray.functions.groupagg import sorted_final
+
 # The most keys :func:`semi_join` collects on the driver and broadcasts;
 # a larger key set is joined on instead.
 BROADCAST_LIMIT = 2_000_000
@@ -303,11 +305,5 @@ def bucketed_hash_join(
             )
         return out if block_fn is None else block_fn(out)
 
-    # equal keys have equal hashes and the range sort never splits equal
-    # sort keys, so every key is whole in exactly one block and one Arrow
-    # join per BLOCK is exact — the same sort-co-location argument as
-    # lexmapr_ray.pipelines.kg.dedup_triples, and much cheaper than
-    # groupby().map_groups
-    return unioned.sort("__hash").map_batches(
-        _merge_block, batch_format="pyarrow", batch_size=None
-    )
+    # equal keys have equal hashes, so one Arrow join per block is exact
+    return sorted_final(unioned, "__hash", _merge_block)

@@ -42,7 +42,8 @@ def grouped_exact_quantiles(ds, key: str, value_col: str, qs=DEFAULT_QS):
     value), sorted, so each key's ranks offset by the count before its run
     land inside its run.
     """
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, run_starts
+    from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_starts,
+                                                sorted_final)
 
     hist = grouped_sum_count(ds, [key, value_col], count_alias="__n")
 
@@ -59,6 +60,5 @@ def grouped_exact_quantiles(ds, key: str, value_col: str, qs=DEFAULT_QS):
             cols[name] = pa.array(vals[np.searchsorted(cum, before + rank, side="left")])
         return pa.table(cols)
 
-    # second sort is over the tiny histogram; post-sort each key's rows are
-    # provably whole in one block (functions/groupagg.py invariant)
-    return hist.sort(key).map_batches(finalize, batch_format="pyarrow", batch_size=None)
+    # the second sort is over the tiny histogram
+    return sorted_final(hist, key, finalize)

@@ -25,7 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from lexmapr_ray.functions.groupagg import run_starts
+from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_starts,
+                                            sorted_final, sorted_group_reduce)
 from lexmapr_ray.functions.typed import with_schema
 from lexmapr_ray.stages.match import (CONTEXTS_SCHEMA, TRIPLES_SCHEMA,
                                       MentionMatcher, extract_text_stage)
@@ -155,8 +156,7 @@ def canonicalize_mentions(triples_ds):
         of pages) to ONE row per batch before any data moves — the batch id
         is an implicit salt, so the shuffle volume is vocabulary x n_batches,
         not corpus size;
-      * Ray's sort assigns every row with equal key to exactly one output
-        partition (boundary assignment is a pure function of the key), so a
+      * the sort co-locates each mention (functions/groupagg.py), so a
         per-block Arrow reduce is exact — and ~100x cheaper than
         ``groupby().map_groups`` (one Python call per group) or
         ``groupby().aggregate`` (AggregateFn overhead per block dominates);
@@ -169,8 +169,6 @@ def canonicalize_mentions(triples_ds):
         It is streaming (no barrier), exact at any application count, and
         measured cost-free at bench scale (sf0.1 warm: 4.45 s without vs
         4.49 s with — inside run-to-run noise).
-    ``map_batches(batch_size=None)`` is required: a numeric batch_size would
-    re-split sorted blocks mid-key and break key locality.
     """
     # the large batch_size makes Ray BUNDLE many small upstream blocks into
     # one combiner task, so the combiner both pre-aggregates and coalesces
@@ -180,9 +178,8 @@ def canonicalize_mentions(triples_ds):
     partials = triples_ds.map_batches(
         _partial_mention_counts, batch_format="pyarrow", batch_size=65536
     ).map_batches(_sum_partial_counts, batch_format="pyarrow", batch_size=262144)
-    return with_schema(partials.sort("mention").map_batches(
-        _reduce_canonical_block, batch_format="pyarrow", batch_size=None
-    ), ENTITIES_SCHEMA)
+    return with_schema(sorted_final(partials, "mention", _reduce_canonical_block),
+                       ENTITIES_SCHEMA)
 
 
 def _block_dedup_sorted(t: pa.Table) -> pa.Table:
@@ -234,8 +231,8 @@ def _block_dedup_sorted(t: pa.Table) -> pa.Table:
 
 def dedup_triples(triples_ds, *, block_fn=None):
     """Exact (subj, pred, obj) dedup, one shuffle, fully vectorized:
-    per-batch local dedup (combiner) -> global sort on the triple key
-    (equal keys are guaranteed co-partitioned) -> per-block drop_duplicates.
+    per-batch local dedup (combiner) -> global sort on subj ->
+    per-block drop_duplicates.
     The result is ALSO globally sorted by (subj, pred, obj), so graph
     materialization needs no second shuffle.  ``groupby().map_groups`` and
     ``groupby().aggregate`` were measured ~8x and ~2x the cost of the whole
@@ -291,17 +288,12 @@ def dedup_triples(triples_ds, *, block_fn=None):
     # Global order is unchanged: blocks are subj ranges and the block
     # reduce leaves each block fully (subj, pred, obj)-sorted, so the
     # concatenation stays globally composite-sorted for materialize_graph.
-    if block_fn is None:
-        return ds.sort("subj").map_batches(
-            _block_dedup_sorted, batch_format="pyarrow", batch_size=None
-        )
-
-    def dedup_then(t: pa.Table):
-        return block_fn(_block_dedup_sorted(t))
-
-    return ds.sort("subj").map_batches(
-        dedup_then, batch_format="pyarrow", batch_size=None
-    )
+    final = _block_dedup_sorted
+    if block_fn is not None:
+        def dedup_then(t: pa.Table):
+            return block_fn(_block_dedup_sorted(t))
+        final = dedup_then
+    return sorted_final(ds, "subj", final)
 
 
 def materialize_graph(triples_ds, out_dir: str | None = None):
@@ -325,11 +317,8 @@ def degree_stats(triples_ds):
     Shape: triple dedup leaves unique (subj, pred, obj) rows; a per-batch
     (obj, subj) partial count collapses the pred dimension before the ONE
     obj sort, and the co-located final block computes the exact distinct
-    subject count (equal obj provably lives in one block, see
-    functions/groupagg.py).  Shuffle volume is <= one row per distinct
+    subject count.  Shuffle volume is <= one row per distinct
     (obj, subj) pair per batch — never triple-scale."""
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
-
     deduped = dedup_triples(triples_ds).map_batches(
         lambda t: t.select(["subj", "obj"]), batch_format="pyarrow"
     )
@@ -436,8 +425,6 @@ def triple_confidence(triples_ds):
     per-predicate maxima (<= |preds| = 3 rows) fold on the driver without
     re-running the matcher; the annotate step is a stateless map over the
     materialized stats."""
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
-
     def quad_partial(t: pa.Table) -> pa.Table:
         sel = t.select(["pred", "obj", "subj", "mention"])
         sel = pa.table({c: pc.cast(sel[c], pa.string())
@@ -495,8 +482,6 @@ def host_entity_profile(triples_ds, docs_per_host: int = 16):
     Shape: same ONE-sort grouped reduce as :func:`degree_stats`, keyed
     (host, obj); the per-batch (host, obj, subj) collapse bounds a hot
     (host, term) pair at one row per batch."""
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
-
     def with_host(t: pa.Table) -> pa.Table:
         doc = pc.cast(pc.replace_substring_regex(t["subj"], "^doc://", ""),
                       pa.int64())
@@ -625,8 +610,6 @@ def snapshot_diff(triples_a, triples_b):
             "change", pc.if_else(pc.equal(g["in_b"], 1), "added", "removed")
         ).sort_by([(k, "ascending") for k in _KEYS])
 
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
-
     return sorted_group_reduce(tagged, _KEYS, combine, final)
 
 
@@ -651,8 +634,6 @@ def negative_samples(triples_ds):
     arithmetic + a take.  The only per-row Python left is the md5 call
     itself (not vectorizable)."""
     import hashlib
-
-    from lexmapr_ray.functions.groupagg import run_starts
 
     spo = ["subj", "pred", "obj"]
 
@@ -709,8 +690,6 @@ def cooccurrence_edges(triples_ds, *, max_page_terms: int | None = 128):
     is provably whole even past ``target_max_block_size`` (see
     dedup_triples) — C(k,2) rows for a page with k <= cap distinct terms;
     one grouped count on (obj_a, obj_b) finishes."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     def page_pairs(t: pa.Table) -> pa.Table:
         d = pa.table({"subj": pc.cast(t["subj"], pa.string()),
                       "obj": pc.cast(t["obj"], pa.string())}) \
@@ -744,7 +723,6 @@ def term_components(triples_ds, *, max_iters: int | None = None):
     the corpus), but both are built distributed from corpus-scale triples;
     nothing lands on the driver."""
     from lexmapr_ray.functions.components import min_label_components
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     edges = cooccurrence_edges(triples_ds).map_batches(
         lambda t: t.select(["obj_a", "obj_b"]), batch_format="pyarrow"
@@ -837,8 +815,6 @@ def ancestor_rollup(triples_ds, parents):
     never triple-scale.  Closure depth multiplies only the vocabulary-sized
     partials, not the corpus."""
     import ray
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
     deduped = dedup_triples(triples_ds).map_batches(
         lambda t: t.select(["obj"]), batch_format="pyarrow")

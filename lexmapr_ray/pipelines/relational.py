@@ -19,7 +19,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_spread,
-                                            run_starts)
+                                            run_starts, sorted_final,
+                                            sorted_group_reduce)
 from lexmapr_ray.functions.topk import key_topk
 from lexmapr_ray.functions.typed import int64_schema, with_schema
 
@@ -220,8 +221,6 @@ def q6_forecast_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     the constant-key grouped reduce ships one 16-byte row per batch to a
     single co-located final — the standard 1-row-result pattern
     (split_drift, bloom bitmap)."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = _read(sf_dir, "lineitem",
                ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
     lo = pa.scalar(pc.strptime(date_lo, format="%Y-%m-%d", unit="us"))
@@ -267,7 +266,6 @@ def q7_volume_shipping(sf_dir: str, nation_a: str = "NATION_0",
     first shuffle, exactly where a distributed planner pushes it."""
     from lexmapr_ray.functions.broadcast import lookup, put_lookup
     from lexmapr_ray.functions.joins import bucketed_hash_join
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     name_by_key = put_lookup(nation["n_nationkey"].to_numpy(),
@@ -346,7 +344,6 @@ def q19_discount_revenue(sf_dir: str):
     vectorized numpy over the probed columns; ONE global integer sum
     (constant-key reduce).  Output: (revenue_e4, n_items)."""
     from lexmapr_ray.functions.broadcast import lookup, put_lookup
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).to_pandas()
     brands = sorted(part["p_brand"].unique())
@@ -399,7 +396,6 @@ def q4_order_priority(sf_dir: str, date_lo: str = "1996-01-01",
     before the size-switched :func:`~lexmapr_ray.functions.joins.semi_join`
     (broadcast keyset below 2M keys, bucketed above); one grouped count on
     o_orderpriority finishes."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import semi_join
 
     lo = pa.scalar(pc.strptime(date_lo, format="%Y-%m-%d", unit="us"))
@@ -444,7 +440,6 @@ def q14_promo_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     join shuffle); ONE grouped sum on the month key; the ratio is a
     trivial per-row final map."""
     from lexmapr_ray.functions.broadcast import lookup, put_lookup
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
     promo_ref = put_lookup(
@@ -762,10 +757,8 @@ def top_orders_per_customer(sf_dir: str, k: int = 3):
     # so applying the same reduce before AND after the shuffle is exact
     # while shrinking the exchanged rows to <= k per (key, batch)
     prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
-    pruned = prepped.map_batches(topk_block, batch_format="pyarrow", batch_size=65536)
-    return with_schema(pruned.sort("o_custkey").map_batches(
-        topk_block, batch_format="pyarrow", batch_size=None
-    ), TOP_ORDERS_SCHEMA)
+    return with_schema(sorted_group_reduce(prepped, "o_custkey", topk_block, topk_block),
+                       TOP_ORDERS_SCHEMA)
 
 
 RUNNING_WINDOW_SCHEMA = int64_schema("o_custkey", "o_orderkey", "running_cents",
@@ -817,23 +810,18 @@ def orders_running_window(sf_dir: str):
         return pa.table([t["o_custkey"], t["o_orderkey"], run, gap],
                         schema=RUNNING_WINDOW_SCHEMA)
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
     # Sort on the PARTITION KEY ALONE: the range partitioner splits on the
     # full sort key, so sorting on (custkey, date, orderkey) can cut one
     # customer across two blocks at a (custkey, mid-date) boundary and the
     # per-block window then restarts mid-partition (caught by the sf0.1
     # gate sweep: a -1 gap_days inside a split customer).  With the key
-    # alone, equal keys are provably co-partitioned (functions/groupagg
-    # contract) and window_block's in-block mergesort restores date order.
-    return with_schema(prepped.sort("o_custkey").map_batches(
-        window_block, batch_format="pyarrow", batch_size=None),
-        RUNNING_WINDOW_SCHEMA)
+    # alone, window_block's in-block sort restores date order.
+    return with_schema(sorted_group_reduce(ds, "o_custkey", prep, window_block),
+                       RUNNING_WINDOW_SCHEMA)
 
 
 def _distinct_keys(sf_dir: str, table: str, col: str, out: str):
     """Distributed distinct key set, cast to int64, renamed to ``out``."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = grouped_sum_count(_read(sf_dir, table, [col]), col)
     return ds.map_batches(
         lambda t: pa.table({out: pc.cast(t[col], pa.int64())}),
@@ -914,8 +902,6 @@ def events_zscore_outliers(sf_dir: str):
 
     import numpy as np
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -965,7 +951,6 @@ def customer_event_activity(sf_dir: str):
     side is pre-shrunk to one count row per user by ``grouped_sum_count``
     BEFORE the join shuffle.  Typed -1/0 sentinels replace nulls so the
     output is null-free int64 (exact oracle hashing)."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
@@ -1031,8 +1016,7 @@ def events_daily_active(sf_dir: str):
 
     deduped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536) \
         .map_batches(local_dedupe, batch_format="pyarrow", batch_size=65536)
-    partials = deduped.sort(["day", "user_id"]).map_batches(
-        block_partial, batch_format="pyarrow", batch_size=None)
+    partials = sorted_final(deduped, ["day", "user_id"], block_partial)
     return with_schema(grouped_sum_count(partials, "day", {"dau": "dau_part"},
                                          count_alias="_nb").drop_columns(["_nb"]),
                        DAU_SCHEMA)
@@ -1074,9 +1058,7 @@ def events_retention_cohorts(sf_dir: str):
         return pa.table({"cohort_day": cohort[first],
                          "day_offset": day[first] - cohort[first]})
 
-    rows = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536) \
-        .sort("user_id") \
-        .map_batches(cohort_block, batch_format="pyarrow", batch_size=None)
+    rows = sorted_group_reduce(ds, "user_id", prep, cohort_block)
     return with_schema(grouped_sum_count(rows, ["cohort_day", "day_offset"], {},
                                          count_alias="n_users"), COHORTS_SCHEMA)
 
@@ -1088,64 +1070,52 @@ def fuzzy_name_pairs(sf_dir: str):
     (lexmapr/pipeline_resources mis-spellings table) to corpus-derived
     vocabularies.
 
-    Scale shape — FastSS/SymSpell deletion-neighborhood blocking, never
-    an all-pairs scan: every name explodes to its <= len+1 depth-1
-    deletion variants (self included); names at edit distance <= 1 MUST
-    share a variant, so ONE variant-key sort co-locates all candidates;
-    per-block pair explode, grouped pair dedup, then an exact DP verify
-    over the candidate sliver only (the blocking admits distance-2 pairs
-    like "ab"/"ba" — the verify is semantic, not a formality).  Variant
-    generation is len(name)+1 rows per name — dimension-table scale here,
-    and linear (not quadratic) in vocabulary size always.
+    Scale shape — FastSS/SymSpell deletion-neighborhood keys, never an
+    all-pairs scan and no edit-distance DP: every name emits itself
+    (``pos`` -1) and its depth-1 deletion variants (``pos`` = the deleted
+    offset).  Distance is exactly 1 in two cases, both equi-joins:
+    equal-length names that differ by one substitution share exactly one
+    (variant, pos) key, and a name one character shorter than another
+    equals one of the longer name's deletion variants.  Both keys hold the
+    pair's variant, so ONE variant-key sort co-locates every row of a pair
+    in one block; per block, the two Arrow joins and a distinct are the
+    exact answer.  Variant generation is len(name)+1 rows per name —
+    dimension-table scale here, and linear in vocabulary size always.
 
     Output: (name_a, name_b), name_a < name_b, pair-sorted.
     """
     names = _read(sf_dir, "customer", ["c_name"])
 
     def variants(t: pa.Table) -> pa.Table:
-        vs, ns = [], []
+        vs, ps, ns = [], [], []
         for name in t["c_name"].to_pylist():
-            vs.append(name)
-            ns.append(name)
-            for i in range(len(name)):
-                vs.append(name[:i] + name[i + 1:])
+            for i in range(-1, len(name)):
+                vs.append(name if i < 0 else name[:i] + name[i + 1:])
+                ps.append(i)
                 ns.append(name)
         return pa.table({"variant": pa.array(vs, pa.string()),
+                         "pos": pa.array(ps, pa.int32()),
                          "name": pa.array(ns, pa.string())})
 
     def pair_block(t: pa.Table) -> pa.Table:
-        d = t.group_by(["variant", "name"], use_threads=False).aggregate([])
-        m = d.join(d, "variant", left_suffix="_a", right_suffix="_b")
-        return m.filter(pc.less(m["name_a"], m["name_b"])) \
-            .select(["name_a", "name_b"])
+        d = t.group_by(["variant", "pos", "name"], use_threads=False).aggregate([])
+        dels = d.filter(pc.greater_equal(d["pos"], 0))
+        subs = dels.join(dels, ["variant", "pos"], left_suffix="_a",
+                         right_suffix="_b", use_threads=False)
+        indels = d.filter(pc.less(d["pos"], 0)).select(["variant", "name"]).join(
+            dels.select(["variant", "name"]), "variant",
+            left_suffix="_a", right_suffix="_b", use_threads=False)
+        m = pa.concat_tables([subs.select(["name_a", "name_b"]),
+                              indels.select(["name_a", "name_b"])])
+        a_first = pc.less(m["name_a"], m["name_b"])
+        return pa.table({"name_a": pc.if_else(a_first, m["name_a"], m["name_b"]),
+                         "name_b": pc.if_else(a_first, m["name_b"], m["name_a"])}) \
+            .filter(pc.not_equal(m["name_a"], m["name_b"])) \
+            .group_by(["name_a", "name_b"], use_threads=False).aggregate([])
 
-    candidates = grouped_sum_count(
-        names.map_batches(variants, batch_format="pyarrow")
-        .sort("variant")
-        .map_batches(pair_block, batch_format="pyarrow", batch_size=None),
-        ["name_a", "name_b"],
-    )
-
-    def _lev(a: str, b: str) -> int:
-        if len(a) < len(b):
-            a, b = b, a
-        prev = list(range(len(b) + 1))
-        for i, ca in enumerate(a, 1):
-            cur = [i]
-            for j, cb in enumerate(b, 1):
-                cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                               prev[j - 1] + (ca != cb)))
-            prev = cur
-        return prev[-1]
-
-    def verify(t: pa.Table) -> pa.Table:
-        keep = [_lev(a, b) == 1 for a, b in zip(t["name_a"].to_pylist(),
-                                                t["name_b"].to_pylist())]
-        return t.select(["name_a", "name_b"]).filter(pa.array(keep, pa.bool_()))
-
-    # the grouped dedup leaves rows globally (name_a, name_b)-sorted and
-    # the verify filter preserves block order — no extra presentation sort
-    return candidates.map_batches(verify, batch_format="pyarrow")
+    pairs = sorted_final(names.map_batches(variants, batch_format="pyarrow"),
+                         "variant", pair_block)
+    return pairs.sort(["name_a", "name_b"])
 
 
 def q10_returned_revenue(sf_dir: str, date_lo: str = "1996-01-01",
@@ -1160,7 +1130,6 @@ def q10_returned_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     (100 - discount_cents)); deterministic tie-break by c_custkey.
     """
     from lexmapr_ray.functions.broadcast import lookup, put_lookup
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.functions.topk import global_topk
 

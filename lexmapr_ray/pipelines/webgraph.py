@@ -25,7 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from lexmapr_ray.functions.groupagg import grouped_sum_count
+from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_starts,
+                                            sorted_final, sorted_group_reduce)
 from lexmapr_ray.functions.joins import bucketed_hash_join, semi_join
 from lexmapr_ray.functions.typed import int64_schema, with_schema
 
@@ -540,8 +541,7 @@ def token_triangles(sf_dir: str, permille: int = 100):
             "key": pc.binary_join_element_wise(m["v_x"], m["v_y"], " "),
             "u": m["u"], "x": m["v_x"], "y": m["v_y"]})
 
-    wedges = oriented.sort("u").map_batches(
-        wedge_block, batch_format="pyarrow", batch_size=None)
+    wedges = sorted_final(oriented, "u", wedge_block)
     edge_keys = oriented.map_batches(
         lambda t: pa.table({"key": pc.binary_join_element_wise(
             t["u"].combine_chunks().cast(pa.string()),
@@ -598,8 +598,6 @@ def bfs_distances(sf_dir: str, seed: int = 0, hops: int = 12):
     identical.
     """
     import ray.data as rd
-
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
 
     edges = doc_links(sf_dir).materialize()
     i64 = pa.int64()
@@ -658,8 +656,8 @@ def link_prediction(sf_dir: str, permille: int = 100, min_common: int = 2,
 
     def pair_block(t: pa.Table) -> pa.Table:
         if max_degree is not None:
-            # whole-u co-location (direct post-sort map) makes the
-            # count the node's TRUE degree, so the cap is exact
+            # each u is whole in the block, so the count is the node's
+            # TRUE degree and the cap is exact
             k = t.group_by("u", use_threads=False).aggregate([("v", "count")])
             t = t.filter(pc.is_in(t["u"], k.filter(pc.less_equal(
                 k["v_count"], max_degree))["u"]))
@@ -676,8 +674,7 @@ def link_prediction(sf_dir: str, permille: int = 100, min_common: int = 2,
             t["y"].combine_chunks().cast(pa.string()), " "))
 
     cn = grouped_sum_count(
-        adj.sort("u").map_batches(pair_block, batch_format="pyarrow",
-                                  batch_size=None),
+        sorted_final(adj, "u", pair_block),
         ["x", "y"], count_alias="common_neighbors",
     ).map_batches(keep_and_key, batch_format="pyarrow")
 
@@ -774,7 +771,6 @@ def label_propagation(edges, nodes, *, iters: int = 2):
          exact-safe grouped-argmax pattern of cluster_representatives)
     Output: (node, lbl) after ``iters`` rounds, node-sorted.
     """
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
     from lexmapr_ray.functions.topk import key_topk
 
     rev = edges.map_batches(
@@ -907,8 +903,6 @@ def random_walks(sf_dir: str, steps: int = 4):
     nothing reaches the driver.  Output: (walk_id, step, node) for steps
     0..``steps``, (walk_id, step)-sorted.
     """
-    from lexmapr_ray.functions.groupagg import run_starts
-
     edges = doc_links(sf_dir)
     deg = grouped_sum_count(edges, "src", count_alias="deg")
 
@@ -989,7 +983,6 @@ def anchor_text_profile(sf_dir: str):
     (dst_url, n_inlinks, n_src_hosts, anchor_text), dst-sorted."""
     import re
 
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
     from lexmapr_ray.sources.pages import linked_pages_from_documents
 
     anchor_re = re.compile(rb'<a href="([^"]+)">([^<]*)</a>')

@@ -24,7 +24,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from lexmapr_ray.functions.groupagg import run_spread, run_starts
+from lexmapr_ray.functions.groupagg import (grouped_sum_count, run_spread,
+                                            run_starts, sorted_final,
+                                            sorted_group_reduce)
 from lexmapr_ray.functions.typed import int64_schema, with_schema
 
 SESSION_GAP_US = 30 * 60 * 1_000_000
@@ -98,11 +100,8 @@ def events_sessions(sf_dir: str, gap_us: int = SESSION_GAP_US):
             np.add.reduceat(t["cents"].to_numpy(), first),
         ], schema=SESSIONS_SCHEMA)
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
-    # sort on user_id ONLY: each user's events land in exactly one block
-    return with_schema(prepped.sort("user_id").map_batches(
-        sessionize, batch_format="pyarrow", batch_size=None
-    ), SESSIONS_SCHEMA)
+    return with_schema(sorted_group_reduce(ds, "user_id", prep, sessionize),
+                       SESSIONS_SCHEMA)
 
 
 def events_sessions_two_level(sf_dir: str, gap_us: int = SESSION_GAP_US,
@@ -160,13 +159,8 @@ def events_sessions_two_level(sf_dir: str, gap_us: int = SESSION_GAP_US,
             np.add.reduceat(t["cents"].to_numpy(), first),
         ], schema=SESSIONS_SCHEMA)
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
-    l1 = prepped.sort(["user_id", "slice_id"]).map_batches(
-        sessionize_slice, batch_format="pyarrow", batch_size=None
-    )
-    return with_schema(l1.sort("user_id").map_batches(
-        merge_user, batch_format="pyarrow", batch_size=None
-    ), SESSIONS_SCHEMA)
+    l1 = sorted_group_reduce(ds, ["user_id", "slice_id"], prep, sessionize_slice)
+    return with_schema(sorted_final(l1, "user_id", merge_user), SESSIONS_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +172,6 @@ def events_sliding_3h(sf_dir: str):
     hour: an event at hour h belongs to windows starting h-2, h-1, h.
     The window expansion happens batch-local (x3 rows) BEFORE the grouped
     sum, so the shuffle moves pre-aggregated partials only."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
     def expand(t: pa.Table) -> pa.Table:
@@ -262,9 +254,8 @@ def events_last_order(sf_dir: str):
                          t["o_cents"].take(o)],
                         schema=LAST_ORDER_SCHEMA).sort_by("event_id")
 
-    return with_schema(unioned.sort("user_id").map_batches(
-        asof_block, batch_format="pyarrow", batch_size=None
-    ), LAST_ORDER_SCHEMA)
+    return with_schema(sorted_final(unioned, "user_id", asof_block),
+                       LAST_ORDER_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +311,8 @@ def events_purchase_context(sf_dir: str, window_us: int = DAY_US):
         return pa.table([a["event_id"], seen[hi] - seen[lo], total[hi] - total[lo]],
                         schema=PURCHASE_CONTEXT_SCHEMA).sort_by("event_id")
 
-    return with_schema(ds.map_batches(
-        prep, batch_format="pyarrow", batch_size=65536).sort(
-        "user_id"
-    ).map_batches(context_block, batch_format="pyarrow", batch_size=None),
-        PURCHASE_CONTEXT_SCHEMA)
+    return with_schema(sorted_group_reduce(ds, "user_id", prep, context_block),
+                       PURCHASE_CONTEXT_SCHEMA)
 
 
 def events_funnel(sf_dir: str):
@@ -365,9 +353,7 @@ def events_funnel(sf_dir: str):
         return pa.table([[int(np.count_nonzero(x < never))]
                          for x in (view, click, buy)], schema=FUNNEL_SCHEMA)
 
-    partials = ds.map_batches(prep, batch_format="pyarrow", batch_size=65536) \
-        .sort("user_id") \
-        .map_batches(funnel_block, batch_format="pyarrow", batch_size=None)
+    partials = sorted_group_reduce(ds, "user_id", prep, funnel_block)
 
     def total(t: pa.Table) -> pa.Table:
         return pa.table([[pc.sum(t[c])] for c in FUNNEL_SCHEMA.names],
@@ -421,9 +407,7 @@ def max_concurrent_sessions(sf_dir: str, gap_us: int = SESSION_GAP_US):
         })
 
     ranked, totals = prefix_sums(
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
-        .sort("user_id")
-        .map_batches(intervals, batch_format="pyarrow", batch_size=None),
+        sorted_group_reduce(ds, "user_id", prep, intervals),
         ["ts", "delta"], descending=[False, True], sums=["delta"])
     if totals["rows"] == 0:
         return rd.from_items([{"max_concurrent": 0, "at_ts_us": 0}])
@@ -453,8 +437,6 @@ def event_transitions(sf_dir: str):
     """
     import ray.data as rd
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -473,9 +455,7 @@ def event_transitions(sf_dir: str):
                          "to_type": t["event_type"].slice(1).filter(same)})
 
     counts = pa.Table.from_pylist(grouped_sum_count(
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=65536)
-        .sort("user_id")
-        .map_batches(pairs, batch_format="pyarrow", batch_size=None),
+        sorted_group_reduce(ds, "user_id", prep, pairs),
         ["from_type", "to_type"], count_alias="n",
     ).take_all(), schema=TRANSITIONS_SCHEMA.remove(3))  # |event_types|^2 rows
 

@@ -20,6 +20,9 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from lexmapr_ray.functions.groupagg import (fold_binary, grouped_sum_count,
+                                            run_starts, sorted_final,
+                                            sorted_group_reduce)
 
 # Deterministic MinHash parameters
 NUM_HASHES = 64
@@ -167,8 +170,6 @@ def dedup_exact(sf_dir: str):
 
     def keep_min_final(t: pa.Table) -> pa.Table:
         return keep_min_partial(t).select(["doc_id", "text"])
-
-    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
 
     return sorted_group_reduce(
         ds.map_batches(digest, batch_format="pyarrow"),
@@ -442,14 +443,12 @@ def minhash_candidate_pairs(sf_dir: str, shingle_kind: str = "word",
         ia, ib = _bucket_pairs(t["bucket"].to_numpy(), doc)
         return _distinct_pairs(pa.table({"doc_a": doc[ia], "doc_b": doc[ib]}))
 
-    cand = banded.sort("bucket").map_batches(
-        pairs_block, batch_format="pyarrow", batch_size=None)
+    cand = sorted_final(banded, "bucket", pairs_block)
     if not distinct:
         return cand
     # distinct pairs (a pair can surface from several bands/blocks)
-    return _lsh_result(cand.sort(["doc_a", "doc_b"]).map_batches(
-        _distinct_pairs, batch_format="pyarrow", batch_size=None),
-        _PAIR_SCHEMA)
+    return _lsh_result(sorted_final(cand, ["doc_a", "doc_b"], _distinct_pairs),
+                       _PAIR_SCHEMA)
 
 
 def _verified_pairs(sf_dir: str, threshold: float, shingle_kind: str):
@@ -499,12 +498,11 @@ def _verified_pairs(sf_dir: str, threshold: float, shingle_kind: str):
         right_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
     )
 
-    # batch_size=None: blocks out of the pair sort must not be re-split
-    # mid-pair; the sort leaves output globally pair-ordered, so the block
-    # verify's pair-ordered output is globally sorted with NO extra shuffle
-    return _lsh_result(joined.sort(["doc_a", "doc_b"]).map_batches(
-        _verifier(shingle_fn, threshold, _JACCARD_SCHEMA),
-        batch_format="pyarrow", batch_size=None), _JACCARD_SCHEMA)
+    # the sort leaves output globally pair-ordered, so the block verify's
+    # pair-ordered output is globally sorted with NO extra shuffle
+    return _lsh_result(sorted_final(
+        joined, ["doc_a", "doc_b"],
+        _verifier(shingle_fn, threshold, _JACCARD_SCHEMA)), _JACCARD_SCHEMA)
 
 
 def _verifier(shingle_fn, threshold: float, schema: pa.Schema):
@@ -861,8 +859,6 @@ def bloom_decontaminate(sf_dir: str, k: int = 8, test_permille: int = 50):
     # per-batch bitmaps fold 32-at-a-time in combiner tasks, the constant
     # key co-locates the survivors in ONE final block, and the driver only
     # ever receives the single merged 1 MiB row (never n_batches of them)
-    from lexmapr_ray.functions.groupagg import fold_binary, sorted_group_reduce
-
     def or_merge(t: pa.Table) -> pa.Table:
         return fold_binary(t, "b", "bitmap", np.uint8, np.bitwise_or)
 
@@ -963,12 +959,11 @@ def simhash_near_dup_pairs(sf_dir: str, max_hamming: int = 3):
         return _distinct_pairs(pa.table(
             [doc[ia][ok], doc[ib][ok], ham[ok]], schema=_HAMMING_SCHEMA))
 
-    cand = sigs.map_batches(explode, batch_format="pyarrow").sort("bucket") \
-        .map_batches(pairs_block, batch_format="pyarrow", batch_size=None)
-    # a pair can surface from several bands; sort co-locates equal pairs
-    return _lsh_result(cand.sort(["doc_a", "doc_b"]).map_batches(
-        _distinct_pairs, batch_format="pyarrow", batch_size=None),
-        _HAMMING_SCHEMA)
+    cand = sorted_final(sigs.map_batches(explode, batch_format="pyarrow"),
+                        "bucket", pairs_block)
+    # a pair can surface from several bands
+    return _lsh_result(sorted_final(cand, ["doc_a", "doc_b"], _distinct_pairs),
+                       _HAMMING_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +993,6 @@ def span_dedup(sf_dir: str, span_tokens: int = 3):
     """
     import pyarrow.compute as pc
 
-    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
     from lexmapr_ray.stages.textstats import _token_lists
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
@@ -1038,9 +1032,7 @@ def span_dedup(sf_dir: str, span_tokens: int = 3):
     # could cut one doc's spans across two range partitions and reassemble
     # would emit the doc twice (same boundary hazard the sf0.1 sweep caught
     # in orders_running_window); the in-block sort restores span order
-    return winners.sort("doc_id").map_batches(
-        reassemble, batch_format="pyarrow", batch_size=None
-    ).sort("doc_id")
+    return sorted_final(winners, "doc_id", reassemble).sort("doc_id")
 
 
 def minhash_index_dedup(sf_dir: str, threshold: float = 0.8,
@@ -1166,7 +1158,6 @@ def _index_dedup_verdicts(banded, docs, threshold: float,
     banded rows (the real ingest topology, pipelines/ingest.py, where
     'existing' means 'row came from the persisted index', no arithmetic
     gate exists)."""
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.functions.topk import key_topk
     from lexmapr_ray.stages.textstats import md5_permille
@@ -1184,8 +1175,7 @@ def _index_dedup_verdicts(banded, docs, threshold: float,
     # doc_a = new doc, doc_b = existing doc (sides fixed, not ordered ids)
     tagged = banded if pretagged else \
         banded.map_batches(tag, batch_format="pyarrow")
-    cand = tagged.sort("bucket").map_batches(
-        cross_pairs, batch_format="pyarrow", batch_size=None)
+    cand = sorted_final(tagged, "bucket", cross_pairs)
 
     def explode(t: pa.Table) -> pa.Table:
         a, b = t["doc_a"].combine_chunks(), t["doc_b"].combine_chunks()
@@ -1201,9 +1191,8 @@ def _index_dedup_verdicts(banded, docs, threshold: float,
                                ("doc_id", pa.int64())]),
         right_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
     )
-    verified = joined.sort(["doc_a", "doc_b"]).map_batches(
-        _verifier(_SHINGLERS["word"], threshold, _VERDICT_SCHEMA),
-        batch_format="pyarrow", batch_size=None)
+    verified = sorted_final(joined, ["doc_a", "doc_b"],
+                            _verifier(_SHINGLERS["word"], threshold, _VERDICT_SCHEMA))
 
     # one verdict per new doc: max jaccard, tie-break min existing id —
     # associative, so the per-batch prune + post-sort final is exact
@@ -1284,7 +1273,6 @@ def dup_span_trim(sf_dir: str, k: int = 8, min_count: int = 2):
     """
     import pyarrow.compute as pc
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
     from lexmapr_ray.functions.joins import bucketed_hash_join, semi_join
     from lexmapr_ray.stages.textstats import _token_lists
 
@@ -1433,7 +1421,6 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
     are excluded before the merge; host ids use the synthetic
     ``doc_id // docs_per_host`` model shared with
     ``pipelines/webgraph.py``."""
-    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
     from lexmapr_ray.functions.typed import with_schema
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
@@ -1476,8 +1463,8 @@ def host_near_dup(sf_dir: str, min_match_pct: int = 5,
         t = t.sort_by([("host_a", "ascending"), ("host_b", "ascending")])
         return t.take(run_starts(t, ["host_a", "host_b"]))
 
-    pairs = host_sigs.map_batches(band, batch_format="pyarrow").sort("bucket") \
-        .map_batches(pair_block, batch_format="pyarrow", batch_size=None)
+    pairs = sorted_final(host_sigs.map_batches(band, batch_format="pyarrow"),
+                         "bucket", pair_block)
     out = sorted_group_reduce(pairs, ["host_a", "host_b"], dedupe, dedupe)
     return with_schema(out.map_batches(
         lambda t: t.rename_columns(HOST_PAIRS_SCHEMA.names),
@@ -1510,7 +1497,6 @@ def winnowing_dup_pairs(sf_dir: str, k: int = 16, w: int = 8,
     max_df^2 per fingerprint -> grouped pair count (standard combiner ->
     sort shape).  No all-pairs scan; shuffle is fingerprint-scale
     (~2/(w+1) of corpus grams)."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
     from lexmapr_ray.stages.textstats import (_gram_hashes, _read_documents,
                                               _winnow_select)
 
@@ -1586,12 +1572,9 @@ def paragraph_dedup(sf_dir: str):
        holds O(batches) rows, never O(corpus).
     3. assembly reduce keyed on ``doc_id``: partial re-combines counters;
        the post-sort final orders each doc's survivors by ``pos`` and
-       joins them with ``". "`` (equal doc_ids are co-located whole by the
-       sort contract — see functions/groupagg docstring).
+       joins them with ``". "``.
     """
     import pyarrow.compute as pc
-
-    from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
 

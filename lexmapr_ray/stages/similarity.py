@@ -13,7 +13,9 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from lexmapr_ray.functions.groupagg import run_starts, sorted_group_reduce
+from lexmapr_ray.functions.groupagg import (fold_binary, grouped_sum_count,
+                                            run_starts, sorted_final,
+                                            sorted_group_reduce)
 from lexmapr_ray.functions.topk import key_topk
 from lexmapr_ray.functions.typed import int64_schema, with_schema
 
@@ -255,14 +257,11 @@ def embedding_near_dup_pairs(sf_dir: str, threshold_bp: int = 3000,
 
     # the final pair-key sort both orders the output and puts the repeats
     # of a pair surfaced by several tables next to each other
-    return with_schema(
-        ds.map_batches(with_bucket, batch_format="pyarrow")
-        .sort("bucket")
-        .map_batches(pairs_block, batch_format="pyarrow", batch_size=None)
-        .sort(["vec_a", "vec_b"])
-        .map_batches(lambda t: t.take(run_starts(t, ["vec_a", "vec_b"])),
-                     batch_format="pyarrow", batch_size=None),
-        NEAR_DUP_SCHEMA)
+    pairs = sorted_final(ds.map_batches(with_bucket, batch_format="pyarrow"),
+                         "bucket", pairs_block)
+    return with_schema(sorted_final(
+        pairs, ["vec_a", "vec_b"],
+        lambda t: t.take(run_starts(t, ["vec_a", "vec_b"]))), NEAR_DUP_SCHEMA)
 
 
 def hybrid_search(sf_dir: str, keyword: str = "spark",
@@ -365,11 +364,8 @@ def knn_graph(sf_dir: str, k: int = 5, n_tables: int = 4,
         return key_topk(t, "vec_id", [("sim_bp", "descending"),
                                       ("neighbor_id", "ascending")], k, rank)
 
-    cand = (
-        ds.map_batches(with_bucket, batch_format="pyarrow")
-        .sort("bucket")
-        .map_batches(pairs_block, batch_format="pyarrow", batch_size=None)
-    )
+    cand = sorted_final(ds.map_batches(with_bucket, batch_format="pyarrow"),
+                        "bucket", pairs_block)
     return with_schema(sorted_group_reduce(cand, "vec_id", topk,
                                            lambda t: topk(t, "rank")),
                        KNN_SCHEMA)
@@ -607,8 +603,8 @@ def cosine_topk_multi(sf_dir: str, n_queries: int = 8, k: int = 5):
                                         ("vec_id", "ascending")], k)
 
     pruned = ds.map_batches(score_prune, batch_format="pyarrow")
-    return with_schema(pruned.sort("query_id").map_batches(
-        final_topk, batch_format="pyarrow", batch_size=None), TOPK_MULTI_SCHEMA)
+    return with_schema(sorted_final(pruned, "query_id", final_topk),
+                       TOPK_MULTI_SCHEMA)
 
 
 class _XEncRescorer:
@@ -719,8 +715,7 @@ def rerank_topk(sf_dir: str, n_queries: int = 8, k1: int = 50, k: int = 10):
         concurrency=_auto_concurrency(),
         num_cpus=1,
     )
-    return with_schema(scored.sort("query_id").map_batches(
-        final_topk, batch_format="pyarrow", batch_size=None), RERANK_SCHEMA)
+    return with_schema(sorted_final(scored, "query_id", final_topk), RERANK_SCHEMA)
 
 
 def embedding_centroids(sf_dir: str):
@@ -735,8 +730,6 @@ def embedding_centroids(sf_dir: str):
     ``np.add.reduceat`` over the whole matrix (no per-vector Python);
     the shuffle then moves |labels| x dim partial rows per batch, and the
     mean is an exact int64 floor division after the grouped sum."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = _read_embeddings(sf_dir, ["label", "embedding"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -791,8 +784,6 @@ def embedding_quantize(sf_dir: str):
          to 0.
     Output is the per-vector quantized summary (min/max/sum) — a flat,
     driver-hashable attestation of every quantized value."""
-    from lexmapr_ray.functions.groupagg import fold_binary, sorted_group_reduce
-
     ds = _read_embeddings(sf_dir, ["vec_id", "embedding"])
 
     def maxabs_partial(t: pa.Table) -> pa.Table:
@@ -968,9 +959,8 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 5,
     order-independent of engine batching.
 
     Scale shape: ``k`` is the scale knob — SemDeDup at corpus scale sets
-    k ~ n / target_cluster_size so each cluster fits one sorted block (the
-    same equal-key co-location every grouped op here pins, see
-    functions/groupagg.py); the per-cluster greedy is one m x m matmul plus
+    k ~ n / target_cluster_size so each cluster fits one sorted block;
+    the per-cluster greedy is one m x m matmul plus
     an O(m) masked scan per row, never corpus-quadratic.  Centroids are
     broadcast once with ``ray.put`` and read once per worker process, not
     per batch.
@@ -1009,13 +999,9 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 5,
         return pa.table({"vec_id": ids, "cluster": t["cluster"],
                          "keep": kept.astype(np.int64), "dup_of": dup_of})
 
-    # sort on cluster co-locates each cluster whole in one block;
-    # batch_size=None keeps the sorted blocks intact through the reduce
-    return with_schema(
-        ds.map_batches(assign_emb, batch_format="pyarrow", batch_size=4096)
-        .sort("cluster")
-        .map_batches(greedy_block, batch_format="pyarrow", batch_size=None)
-        .sort("vec_id"), SEMANTIC_DEDUP_SCHEMA)
+    return with_schema(sorted_final(
+        ds.map_batches(assign_emb, batch_format="pyarrow", batch_size=4096),
+        "cluster", greedy_block).sort("vec_id"), SEMANTIC_DEDUP_SCHEMA)
 
 
 def embedding_covariance(sf_dir: str):
@@ -1040,8 +1026,6 @@ def embedding_covariance(sf_dir: str):
     combiner needs a wider (split hi/lo) accumulator.
     """
     import ray.data as rd
-
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     ds = _read_embeddings(sf_dir, ["vec_id", "embedding"])
 
@@ -1184,7 +1168,6 @@ def cluster_top_terms(sf_dir: str, top: int = 5):
     top-k orchestration."""
     import pyarrow.compute as pc
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.stages.textstats import _read_documents, _token_lists
 

@@ -15,6 +15,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from lexmapr_ray.functions.groupagg import (grouped_sum_count, sorted_final,
+                                            sorted_group_reduce)
+
 # Small fixed stopword list for the quality score (mirrored in the SQL oracle).
 QUALITY_STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
 
@@ -156,8 +159,6 @@ def quality_score(sf_dir: str):
 
 def lang_distribution(sf_dir: str):
     """Corpus language histogram (uses the shipped lang column)."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = _read_documents(sf_dir, ["lang"])
     return grouped_sum_count(ds, "lang", count_alias="n")
 
@@ -454,8 +455,8 @@ def _doc_local_scores(ds, explode, key: str, vocab: dict, lookup, attach, reduce
     import ray
 
     from lexmapr_ray.functions.broadcast import get_once, put_lookup
-    from lexmapr_ray.functions.groupagg import (DEFAULT_BUNDLE, sorted_final,
-                                                sorted_group_reduce, sum_count_reduce)
+    # read when called, so a test's monkeypatch reaches them
+    from lexmapr_ray.functions.groupagg import DEFAULT_BUNDLE, sum_count_reduce
 
     partial, final, order = reduce
     vocab_partial, vocab_final = sum_count_reduce(**vocab)
@@ -667,8 +668,6 @@ def score_percentile(sf_dir: str):
 
 def lang_token_stats(sf_dir: str):
     """Per-language corpus statistics: docs, total tokens, total chars."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     ds = _read_documents(sf_dir, ["lang", "text"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -810,8 +809,6 @@ def source_stats(sf_dir: str):
     partials (a source may straddle digest-sorted blocks), and a final tiny
     grouped sum over sources (rows = sources x blocks, not corpus) closes
     the count.  No digest set is ever collected to the driver."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count, sorted_group_reduce
-
     ds = _read_documents(sf_dir, ["text", "source"])
 
     def to_rows(t: pa.Table) -> pa.Table:
@@ -937,7 +934,6 @@ def source_cap(sf_dir: str, cap: int = 15):
     the sort shuffle moves <= cap rows per (source, batch) instead of the
     corpus; the identical prune after the source sort is the final answer.
     """
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
     from lexmapr_ray.functions.topk import key_topk
     from lexmapr_ray.functions.typed import with_schema
 
@@ -961,7 +957,6 @@ def vocab_topk(sf_dir: str, k: int = 20):
     and a per-block final sum + top-k prune leaves <= k rows per block for
     the tiny final sort.  Token definition is the engine-wide one
     (ASCII-ws trim + \\s+ split, see ``_token_lists``)."""
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.topk import global_topk
 
     ds = _read_documents(sf_dir, ["text"])
@@ -1128,8 +1123,6 @@ def inverted_index(sf_dir: str, min_df: int = 5):
     the per-batch combine).  ``min_df`` prunes the hapax tail AFTER the
     grouped reduce (the filter is on a post-aggregation value: df is only
     known at the end)."""
-    from lexmapr_ray.functions.groupagg import sorted_group_reduce
-
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
     def pairs(t: pa.Table) -> pa.Table:
@@ -1232,7 +1225,6 @@ def bigram_lm_score(sf_dir: str):
     ``w1 || ' ' || w2`` cannot alias.  Docs with < 2 tokens have no bigrams
     and are absent from the output (the SQL oracle mirrors this).
     """
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
 
     def explode(t: pa.Table) -> pa.Table:
@@ -1366,7 +1358,6 @@ def collocations(sf_dir: str, k: int = 20, min_count: int = 5):
     test data; the SQL oracle computes the identical quotient in HUGEINT,
     so any drift is the engine's overflow, loudly caught by the gate.
     """
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.joins import bucketed_hash_join
     from lexmapr_ray.functions.topk import global_topk
 
@@ -1454,7 +1445,6 @@ def vocab_coverage(sf_dir: str, permilles: tuple = (500, 900, 950, 990)):
     """
     import pandas as pd
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.ranks import prefix_sums
     from lexmapr_ray.functions.topk import global_topk
 
@@ -1517,8 +1507,6 @@ def source_vocab_overlap(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
-
     docs = _read_documents(sf_dir, ["source", "text"])
 
     def explode(t: pa.Table) -> pa.Table:
@@ -1550,8 +1538,7 @@ def source_vocab_overlap(sf_dir: str):
             .select(["source_a", "source_b"])
 
     common = grouped_sum_count(
-        vocab.sort("w").map_batches(pair_block, batch_format="pyarrow",
-                                    batch_size=None),
+        sorted_final(vocab, "w", pair_block),
         ["source_a", "source_b"], count_alias="n_common").take_all()
 
     rows = []
@@ -1592,8 +1579,6 @@ def split_drift(sf_dir: str, test_permille: int = 50):
     """
     import pandas as pd
     import ray.data as rd
-
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
 
@@ -1651,7 +1636,6 @@ def top_phrases(sf_dir: str, k: int = 20, n: int = 3):
     (``stages/dedup._window_grams``) with a per-batch ``value_counts``
     combiner, one grouped sum, exact-safe pruned top-k.
     """
-    from lexmapr_ray.functions.groupagg import grouped_sum_count
     from lexmapr_ray.functions.topk import global_topk
     from lexmapr_ray.stages.dedup import _window_grams
 

@@ -2480,10 +2480,12 @@ def test_link_prediction_adversarial_oracle(ray_session, tmp_path):
 
 def test_fuzzy_name_pairs_adversarial_oracle(ray_session, tmp_path):
     """fuzzy_name_pairs vs the levenshtein oracle on names built to bite
-    the blocking: a transposition pair ("ab"/"ba" shares a deletion
-    variant but is distance 2 — the verify must kill it), insertion /
-    deletion / substitution pairs (all distance 1), and an unrelated
-    name."""
+    the deletion keys: a transposition pair ("ab"/"ba" shares a deletion
+    variant but is distance 2 — the (variant, pos) keys must not pair
+    it), insertion / deletion / substitution pairs (all distance 1), runs
+    of one character (two deletion positions give one variant), one-
+    character names, a long shared prefix, and an unrelated name; no pair
+    may come out twice."""
     import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -2495,6 +2497,11 @@ def test_fuzzy_name_pairs_adversarial_oracle(ray_session, tmp_path):
              "kitten", "sitten",  # substitution: distance 1
              "cart", "car",       # deletion: distance 1
              "car", "care",       # insertion: distance 1 (car dup'd is fine)
+             "aab", "ab",         # deletion at either of two positions
+             "aab", "abb",        # substitution inside a run
+             "a", "b", "ab",      # one-character names
+             "prefix_shared_long_name_x", "prefix_shared_long_name_y",
+             "prefix_shared_long_name_", "prefix_shared_long_namex",
              "zzz"]
     names = list(dict.fromkeys(names))   # unique, order-stable
     tbl = pa.table({
@@ -2521,6 +2528,8 @@ def test_fuzzy_name_pairs_adversarial_oracle(ray_session, tmp_path):
     assert ("car", "cart") in pairs
     assert ("car", "care") in pairs
     assert not any("zzz" in p for p in pairs)
+    assert len(pairs) == len(got)   # no duplicate (name_a, name_b) row
+    assert {("aab", "ab"), ("aab", "abb"), ("a", "b"), ("a", "ab")} <= pairs
 
 
 def test_cluster_top_terms_composition(ray_session, tmp_path):
@@ -2989,6 +2998,90 @@ def test_new_ops_survive_tiny_block_target(ray_session):
 
     pd.testing.assert_frame_equal(base_trim, tiny_trim)
     pd.testing.assert_frame_equal(base_tri, tiny_tri)
+
+
+@pytest.fixture(scope="module")
+def tiny_block_dir(tmp_path_factory, sf_dir):
+    """Inputs big enough that a 16 KiB block target splits each exchange
+    input below: 20,000 events over 500 users, 300 documents over 12
+    sources with a 2,000-word vocabulary, and the test embeddings."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("tiny_blocks")
+    rng = np.random.RandomState(11)
+    n = 20_000
+    pq.write_table(pa.table({
+        "event_id": np.arange(n, dtype=np.int64),
+        "ts": pa.array(1_704_067_200_000_000
+                       + rng.randint(0, 30 * 86_400_000_000, n), pa.timestamp("us")),
+        "user_id": rng.randint(0, 500, n).astype(np.int64),
+        "event_type": pa.array(rng.choice(["view", "click", "purchase", "signup"], n)),
+        "value": np.round(rng.uniform(0, 500, n), 2),
+    }), d / "events.parquet")
+    docs = 300
+    pq.write_table(pa.table({
+        "doc_id": np.arange(docs, dtype=np.int64),
+        "source": [f"src{i % 12}" for i in range(docs)],
+        "text": [" ".join(f"w{j}" for j in rng.randint(0, 2000, 30))
+                 for _ in range(docs)],
+    }), d / "documents.parquet")
+    shutil.copy(f"{sf_dir}/embeddings.parquet", d / "embeddings.parquet")
+    return str(d)
+
+
+@pytest.mark.parametrize("query, final", [
+    ("lexmapr_ray.pipelines.windows.events_funnel", "funnel_block"),
+    ("lexmapr_ray.pipelines.relational.events_retention_cohorts", "cohort_block"),
+    ("lexmapr_ray.pipelines.relational.event_value_quantiles", "finalize"),
+    ("lexmapr_ray.stages.textstats.source_vocab_overlap", "pair_block"),
+    ("lexmapr_ray.stages.similarity.embedding_near_dup_pairs", "pairs_block"),
+])
+def test_colocation_survives_tiny_block_target(ray_session, tiny_block_dir,
+                                               monkeypatch, query, final):
+    """One query per module whose co-location exchange goes through
+    ``groupagg.sorted_final`` (windows, relational, quantiles, textstats,
+    similarity) gives the same rows under a 16 KiB block target as under
+    the default.  The named ``final`` exchange's input must really reach
+    the sort in more than one block, so the split is exercised."""
+    import importlib
+    import sys
+
+    import ray
+    from ray.data import DataContext
+
+    from lexmapr_ray.functions import groupagg
+
+    module, name = query.rsplit(".", 1)
+    fn = getattr(importlib.import_module(module), name)
+
+    def rows(ds):
+        df = ds.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    base = rows(fn(tiny_block_dir))
+
+    real = groupagg.sorted_final
+    blocks = {}
+
+    def recording(partials, keys, final_fn):
+        partials = partials.materialize()
+        blocks.setdefault(getattr(final_fn, "__name__", ""), []).append(
+            sum(1 for b in ray.get(partials.to_arrow_refs()) if b.num_rows))
+        return real(partials, keys, final_fn)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("lexmapr_ray.") \
+                and getattr(mod, "sorted_final", None) is real:
+            monkeypatch.setattr(mod, "sorted_final", recording)
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 16 * 1024)
+    tiny = rows(fn(tiny_block_dir))
+
+    assert max(blocks.get(final, [0])) > 1, blocks
+    assert len(base) > 0
+    pd.testing.assert_frame_equal(base, tiny)
 
 
 def test_source_vocab_overlap_adversarial_oracle(ray_session, tmp_path):
@@ -3778,6 +3871,28 @@ def test_num_buckets_ratchet():
              if isinstance(node, (ast.arg, ast.keyword))
              and node.arg == "num_buckets"]
     assert not found, found
+
+
+def test_colocation_sort_ratchet():
+    """Every co-location exchange goes through ``groupagg.sorted_final``:
+    no ``map_batches`` under ``lexmapr_ray/`` is called directly on a
+    ``.sort(...)`` outside ``functions/groupagg.py``, which states and
+    pins why that chain is exact."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "lexmapr_ray"
+    found = sorted(f"{p.relative_to(pkg)}:{node.lineno}"
+                   for p in pkg.rglob("*.py")
+                   if p.relative_to(pkg).as_posix() != "functions/groupagg.py"
+                   for node in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "map_batches"
+                   and isinstance(node.func.value, ast.Call)
+                   and isinstance(node.func.value.func, ast.Attribute)
+                   and node.func.value.func.attr == "sort")
+    assert not found, f"{len(found)} sort -> map_batches sites: {found}"
 
 
 def _engine_functions():
